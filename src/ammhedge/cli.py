@@ -156,9 +156,7 @@ def cmd_simulate(args):
     ]
     table = experiments.Table(
         name="summary", columns=["Metric", "Value"], rows=rows,
-        provenance={"seed": scn.sim.seed, "n_paths": scn.sim.n_paths,
-                    "engine": "mc_jump" if scn.jump is not None and scn.jump.lam > 0 else "mc_gbm",
-                    "config": scenario_hash(scn)},
+        provenance=experiments._provenance(scn),
         formats=[None, "%.4f"])
     _emit([table], args.out)
     return 0

@@ -164,6 +164,10 @@ def validate_sim(sim: SimConfig) -> list:
         errs.append("claim_interval_days must be nonnegative")
     if not 0.0 <= sim.liq_penalty_frac <= 1.0:
         errs.append("liq_penalty_frac must lie in [0,1]")
+    if sim.borrow_fee_frac < 0:
+        errs.append("borrow_fee_frac must be nonnegative")
+    if sim.gas_cost < 0:
+        errs.append("gas_cost must be nonnegative")
     try:
         parse_rebalance(sim.rebalance)
     except ScenarioError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import montecarlo as mc
-from .config_domain import (JumpParams, Scenario, ScenarioError, parse_scenario,
+from .config_domain import (DAYS_PER_YEAR, JumpParams, Scenario, ScenarioError, parse_scenario,
                             scenario_hash, scenario_values)
 from .liquidation_fpt import fpt_inputs, liquidation_probability
 
@@ -86,7 +86,8 @@ class SweepSpec:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _provenance(scn, n_paths=None, engine="mc_gbm"):
+def _provenance(scn, n_paths=None):
+    engine = "mc_jump" if scn.jump is not None and scn.jump.lam > 0 else "mc_gbm"
     return {"seed": scn.sim.seed, "n_paths": n_paths if n_paths is not None else scn.sim.n_paths,
             "engine": engine, "config": scenario_hash(scn)}
 
@@ -128,10 +129,11 @@ def _se_prob_pp(p, n):
     return math.sqrt(max(p * (1.0 - p), 0.0) / n) * 100.0
 
 
-def _sr_se(st):
-    # asymptotic standard error of an annualized Sharpe estimate
-    per_period = st.sr_raw / math.sqrt(365.0 / 90.0)
-    return math.sqrt((1.0 + 0.5 * per_period ** 2) / st.n_paths) * math.sqrt(365.0 / 90.0)
+def _sr_se(st, horizon_days):
+    # asymptotic standard error of a Sharpe estimate annualized from horizon_days
+    ann = math.sqrt(DAYS_PER_YEAR / horizon_days)
+    per_period = st.sr_raw / ann
+    return math.sqrt((1.0 + 0.5 * per_period ** 2) / st.n_paths) * ann
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +151,12 @@ def run_hedge_grid(scn, grid=TABLE4_GRID, n_workers=1, paths=None) -> Table:
                      st.p_loss * 100.0, st.p_liq * 100.0, st.var5_pp,
                      _se_mean_pp(st), _se_prob_pp(st.p_loss, st.n_paths),
                      _se_prob_pp(st.p_liq, st.n_paths)])
-    engine = "mc_jump" if scn.jump is not None and scn.jump.lam > 0 else "mc_gbm"
     return Table(
         name="hedge_grid",
         columns=["h (%)", "E[ROE]", "Std", "SR (raw)", "SR (+tx)", "P(loss)", "P(liq)",
                  "5% VaR", "se(E[ROE])", "se(P(loss))", "se(P(liq))"],
         rows=rows,
-        provenance=_provenance(scn, n_paths=paths[0].shape[0], engine=engine),
+        provenance=_provenance(scn, n_paths=paths[0].shape[0]),
         formats=["%.0f", "%+.2f", "%.1f", "%.3f", "%.3f", "%.1f", "%.1f", "%+.1f",
                  "%.3f", "%.2f", "%.2f"],
         extra={"stats": stats, "grid": grid})
@@ -232,7 +233,7 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
         stats[label] = st
         gas_paid = scn.sim.gas_cost * float(np.mean(batch.n_rebalances))
         rows.append([label, st.e_roe_pp, st.std_pp, st.sr_raw, st.p_liq * 100.0,
-                     st.avg_rebalances, gas_paid / pi0 * 100.0, _sr_se(st)])
+                     st.avg_rebalances, gas_paid / pi0 * 100.0, _sr_se(st, pos.horizon_days)])
     return Table(
         name="rebalancing",
         columns=["Strategy", "E[ROE]", "Std", "SR", "P(liq)", "Avg rebal.", "Cost", "se(SR)"],
@@ -282,7 +283,7 @@ def run_sensitivity(spec: SweepSpec, n_workers=1) -> Table:
         st = stats[h_opt]
         init_ltv = h_opt / scn.position.c_over_v0 * 100.0
         rows.append([value, h_opt * 100.0, st.sr_raw, st.sr_tx, st.p_liq * 100.0,
-                     st.e_roe_pp, init_ltv, _sr_se(st)])
+                     st.e_roe_pp, init_ltv, _sr_se(st, scn.position.horizon_days)])
         per_value[value] = (h_opt, stats)
     return Table(
         name="sensitivity_" + spec.axis.replace(".", "_"),
@@ -351,11 +352,18 @@ def run_sensitivity_cv(scn, values=(1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0),
                  formats=["%.1f", "%.0f", "%.2f", "%.1f", "%+.2f", "%.1f"], extra=t.extra)
 
 
-def run_robustness_pairs(scn_unused=None, grid=FINE_GRID, n_workers=1) -> Table:
-    """Optimal hedge ratio across the shipped token-pair presets."""
+def run_robustness_pairs(base=None, grid=FINE_GRID, n_workers=1) -> Table:
+    """Optimal hedge ratio across the shipped token-pair presets.
+
+    Each pair keeps its own market and rates; given a base scenario, every
+    pair takes its simulation settings (paths, seed, time step, claims,
+    costs) from it.
+    """
     rows, per_pair = [], {}
     for pair, chain, preset in ROBUSTNESS_PAIRS:
         scn = get_preset(preset)
+        if base is not None:
+            scn = replace(scn, sim=base.sim)
         paths = _paths_for(scn, n_workers)
         stats = _grid_stats(scn, paths, grid)
         h_opt = argmax_h(grid, stats)
@@ -368,7 +376,7 @@ def run_robustness_pairs(scn_unused=None, grid=FINE_GRID, n_workers=1) -> Table:
     return Table(name="robustness_pairs",
                  columns=["Pair", "Chain", "sigma_A", "sigma_B", "rho", "r_A", "r_B",
                           "LP APR", "h**", "SR"],
-                 rows=rows, provenance=_provenance(get_preset("baseline")),
+                 rows=rows, provenance=_provenance(base or get_preset("baseline")),
                  formats=[None, None, "%.0f", "%.0f", "%.2f", "%.0f", "%.0f", "%.0f",
                           "%.0f", "%.2f"],
                  extra={"per_pair": per_pair})
@@ -386,8 +394,11 @@ def _with_jump(scn, rho_j, matched) -> Scenario:
 def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> dict:
     """GBM vs jump-diffusion comparison plus the four stress combinations.
 
-    Returns {"jump_comparison": Table, "jump_stress": Table}.
+    Returns {"jump_comparison": Table, "jump_stress": Table}. The stress
+    table reports every scenario at h = 0.65, so fine_grid must contain it.
     """
+    if 0.65 not in fine_grid:
+        raise ScenarioError("jump stress needs h = 0.65 in its fine grid")
     gbm_scn = replace(scn, jump=None)
     gbm_paths = _paths_for(gbm_scn, n_workers)
     gbm_fine = _grid_stats(gbm_scn, gbm_paths, fine_grid)
@@ -407,7 +418,7 @@ def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> di
         columns=["h (%)", "SR (GBM)", "P(liq) (GBM)", "5% VaR (GBM)",
                  "SR (JD)", "P(liq) (JD)", "5% VaR (JD)"],
         rows=comp_rows,
-        provenance=_provenance(jd_scn, engine="mc_jump"),
+        provenance=_provenance(jd_scn),
         formats=["%.0f", "%.2f", "%.1f", "%+.1f", "%.2f", "%.1f", "%+.1f"],
         extra={"gbm": gbm_fine, "jd": jd_stats})
 
@@ -429,7 +440,7 @@ def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> di
         name="jump_stress",
         columns=["rho_J", "Variance", "SR", "P(liq)", "5% VaR", "h**"],
         rows=stress_rows,
-        provenance=_provenance(jd_scn, engine="mc_jump"),
+        provenance=_provenance(jd_scn),
         formats=[None, None, "%.2f", "%.1f", "%+.1f", "%.0f"],
         extra={"per_scenario": per_scn})
     return {"jump_comparison": comparison, "jump_stress": stress}
@@ -551,7 +562,7 @@ def reproduce(name, scn=None, out_dir=None, n_workers=1):
     elif name in ("cv", "cv_sensitivity"):
         tables = [run_sensitivity_cv(base, n_workers=n_workers)]
     elif name in ("robustness", "robustness_pairs", "table6"):
-        tables = [run_robustness_pairs(n_workers=n_workers)]
+        tables = [run_robustness_pairs(scn, n_workers=n_workers)]
     elif name in ("fig1", "fig2", "fig3", "fig4"):
         tables = [emit_figure_data(name, base, n_workers=n_workers)]
     else:

@@ -6,7 +6,8 @@ Price generation is blocked for determinism: paths come in fixed blocks of
 8192, block i drawing from SeedSequence(seed, spawn_key=(i,)) for the
 diffusion and spawn_key=(i, 2) for the jump overlay. Full blocks are always
 generated and then sliced, so any n_paths and any worker count yield
-bit-identical paths for the same seed.
+bit-identical paths for the same seed. Path matrices are stored
+column-major (time-major): all paths' prices at one step are contiguous.
 """
 
 from __future__ import annotations
@@ -102,58 +103,88 @@ def _n_steps(horizon_days, dt_days):
     return steps
 
 
-def _generate_block(market, jump, steps, dt_days, seed, block_idx, n_rows):
-    """One full block of price relatives, sliced to n_rows."""
+def _add_jump_leg(z, k, eps, jump, compensator, scratch):
+    """z += mu_J k + sigma_J sqrt(k) eps - compensator, in place.
+
+    The sum of k iid normal jump sizes is k mu_J + sigma_J sqrt(k) eps.
+    Overwrites eps and scratch; the operations and their order are those of
+    the out-of-place expression, so the result is bit-identical to it.
+    """
+    np.sqrt(k, out=scratch)
+    scratch *= jump.sigma_j
+    scratch *= eps
+    np.multiply(k, jump.mu_j, out=eps)
+    eps += scratch
+    eps -= compensator
+    z += eps
+
+
+def _generate_block(market, jump, steps, dt_days, seed, block_idx):
+    """One full block of price relatives at steps 1..steps, two (BLOCK, steps) arrays.
+
+    Works in place on the two diffusion draws plus one scratch array, so a
+    block holds at most six block-sized arrays at once (three without jumps).
+    cumsum and exp run on the contiguous draw buffers themselves.
+    """
     dt_y = dt_days / DAYS_PER_YEAR
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
     za = rng.standard_normal((BLOCK, steps))
     zb = rng.standard_normal((BLOCK, steps))
-    zb = market.rho * za + math.sqrt(1.0 - market.rho * market.rho) * zb
+    scratch = np.multiply(za, market.rho)
+    zb *= math.sqrt(1.0 - market.rho * market.rho)
+    zb += scratch  # rho za + sqrt(1 - rho^2) zb
 
     sd_a, sd_b = market.sigma_a, market.sigma_b
-    extra_a = extra_b = 0.0
-    if jump is not None and jump.lam > 0:
-        if jump.variance_matched:
-            # shrink diffusion so total annualized variance matches plain GBM
-            jump_var = jump.lam * (jump.mu_j ** 2 + jump.sigma_j ** 2)
-            sd_a = math.sqrt(sd_a * sd_a - jump_var)
-            sd_b = math.sqrt(sd_b * sd_b - jump_var)
+    jumps = jump is not None and jump.lam > 0
+    if jumps and jump.variance_matched:
+        # shrink diffusion so total annualized variance matches plain GBM
+        jump_var = jump.lam * (jump.mu_j ** 2 + jump.sigma_j ** 2)
+        sd_a = math.sqrt(sd_a * sd_a - jump_var)
+        sd_b = math.sqrt(sd_b * sd_b - jump_var)
+    for z, sd, mu in ((za, sd_a, market.mu_a), (zb, sd_b, market.mu_b)):
+        z *= sd * math.sqrt(dt_y)
+        z += (mu - 0.5 * sd * sd) * dt_y
+
+    if jumps:
         rng_j = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx, 2)))
+        kappa = math.exp(jump.mu_j + 0.5 * jump.sigma_j ** 2) - 1.0
+        compensator = jump.lam * kappa * dt_y
+        lam_idio = jump.lam * (1.0 - jump.rho_j) * dt_y
         # common stream first, then each leg's size noise and idiosyncratic counts
         kc = rng_j.poisson(jump.lam * jump.rho_j * dt_y, (BLOCK, steps))
-        ea = rng_j.standard_normal((BLOCK, steps))
-        ka = kc + rng_j.poisson(jump.lam * (1.0 - jump.rho_j) * dt_y, (BLOCK, steps))
-        eb = rng_j.standard_normal((BLOCK, steps))
-        kb = kc + rng_j.poisson(jump.lam * (1.0 - jump.rho_j) * dt_y, (BLOCK, steps))
-        kappa = math.exp(jump.mu_j + 0.5 * jump.sigma_j ** 2) - 1.0
-        # sum of k iid normal jump sizes = k mu_J + sigma_J sqrt(k) eps
-        extra_a = jump.mu_j * ka + jump.sigma_j * np.sqrt(ka) * ea - jump.lam * kappa * dt_y
-        extra_b = jump.mu_j * kb + jump.sigma_j * np.sqrt(kb) * eb - jump.lam * kappa * dt_y
+        eps = np.empty_like(za)
+        for z in (za, zb):
+            rng_j.standard_normal(out=eps)
+            k = rng_j.poisson(lam_idio, (BLOCK, steps))
+            k += kc
+            _add_jump_leg(z, k, eps, jump, compensator, scratch)
+            del k  # free this leg's counts before the next leg draws its own
 
-    inc_a = (market.mu_a - 0.5 * sd_a * sd_a) * dt_y + sd_a * math.sqrt(dt_y) * za + extra_a
-    inc_b = (market.mu_b - 0.5 * sd_b * sd_b) * dt_y + sd_b * math.sqrt(dt_y) * zb + extra_b
-    rel_a = np.empty((BLOCK, steps + 1))
-    rel_b = np.empty((BLOCK, steps + 1))
-    rel_a[:, 0] = 1.0
-    rel_b[:, 0] = 1.0
-    np.exp(np.cumsum(inc_a, axis=1), out=rel_a[:, 1:])
-    np.exp(np.cumsum(inc_b, axis=1), out=rel_b[:, 1:])
-    return rel_a[:n_rows], rel_b[:n_rows]
+    for z in (za, zb):
+        np.cumsum(z, axis=1, out=z)
+        np.exp(z, out=z)
+    return za, zb
 
 
 def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
-    """All paths as two (n_paths, steps+1) arrays of price relatives."""
+    """All paths as two (n_paths, steps+1) arrays of price relatives.
+
+    The arrays are column-major, so each step's prices across all paths are
+    contiguous: the accounting loop reads one column per step.
+    """
     steps = _n_steps(horizon_days, dt_days)
     n_blocks = -(-n_paths // BLOCK)
-    rel_a = np.empty((n_paths, steps + 1))
-    rel_b = np.empty((n_paths, steps + 1))
+    rel_a = np.empty((n_paths, steps + 1), order="F")
+    rel_b = np.empty((n_paths, steps + 1), order="F")
+    rel_a[:, 0] = 1.0
+    rel_b[:, 0] = 1.0
 
     def fill(bi):
         lo = bi * BLOCK
         hi = min(n_paths, lo + BLOCK)
-        a, b = _generate_block(market, jump, steps, dt_days, seed, bi, hi - lo)
-        rel_a[lo:hi] = a
-        rel_b[lo:hi] = b
+        a, b = _generate_block(market, jump, steps, dt_days, seed, bi)
+        rel_a[lo:hi, 1:] = a[:hi - lo]
+        rel_b[lo:hi, 1:] = b[:hi - lo]
 
     if n_workers <= 1 or n_blocks == 1:
         for bi in range(n_blocks):
@@ -171,7 +202,10 @@ def generate_paths(market, jump, horizon_days, dt_days, n_paths, seed, n_workers
     for bi in range(n_blocks):
         lo = bi * BLOCK
         hi = min(n_paths, lo + BLOCK)
-        a, b = _generate_block(market, jump, steps, dt_days, seed, bi, hi - lo)
+        a, b = _generate_block(market, jump, steps, dt_days, seed, bi)
+        start = np.ones((hi - lo, 1))
+        a = np.hstack((start, a[:hi - lo]))
+        b = np.hstack((start, b[:hi - lo]))
         for i in range(hi - lo):
             yield PricePath(rel_a=a[i], rel_b=b[i])
 

@@ -156,8 +156,9 @@ def test_rebalancing_improves_sharpe_in_order(base_scn, base_paths):
     t = exp.run_rebalancing_comparison(base_scn, paths=base_paths)
     stats = t.extra["stats"]
     order = ["No rebalance", "Threshold 20pp", "Threshold 15pp", "Threshold 10pp"]
+    hd = base_scn.position.horizon_days
     for prev, nxt in zip(order, order[1:]):
-        se = max(exp._sr_se(stats[prev]), exp._sr_se(stats[nxt]))
+        se = max(exp._sr_se(stats[prev], hd), exp._sr_se(stats[nxt], hd))
         assert stats[nxt].sr_raw >= stats[prev].sr_raw - se, \
             "%s (%.3f) vs %s (%.3f)" % (nxt, stats[nxt].sr_raw, prev, stats[prev].sr_raw)
     assert abs(stats["Threshold 15pp"].sr_raw - 1.148) <= 0.07

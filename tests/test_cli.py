@@ -140,6 +140,13 @@ def test_runtime_failure_exits_two(capsys):
     assert err.startswith("error:") and "does not divide" in err
 
 
+def test_negative_costs_are_config_errors(capsys):
+    for key in ("sim.borrow_fee_frac", "sim.gas_cost"):
+        code, _, err = _run(capsys, ["simulate", "--paths", "50", "--override", key + "=-1"])
+        assert code == 1
+        assert "%s must be nonnegative" % key.split(".")[1] in err
+
+
 # ---------------------------------------------------------------------------
 # sweeps, rebalance, jumps, reproduce
 
@@ -171,6 +178,12 @@ def test_rebalance_table(capsys):
     assert "Every 30 days" in out and "Threshold 10pp" in out
 
 
+def test_rebalance_on_jump_paths_is_tagged_mc_jump(capsys):
+    code, out, _ = _run(capsys, ["rebalance", "--scenario", "jumps", "--paths", "400"])
+    assert code == 0
+    assert " engine=mc_jump " in out.splitlines()[0]
+
+
 def test_jumps_tables(capsys):
     code, out, _ = _run(capsys, ["jumps", "--paths", "200"])
     assert code == 0
@@ -184,6 +197,12 @@ def test_reproduce_named_target(capsys, tmp_path):
     assert code == 0
     assert "n_paths=300" in out
     assert (tmp_path / "liquidation_stats.csv").exists()
+
+
+def test_reproduce_robustness_honours_paths_and_seed(capsys):
+    code, out, _ = _run(capsys, ["reproduce", "robustness", "--paths", "500", "--seed", "7"])
+    assert code == 0
+    assert out.startswith("# seed=7 n_paths=500 ")
 
 
 def test_reproduce_unknown_target(capsys):

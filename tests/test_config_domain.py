@@ -51,6 +51,13 @@ def test_validation_collects_every_violation():
     assert len(errs) == 4
 
 
+def test_negative_costs_rejected():
+    sim = cd.SimConfig(n_paths=10, borrow_fee_frac=-0.001, gas_cost=-1.0)
+    assert cd.validate_sim(sim) == ["borrow_fee_frac must be nonnegative",
+                                    "gas_cost must be nonnegative"]
+    assert cd.validate_sim(cd.SimConfig(n_paths=10, borrow_fee_frac=0.0, gas_cost=0.0)) == []
+
+
 def test_jump_variance_matching_infeasible():
     scn = cd.baseline_scenario()
     jump = cd.JumpParams(lam=50.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8)

@@ -108,6 +108,14 @@ def test_rebalancing_comparison_rows(tiny):
     assert set(t.extra["stats"]) == set(labels)
 
 
+def test_sharpe_se_uses_the_horizon():
+    st = _dummy_stats(1.2)
+    at_90 = math.sqrt((1.0 + 0.5 * (1.2 / math.sqrt(365.0 / 90.0)) ** 2)) * math.sqrt(365.0 / 90.0)
+    assert exp._sr_se(st, 90.0) == at_90
+    # a one-year horizon needs no annualization
+    assert exp._sr_se(st, 365.0) == pytest.approx(math.sqrt(1.0 + 0.5 * 1.2 ** 2), rel=1e-15)
+
+
 def test_argmax_prefers_lower_h_on_ties():
     grid = (0.1, 0.2, 0.3)
     flat_top = {0.1: _dummy_stats(1.0), 0.2: _dummy_stats(1.0), 0.3: _dummy_stats(0.5)}
@@ -205,6 +213,11 @@ def test_jump_stress_structure(tiny, monkeypatch):
         assert r[5] in (60.0, 65.0)
     assert set(out["jump_stress"].extra["per_scenario"]) == {
         "gbm", (0.80, True), (0.30, True), (0.80, False), (0.30, False)}
+
+
+def test_jump_stress_needs_the_reported_hedge_ratio(tiny):
+    with pytest.raises(ScenarioError, match="0.65"):
+        exp.run_jump_stress(tiny, fine_grid=(0.6, 0.7))
 
 
 # ---------------------------------------------------------------------------

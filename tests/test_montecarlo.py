@@ -71,6 +71,62 @@ def test_zero_intensity_jump_is_plain_gbm(baseline):
     assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
 
 
+def _reference_block(market, jump, steps, dt_days, seed, block_idx):
+    """Plain out-of-place generator for one block: the bit-identity oracle."""
+    dt_y = dt_days / DAYS_PER_YEAR
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
+    za = rng.standard_normal((mc.BLOCK, steps))
+    zb = rng.standard_normal((mc.BLOCK, steps))
+    zb = market.rho * za + math.sqrt(1.0 - market.rho * market.rho) * zb
+    sd_a, sd_b = market.sigma_a, market.sigma_b
+    extra_a = extra_b = 0.0
+    if jump is not None and jump.lam > 0:
+        if jump.variance_matched:
+            jump_var = jump.lam * (jump.mu_j ** 2 + jump.sigma_j ** 2)
+            sd_a = math.sqrt(sd_a * sd_a - jump_var)
+            sd_b = math.sqrt(sd_b * sd_b - jump_var)
+        rng_j = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx, 2)))
+        shape = (mc.BLOCK, steps)
+        kc = rng_j.poisson(jump.lam * jump.rho_j * dt_y, shape)
+        ea = rng_j.standard_normal(shape)
+        ka = kc + rng_j.poisson(jump.lam * (1.0 - jump.rho_j) * dt_y, shape)
+        eb = rng_j.standard_normal(shape)
+        kb = kc + rng_j.poisson(jump.lam * (1.0 - jump.rho_j) * dt_y, shape)
+        kappa = math.exp(jump.mu_j + 0.5 * jump.sigma_j ** 2) - 1.0
+        extra_a = jump.mu_j * ka + jump.sigma_j * np.sqrt(ka) * ea - jump.lam * kappa * dt_y
+        extra_b = jump.mu_j * kb + jump.sigma_j * np.sqrt(kb) * eb - jump.lam * kappa * dt_y
+    inc_a = (market.mu_a - 0.5 * sd_a * sd_a) * dt_y + sd_a * math.sqrt(dt_y) * za + extra_a
+    inc_b = (market.mu_b - 0.5 * sd_b * sd_b) * dt_y + sd_b * math.sqrt(dt_y) * zb + extra_b
+    rel_a = np.empty((mc.BLOCK, steps + 1))
+    rel_b = np.empty((mc.BLOCK, steps + 1))
+    rel_a[:, 0] = 1.0
+    rel_b[:, 0] = 1.0
+    np.exp(np.cumsum(inc_a, axis=1), out=rel_a[:, 1:])
+    np.exp(np.cumsum(inc_b, axis=1), out=rel_b[:, 1:])
+    return rel_a, rel_b
+
+
+@pytest.mark.parametrize("jump", [
+    None,
+    JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=True),
+])
+def test_path_matrix_matches_out_of_place_reference(baseline, jump):
+    # production grid (270 steps), a partial second block, one and two workers
+    m = baseline.market
+    n = mc.BLOCK + 777
+    blocks = [_reference_block(m, jump, 270, 1.0 / 3.0, 17, bi) for bi in range(2)]
+    ref_a = np.vstack([blk[0] for blk in blocks])[:n]
+    ref_b = np.vstack([blk[1] for blk in blocks])[:n]
+    for workers in (1, 2):
+        a, b = mc.generate_path_matrix(m, jump, 90.0, 1.0 / 3.0, n, seed=17, n_workers=workers)
+        assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), workers
+
+
+def test_path_matrix_is_column_major(baseline):
+    a, b = mc.generate_path_matrix(baseline.market, None, 30.0, 1.0, 50, seed=1)
+    assert a.flags.f_contiguous and b.flags.f_contiguous
+
+
 def test_grid_must_divide_horizon(baseline):
     with pytest.raises(ValueError, match="does not divide"):
         mc.generate_path_matrix(baseline.market, None, 90.0, 0.7, 10, seed=1)
@@ -217,6 +273,21 @@ def test_scalar_and_vector_kernels_agree(baseline, sim_changes):
         assert one.max_ltv == pytest.approx(batch.max_ltv[i], abs=1e-10), i
         assert one.n_rebalances == batch.n_rebalances[i], i
         assert one.tx_cost_paid == pytest.approx(batch.tx_cost_paid[i], abs=1e-12), i
+
+
+@pytest.mark.parametrize("rule", ["none", "threshold(15)", "periodic(14)"])
+def test_kernel_is_layout_independent(baseline, rule):
+    pos = dataclasses.replace(baseline.position, h=0.8)
+    sim = dataclasses.replace(baseline.sim, rebalance=rule)
+    rel_a, rel_b = mc.generate_path_matrix(baseline.market, None, pos.horizon_days,
+                                           sim.dt_days, 2000, seed=7)
+    results = [mc.simulate_batch(order(rel_a), order(rel_b), baseline.market, baseline.rates,
+                                 pos, sim)
+               for order in (np.ascontiguousarray, np.asfortranarray)]
+    c_res, f_res = (dataclasses.asdict(r) for r in results)
+    assert c_res["liquidated"].any()
+    for name, value in c_res.items():
+        assert np.array_equal(value, f_res[name], equal_nan=True), name
 
 
 def test_batch_rejects_mismatched_grid(baseline):
