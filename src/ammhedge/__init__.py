@@ -5,7 +5,7 @@ The package is organized as a pipeline:
 - config_domain: parameter records, validation, scenario files, calibration
 - analytics: closed-form P&L moments, Sharpe ratio and the optimal hedge h*
 - liquidation_fpt: first-passage liquidation probability and the cap h_bar
-- montecarlo: path generation and full position accounting
+- montecarlo: path generation, the accounting kernel and aggregation
 - experiments: table/figure reproduction on top of the simulator
 - cli: the `ammhedge` command
 """
@@ -26,11 +26,8 @@ from .experiments import (PRESETS, SweepSpec, Table, get_preset, reproduce,
                           run_robustness_pairs, run_sensitivity, write_table)
 from .liquidation_fpt import (FptInputs, fpt_inputs, h_bar, h_double_star,
                               liquidation_probability, sigma_tilde)
-from .montecarlo import (BatchResult, PathResult, PositionState, PricePath,
-                         SummaryStats, aggregate, apply_rebalance_rule,
-                         generate_path_matrix, generate_paths, initial_state,
-                         run_scenario, simulate_batch, simulate_position,
-                         write_path_dump)
+from .montecarlo import (BatchResult, SummaryStats, aggregate, generate_path_matrix,
+                         run_scenario, simulate_batch, write_path_dump)
 
 __version__ = "0.1.0"
 
@@ -46,9 +43,7 @@ __all__ = [
     "h_star", "h_min_variance", "verify_soc",
     "FptInputs", "sigma_tilde", "fpt_inputs", "liquidation_probability",
     "h_bar", "h_double_star",
-    "PricePath", "PositionState", "PathResult", "BatchResult", "SummaryStats",
-    "generate_path_matrix", "generate_paths", "simulate_batch",
-    "simulate_position", "initial_state", "apply_rebalance_rule", "aggregate",
+    "BatchResult", "SummaryStats", "generate_path_matrix", "simulate_batch", "aggregate",
     "run_scenario", "write_path_dump",
     "Table", "SweepSpec", "PRESETS", "get_preset", "run_hedge_grid",
     "run_analytic_vs_mc", "run_liquidation_stats", "run_rebalancing_comparison",

@@ -141,7 +141,7 @@ def cmd_simulate(args):
                                         s.dt_days, s.n_paths, s.seed, args.workers)
         batch = mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates, pos, s)
         mc.write_path_dump(batch, args.dump_paths)
-        stats = mc.aggregate(batch, s, pos.horizon_days, r_f=scn.rates.r_f)
+        stats = mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
     else:
         stats = mc.run_scenario(scn, n_workers=args.workers)
     rows = [
@@ -162,18 +162,12 @@ def cmd_simulate(args):
     return 0
 
 
-_SWEEP_SHORTCUTS = ("apr", "vol", "penalty", "cv")
-
-
 def cmd_sweep(args):
     scn = _resolve_scenario(args)
-    axis = args.axis
-    if axis in _SWEEP_SHORTCUTS and args.values is None:
-        runner = {"apr": experiments.run_sensitivity_apr,
-                  "vol": experiments.run_sensitivity_vol,
-                  "penalty": experiments.run_sensitivity_penalty,
-                  "cv": experiments.run_sensitivity_cv}[axis]
-        tables = [runner(scn, n_workers=args.workers)]
+    target = experiments.TARGETS.get(args.axis)
+    shortcut = target.axis if target is not None else None
+    if shortcut and args.values is None:
+        tables = target.run(scn, scn, args.workers)
     else:
         if args.values is None:
             raise ScenarioError("--values is required for a custom sweep axis")
@@ -181,9 +175,7 @@ def cmd_sweep(args):
             values = tuple(float(v) for v in args.values.split(","))
         except ValueError as exc:
             raise ScenarioError("cannot parse --values: %s" % exc) from None
-        axis_key = {"apr": "rates.reward_rate", "vol": "market.vol_scale",
-                    "penalty": "sim.liq_penalty_frac", "cv": "position.c_over_v0"}.get(axis, axis)
-        spec = experiments.SweepSpec(base=scn, axis=axis_key, values=values)
+        spec = experiments.SweepSpec(base=scn, axis=shortcut or args.axis, values=values)
         tables = [experiments.run_sensitivity(spec, n_workers=args.workers)]
     _emit(tables, args.out)
     return 0
@@ -269,8 +261,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="sensitivity sweep with per-value re-optimization")
     _add_common(p)
     p.add_argument("--axis", required=True,
-                   help="apr | vol | penalty | cv, or any scenario key (market.vol_scale "
-                        "scales both vols)")
+                   help="%s, or any scenario key (market.vol_scale scales both vols)"
+                        % " | ".join(n for n, t in experiments.TARGETS.items() if t.axis))
     p.add_argument("--values", default=None, help="comma-separated axis values")
     p.set_defaults(func=cmd_sweep)
 
@@ -290,8 +282,7 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="rebuild one results table or figure dataset")
     _add_common(p)
-    p.add_argument("name", help="table4|table5|table8|liqstats|rebalancing|jumps|apr|vol|"
-                                "penalty|cv|robustness|fig1..fig4")
+    p.add_argument("name", help="target name or alias: " + experiments.describe_targets())
     p.set_defaults(func=cmd_reproduce)
     return ap
 

@@ -10,7 +10,7 @@ import csv
 import hashlib
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
@@ -50,8 +50,12 @@ class PositionParams:
     c_over_v0: float
     h: float
     l_max: float
-    horizon_years: float
     horizon_days: float
+    # derived; a field, not a property, as every closed-form evaluation reads it
+    horizon_years: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "horizon_years", self.horizon_days / DAYS_PER_YEAR)
 
 
 @dataclass(frozen=True)
@@ -131,10 +135,6 @@ def validate(market: MarketParams, rates: RateParams, pos: PositionParams) -> li
             errs.append("initial LTV %.2f ≥ l_max" % ltv0)
     if not pos.horizon_days > 0:
         errs.append("horizon_days must be positive")
-    if not pos.horizon_years > 0:
-        errs.append("horizon_years must be positive")
-    elif pos.horizon_days > 0 and abs(pos.horizon_years * DAYS_PER_YEAR - pos.horizon_days) > 1.0:
-        errs.append("horizon_years and horizon_days disagree by more than one day")
     return errs
 
 
@@ -154,12 +154,22 @@ def validate_jump(jump: JumpParams, market: MarketParams) -> list:
     return errs
 
 
+def _whole_steps(span, step):
+    """span / step when step cuts span into n >= 1 whole steps, else None; the
+    tolerance absorbs the rounding of steps such as 1/3 day."""
+    n = int(round(span / step))
+    if n < 1 or abs(n * step - span) > 1e-6 * max(1.0, span):
+        return None
+    return n
+
+
 def validate_sim(sim: SimConfig) -> list:
+    """Sim settings the accounting loop honours as stated: claims and periodic
+    rebalances fire on grid steps, so a step must be whole days or 1/k of a
+    day, and each interval whole days made of whole steps."""
     errs = []
     if sim.n_paths < 1:
         errs.append("n_paths must be at least 1")
-    if not sim.dt_days > 0:
-        errs.append("dt_days must be positive")
     if sim.claim_interval_days < 0:
         errs.append("claim_interval_days must be nonnegative")
     if not 0.0 <= sim.liq_penalty_frac <= 1.0:
@@ -169,9 +179,22 @@ def validate_sim(sim: SimConfig) -> list:
     if sim.gas_cost < 0:
         errs.append("gas_cost must be nonnegative")
     try:
-        parse_rebalance(sim.rebalance)
+        kind, par = parse_rebalance(sim.rebalance)
     except ScenarioError as exc:
         errs.append(str(exc))
+        kind, par = "none", 0.0
+    dt = sim.dt_days
+    if not dt > 0:
+        errs.append("dt_days must be positive")
+    elif _whole_steps(1.0, dt) is None and _whole_steps(dt, 1.0) is None:
+        errs.append("dt_days = %g is neither a whole number of days nor 1/k of a day" % dt)
+    else:
+        for what, days in (("claim_interval_days = %g", sim.claim_interval_days),
+                           ("rebalance = periodic(%g)", par if kind == "periodic" else 0.0)):
+            # a 1/k-day step divides every whole day
+            if days > 0 and _whole_steps(days, max(dt, 1.0)) is None:
+                errs.append((what + " is not a whole number of days divisible by dt_days = %g")
+                            % (days, dt))
     return errs
 
 
@@ -278,7 +301,6 @@ BASELINE_VALUES = {
     "position.c_over_v0": 2.0,
     "position.h": 0.60,
     "position.l_max": 0.80,
-    "position.horizon_years": 90.0 / 365.0,
     "position.horizon_days": 90.0,
     "sim.n_paths": 30000,
     "sim.dt_days": 1.0 / 3.0,
@@ -325,11 +347,10 @@ def _parse_str(s):
     return str(s).strip()
 
 
-_KEY_PARSERS = {}
-for _k in BASELINE_VALUES:
-    _KEY_PARSERS[_k] = _parse_number
-for _k in JUMP_DEFAULTS:
-    _KEY_PARSERS[_k] = _parse_number
+# position.horizon_years is optional: derived from horizon_days, and a given
+# value must agree with it
+_KEY_PARSERS = {k: _parse_number
+                for k in (*BASELINE_VALUES, "position.horizon_years", *JUMP_DEFAULTS)}
 _KEY_PARSERS["sim.n_paths"] = _parse_int
 _KEY_PARSERS["sim.seed"] = _parse_int
 _KEY_PARSERS["sim.rebalance"] = _parse_str
@@ -349,8 +370,13 @@ def _build_scenario(values, name):
         reward_rate=v["rates.reward_rate"], r_f=v["rates.r_f"])
     pos = PositionParams(
         v0=v["position.v0"], c_over_v0=v["position.c_over_v0"], h=v["position.h"],
-        l_max=v["position.l_max"], horizon_years=v["position.horizon_years"],
-        horizon_days=v["position.horizon_days"])
+        l_max=v["position.l_max"], horizon_days=v["position.horizon_days"])
+    years = v.get("position.horizon_years")
+    if years is not None and not math.isclose(years, pos.horizon_years, rel_tol=1e-9):
+        raise ScenarioError(
+            "position.horizon_years = %r disagrees with position.horizon_days = %r "
+            "(horizon_years is derived as horizon_days / %g; give horizon_days alone)"
+            % (years, pos.horizon_days, DAYS_PER_YEAR))
     sim = SimConfig(
         n_paths=v["sim.n_paths"], dt_days=v["sim.dt_days"],
         claim_interval_days=v["sim.claim_interval_days"],
@@ -376,7 +402,7 @@ def scenario_values(scn: Scenario) -> dict:
         "rates.reward_rate": scn.rates.reward_rate, "rates.r_f": scn.rates.r_f,
         "position.v0": scn.position.v0, "position.c_over_v0": scn.position.c_over_v0,
         "position.h": scn.position.h, "position.l_max": scn.position.l_max,
-        "position.horizon_years": scn.position.horizon_years,
+        "position.horizon_years": scn.position.horizon_years,  # derived, hashed as ever
         "position.horizon_days": scn.position.horizon_days,
         "sim.n_paths": scn.sim.n_paths, "sim.dt_days": scn.sim.dt_days,
         "sim.claim_interval_days": scn.sim.claim_interval_days,
@@ -394,10 +420,32 @@ def scenario_values(scn: Scenario) -> dict:
     return v
 
 
+def _scenario_from(base, entries, bad, name):
+    """Parse (where, key, text) entries over the base values; report every bad one at once."""
+    values = dict(base)
+    # a base's horizon_years is derived from its horizon_days: only a value
+    # given in the entries is checked against the horizon in force
+    values.pop("position.horizon_years", None)
+    unknown = []
+    for where, key, text in entries:
+        parser = _KEY_PARSERS.get(key)
+        if parser is None:
+            unknown.append(key)
+            continue
+        try:
+            values[key] = parser(text)
+        except (ValueError, ScenarioError) as exc:
+            bad.append("%s: %s" % (where, exc))
+    if unknown:
+        bad.append("unknown keys: " + ", ".join(sorted(unknown)))
+    if bad:
+        raise ScenarioError("; ".join(bad))
+    return _build_scenario(values, name)
+
+
 def parse_scenario(text, name="custom", base=None):
     """Parse flat `key = value` scenario text on top of the baseline (or `base`)."""
-    values = dict(BASELINE_VALUES) if base is None else dict(base)
-    unknown, bad = [], []
+    entries, bad = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -407,19 +455,8 @@ def parse_scenario(text, name="custom", base=None):
             continue
         key, _, val = line.partition("=")
         key = key.strip()
-        parser = _KEY_PARSERS.get(key)
-        if parser is None:
-            unknown.append(key)
-            continue
-        try:
-            values[key] = parser(val)
-        except (ValueError, ScenarioError) as exc:
-            bad.append("line %d: key %s: %s" % (lineno, key, exc))
-    if unknown:
-        bad.append("unknown keys: " + ", ".join(sorted(unknown)))
-    if bad:
-        raise ScenarioError("; ".join(bad))
-    return _build_scenario(values, name)
+        entries.append(("line %d: key %s" % (lineno, key), key, val))
+    return _scenario_from(BASELINE_VALUES if base is None else base, entries, bad, name)
 
 
 def load_scenario(path, base=None):
@@ -432,27 +469,15 @@ def load_scenario(path, base=None):
 
 def apply_overrides(scn: Scenario, pairs) -> Scenario:
     """Apply `key=value` override strings; equivalent to editing the file."""
-    values = scenario_values(scn)
-    unknown, bad = [], []
+    entries, bad = [], []
     for pair in pairs:
         if "=" not in pair:
             bad.append("override %r is not key=value" % (pair,))
             continue
         key, _, val = pair.partition("=")
         key = key.strip()
-        parser = _KEY_PARSERS.get(key)
-        if parser is None:
-            unknown.append(key)
-            continue
-        try:
-            values[key] = parser(val)
-        except (ValueError, ScenarioError) as exc:
-            bad.append("override %s: %s" % (key, exc))
-    if unknown:
-        bad.append("unknown keys: " + ", ".join(sorted(unknown)))
-    if bad:
-        raise ScenarioError("; ".join(bad))
-    return _build_scenario(values, scn.name)
+        entries.append(("override " + key, key, val))
+    return _scenario_from(scenario_values(scn), entries, bad, scn.name)
 
 
 def scenario_hash(scn: Scenario) -> str:

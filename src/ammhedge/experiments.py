@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,8 @@ JUMP_GRID = (0.0, 0.40, 0.60, 0.65, 0.70, 1.00)
 PRESETS = {
     "baseline": "",
     "table5": "sim.n_paths = 50000\n",
-    "sec46": ("position.horizon_years = 0.25\n"
-              "position.horizon_days = 91.25\n"),
+    "sec46": ("position.horizon_days = 91.25\n"
+              "sim.dt_days = 1/4\n"),
     "jumps": ("jump.lambda = 4.0\n"
               "jump.mu_j = -0.05\n"
               "jump.sigma_j = 0.15\n"
@@ -79,8 +80,6 @@ class SweepSpec:
     axis: str
     values: tuple
     grid: tuple = FINE_GRID
-    engines: tuple = ("mc_gbm",)
-    out: str = None
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +91,18 @@ def _provenance(scn, n_paths=None):
             "engine": engine, "config": scenario_hash(scn)}
 
 
-def _paths_for(scn, n_workers=1, n_paths=None, seed=None):
+def _paths_for(scn, n_workers=1, n_paths=None):
     sim = scn.sim
-    return mc.generate_path_matrix(
-        scn.market, scn.jump, scn.position.horizon_days, sim.dt_days,
-        sim.n_paths if n_paths is None else n_paths,
-        sim.seed if seed is None else seed, n_workers)
+    return mc.generate_path_matrix(scn.market, scn.jump, scn.position.horizon_days, sim.dt_days,
+                                   sim.n_paths if n_paths is None else n_paths, sim.seed,
+                                   n_workers)
 
 
 def _stats_at(scn, paths, h=None, **sim_changes):
     pos = scn.position if h is None else replace(scn.position, h=h)
     sim = replace(scn.sim, **sim_changes) if sim_changes else scn.sim
     batch = mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates, pos, sim)
-    return mc.aggregate(batch, sim, pos.horizon_days, r_f=scn.rates.r_f)
+    return mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
 
 
 def _grid_stats(scn, paths, grid, **sim_changes):
@@ -229,7 +227,7 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
         pos = replace(scn.position, h=h)
         sim = replace(scn.sim, rebalance=rule)
         batch = mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates, pos, sim)
-        st = mc.aggregate(batch, sim, pos.horizon_days, r_f=scn.rates.r_f)
+        st = mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
         stats[label] = st
         gas_paid = scn.sim.gas_cost * float(np.mean(batch.n_rebalances))
         rows.append([label, st.e_roe_pp, st.std_pp, st.sr_raw, st.p_liq * 100.0,
@@ -251,12 +249,7 @@ def _apply_axis(scn, axis, value) -> Scenario:
         market = replace(scn.market, sigma_a=scn.market.sigma_a * value,
                          sigma_b=scn.market.sigma_b * value)
         return replace(scn, market=market)
-    values = scenario_values(scn)
-    if axis not in values and not axis.startswith("jump."):
-        raise ScenarioError("unknown sweep axis %r" % (axis,))
-    values[axis] = value
-    text = "%s = %r\n" % (axis, value)
-    return parse_scenario(text, name=scn.name, base=values)
+    return parse_scenario("%s = %r\n" % (axis, value), name=scn.name, base=scenario_values(scn))
 
 
 def run_sensitivity(spec: SweepSpec, n_workers=1) -> Table:
@@ -277,8 +270,8 @@ def run_sensitivity(spec: SweepSpec, n_workers=1) -> Table:
     rows, per_value = [], {}
     for value in spec.values:
         scn = _apply_axis(spec.base, spec.axis, value)
-        paths = _paths_for(scn, n_workers) if regen else base_paths
-        stats = _grid_stats(scn, paths, spec.grid)
+        # regenerated paths die with their grid: one matrix is alive at a time
+        stats = _grid_stats(scn, _paths_for(scn, n_workers) if regen else base_paths, spec.grid)
         h_opt = argmax_h(spec.grid, stats)
         st = stats[h_opt]
         init_ltv = h_opt / scn.position.c_over_v0 * 100.0
@@ -294,10 +287,10 @@ def run_sensitivity(spec: SweepSpec, n_workers=1) -> Table:
         extra={"per_value": per_value, "spec": spec})
 
 
-def _apr_remark(value, sr):
+def _apr_remark(value, sr, calibrated):
     if sr <= 0.05:
         return "Strategy unprofitable"
-    if abs(value - 0.54) < 1e-12:
+    if abs(value - calibrated) < 1e-12:
         return "Calibrated value"
     if sr <= 0.20:
         return "Marginal viability"
@@ -308,7 +301,8 @@ def run_sensitivity_apr(scn, values=(0.10, 0.20, 0.30, 0.40, 0.54, 0.70, 1.00),
                         grid=FINE_GRID, n_workers=1) -> Table:
     t = run_sensitivity(SweepSpec(base=scn, axis="rates.reward_rate", values=tuple(values),
                                   grid=grid), n_workers)
-    rows = [[r[0] * 100.0, r[1], r[2], _apr_remark(r[0], r[2])] for r in t.rows]
+    rows = [[r[0] * 100.0, r[1], r[2], _apr_remark(r[0], r[2], scn.rates.reward_rate)]
+            for r in t.rows]
     return Table(name="sensitivity_apr",
                  columns=["R/V_0", "h**", "SR", "Remark"],
                  rows=rows, provenance=t.provenance,
@@ -364,8 +358,8 @@ def run_robustness_pairs(base=None, grid=FINE_GRID, n_workers=1) -> Table:
         scn = get_preset(preset)
         if base is not None:
             scn = replace(scn, sim=base.sim)
-        paths = _paths_for(scn, n_workers)
-        stats = _grid_stats(scn, paths, grid)
+        # the path matrix dies with its grid: one matrix is alive at a time
+        stats = _grid_stats(scn, _paths_for(scn, n_workers), grid)
         h_opt = argmax_h(grid, stats)
         st = stats[h_opt]
         m, r = scn.market, scn.rates
@@ -394,48 +388,42 @@ def _with_jump(scn, rho_j, matched) -> Scenario:
 def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> dict:
     """GBM vs jump-diffusion comparison plus the four stress combinations.
 
-    Returns {"jump_comparison": Table, "jump_stress": Table}. The stress
+    Returns {"jump_comparison": Table, "jump_stress": Table}. Each scenario's
+    paths are generated once and scored on the union of both grids; the
+    comparison reads the matched rho_J = 0.80 stress scenario. The stress
     table reports every scenario at h = 0.65, so fine_grid must contain it.
     """
     if 0.65 not in fine_grid:
         raise ScenarioError("jump stress needs h = 0.65 in its fine grid")
-    gbm_scn = replace(scn, jump=None)
-    gbm_paths = _paths_for(gbm_scn, n_workers)
-    gbm_fine = _grid_stats(gbm_scn, gbm_paths, fine_grid)
+    hs = tuple(sorted(set(grid) | set(fine_grid)))
 
+    def scored(s_scn):
+        # the path matrix dies with this call: one matrix is alive at a time
+        stats = _grid_stats(s_scn, _paths_for(s_scn, n_workers), hs)
+        return argmax_h(fine_grid, stats), stats
+
+    per_scn = {"gbm": scored(replace(scn, jump=None))}
+    for rho_j, matched in ((0.80, True), (0.30, True), (0.80, False), (0.30, False)):
+        per_scn[(rho_j, matched)] = scored(_with_jump(scn, rho_j, matched))
     jd_scn = _with_jump(scn, 0.80, True)
-    jd_paths = _paths_for(jd_scn, n_workers)
-    jd_stats = _grid_stats(jd_scn, jd_paths, grid)
+    gbm, jd = per_scn["gbm"][1], per_scn[(0.80, True)][1]
 
-    comp_rows = []
-    for h in grid:
-        g = gbm_fine[h] if h in gbm_fine else _stats_at(gbm_scn, gbm_paths, h=h)
-        j = jd_stats[h]
-        comp_rows.append([h * 100.0, g.sr_raw, g.p_liq * 100.0, g.var5_pp,
-                          j.sr_raw, j.p_liq * 100.0, j.var5_pp])
     comparison = Table(
         name="jump_comparison",
         columns=["h (%)", "SR (GBM)", "P(liq) (GBM)", "5% VaR (GBM)",
                  "SR (JD)", "P(liq) (JD)", "5% VaR (JD)"],
-        rows=comp_rows,
+        rows=[[h * 100.0, gbm[h].sr_raw, gbm[h].p_liq * 100.0, gbm[h].var5_pp,
+               jd[h].sr_raw, jd[h].p_liq * 100.0, jd[h].var5_pp] for h in grid],
         provenance=_provenance(jd_scn),
         formats=["%.0f", "%.2f", "%.1f", "%+.1f", "%.2f", "%.1f", "%+.1f"],
-        extra={"gbm": gbm_fine, "jd": jd_stats})
+        extra={"gbm": gbm, "jd": jd})
 
-    g_opt = argmax_h(fine_grid, gbm_fine)
-    g65 = gbm_fine[0.65]
-    stress_rows = [["GBM (baseline)", "", g65.sr_raw, g65.p_liq * 100.0, g65.var5_pp,
-                    g_opt * 100.0]]
-    per_scn = {"gbm": (g_opt, gbm_fine)}
-    for rho_j, matched in ((0.80, True), (0.30, True), (0.80, False), (0.30, False)):
-        s_scn = _with_jump(scn, rho_j, matched)
-        s_paths = _paths_for(s_scn, n_workers)
-        stats = _grid_stats(s_scn, s_paths, fine_grid)
-        h_opt = argmax_h(fine_grid, stats)
+    stress_rows = []
+    for key, (h_opt, stats) in per_scn.items():
         st = stats[0.65]
-        stress_rows.append(["%.2f" % rho_j, "matched" if matched else "unmatched",
-                            st.sr_raw, st.p_liq * 100.0, st.var5_pp, h_opt * 100.0])
-        per_scn[(rho_j, matched)] = (h_opt, stats)
+        label = (["GBM (baseline)", ""] if key == "gbm"
+                 else ["%.2f" % key[0], "matched" if key[1] else "unmatched"])
+        stress_rows.append(label + [st.sr_raw, st.p_liq * 100.0, st.var5_pp, h_opt * 100.0])
     stress = Table(
         name="jump_stress",
         columns=["rho_J", "Variance", "SR", "P(liq)", "5% VaR", "h**"],
@@ -453,45 +441,44 @@ FIG3_RHOS = (0.0, 0.30, 0.60, 0.72, 0.90)
 FIG4_RBS = (0.05, 0.10, 0.15, 0.20, 0.30)
 
 
+def _by_h(*fields):
+    """Figure rows of SummaryStats fields per h, on one shared path matrix."""
+    def build(scn, grid, n_workers):
+        stats = _grid_stats(scn, _paths_for(scn, n_workers), grid)
+        return [[h] + [getattr(stats[h], f) for f in fields] for h in grid], {"stats": stats}
+    return build
+
+
+def _sharpe_series(axis, values):
+    """Figure rows of the raw Sharpe per h, one column per axis value."""
+    def build(scn, grid, n_workers):
+        spec = SweepSpec(base=scn, axis=axis, values=values, grid=grid)
+        per_value = run_sensitivity(spec, n_workers).extra["per_value"]
+        return [[h] + [per_value[v][1][h].sr_raw for v in values] for h in grid], {}
+    return build
+
+
+# figure name -> (default h grid, columns, build(scn, grid, n_workers) -> (rows, extra))
+FIGURES = {
+    "fig1": (TABLE4_GRID, ["h", "sr_tx", "p_liq"], _by_h("sr_tx", "p_liq")),
+    "fig2": (TABLE4_GRID, ["h", "e_roe", "std"], _by_h("e_roe_pp", "std_pp")),
+    "fig3": (FINE_GRID, ["h"] + ["sr(rho=%.2f)" % r for r in FIG3_RHOS],
+             _sharpe_series("market.rho", FIG3_RHOS)),
+    "fig4": (FINE_GRID, ["h"] + ["sr(r_b=%.2f)" % r for r in FIG4_RBS],
+             _sharpe_series("rates.r_b", FIG4_RBS)),
+}
+
+
 def emit_figure_data(which, scn, n_workers=1, grid=None) -> Table:
-    """Plot-data tables for the four figures; CSV of (x, series...) tuples."""
+    """Plot-data table of one figure in FIGURES; CSV of (x, series...) tuples."""
+    if which not in FIGURES:
+        raise ScenarioError("unknown figure %r; expected one of %s" % (which, ", ".join(FIGURES)))
     if grid is not None and len(grid) == 0:
         raise ScenarioError("figure grid must be nonempty")
-    if which == "fig1" or which == "fig2":
-        g = tuple(grid) if grid is not None else TABLE4_GRID
-        paths = _paths_for(scn, n_workers)
-        stats = _grid_stats(scn, paths, g)
-        if which == "fig1":
-            rows = [[h, stats[h].sr_tx, stats[h].p_liq] for h in g]
-            cols = ["h", "sr_tx", "p_liq"]
-        else:
-            rows = [[h, stats[h].e_roe_pp, stats[h].std_pp] for h in g]
-            cols = ["h", "e_roe", "std"]
-        return Table(name=which, columns=cols, rows=rows,
-                     provenance=_provenance(scn), formats=None, extra={"stats": stats})
-    if which == "fig3":
-        g = tuple(grid) if grid is not None else FINE_GRID
-        series = []
-        for rho in FIG3_RHOS:
-            s_scn = _apply_axis(scn, "market.rho", rho)
-            paths = _paths_for(s_scn, n_workers)
-            series.append(_grid_stats(s_scn, paths, g))
-        rows = [[h] + [s[h].sr_raw for s in series] for h in g]
-        cols = ["h"] + ["sr(rho=%.2f)" % r for r in FIG3_RHOS]
-        return Table(name="fig3", columns=cols, rows=rows,
-                     provenance=_provenance(scn), formats=None, extra={})
-    if which == "fig4":
-        g = tuple(grid) if grid is not None else FINE_GRID
-        paths = _paths_for(scn, n_workers)
-        series = []
-        for r_b in FIG4_RBS:
-            s_scn = _apply_axis(scn, "rates.r_b", r_b)
-            series.append(_grid_stats(s_scn, paths, g))
-        rows = [[h] + [s[h].sr_raw for s in series] for h in g]
-        cols = ["h"] + ["sr(r_b=%.2f)" % r for r in FIG4_RBS]
-        return Table(name="fig4", columns=cols, rows=rows,
-                     provenance=_provenance(scn), formats=None, extra={})
-    raise ScenarioError("unknown figure %r; expected fig1..fig4" % (which,))
+    default_grid, columns, build = FIGURES[which]
+    rows, extra = build(scn, tuple(grid) if grid is not None else default_grid, n_workers)
+    return Table(name=which, columns=columns, rows=rows,
+                 provenance=_provenance(scn), formats=None, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -537,38 +524,56 @@ def write_table(table, out_dir) -> list:
 
 
 # ---------------------------------------------------------------------------
-# one-shot reproduction presets
+# one-shot reproduction targets
+
+class Target(NamedTuple):
+    """run(base, scn, n_workers) -> Tables, scn being the caller's scenario or None and
+    base it or the baseline; a sweep shortcut also names the scenario key it varies."""
+
+    aliases: tuple
+    run: Callable
+    axis: str = None
+
+
+def _one(runner):
+    return lambda base, scn, n_workers: [runner(base, n_workers=n_workers)]
+
+
+# the single list of target names, aliases and sweep shortcuts
+TARGETS = {
+    "table4": Target(("hedge_grid",), _one(run_hedge_grid)),
+    # 50k paths, as in the paper, unless the caller brings a scenario
+    "table5": Target(("analytic_vs_mc",), lambda base, scn, n_workers: [run_analytic_vs_mc(
+        base, n_paths=50000 if scn is None else base.sim.n_paths, n_workers=n_workers)]),
+    "liqstats": Target(("liquidation_stats",), _one(run_liquidation_stats)),
+    "table8": Target(("rebalancing",), _one(run_rebalancing_comparison)),
+    "jumps": Target(("jump_stress", "jump_comparison"), lambda base, scn, n_workers: list(
+        run_jump_stress(base, n_workers=n_workers).values())),
+    "apr": Target(("sensitivity_apr",), _one(run_sensitivity_apr), "rates.reward_rate"),
+    "vol": Target(("sensitivity_vol",), _one(run_sensitivity_vol), "market.vol_scale"),
+    "penalty": Target(("sensitivity_penalty",), _one(run_sensitivity_penalty),
+                      "sim.liq_penalty_frac"),
+    "cv": Target(("cv_sensitivity",), _one(run_sensitivity_cv), "position.c_over_v0"),
+    # every pair keeps its own preset unless the caller brings a scenario
+    "robustness": Target(("robustness_pairs", "table6"), lambda base, scn, n_workers: [
+        run_robustness_pairs(scn, n_workers=n_workers)]),
+    **{fig: Target((), lambda base, scn, n_workers, fig=fig: [
+        emit_figure_data(fig, base, n_workers=n_workers)]) for fig in FIGURES},
+}
+
+
+def describe_targets() -> str:
+    """Target names with their aliases, for help and error text."""
+    return ", ".join(name + "".join("|" + a for a in t.aliases) for name, t in TARGETS.items())
+
 
 def reproduce(name, scn=None, out_dir=None, n_workers=1):
-    """Run one named table/figure preset; returns the list of Tables produced."""
-    base = scn if scn is not None else get_preset("baseline")
-    if name in ("table4", "hedge_grid"):
-        tables = [run_hedge_grid(base, n_workers=n_workers)]
-    elif name in ("table5", "analytic_vs_mc"):
-        n = base.sim.n_paths if scn is not None else 50000
-        tables = [run_analytic_vs_mc(base, n_paths=n, n_workers=n_workers)]
-    elif name in ("liqstats", "liquidation_stats"):
-        tables = [run_liquidation_stats(base, n_workers=n_workers)]
-    elif name in ("table8", "rebalancing"):
-        tables = [run_rebalancing_comparison(base, n_workers=n_workers)]
-    elif name in ("jumps", "jump_stress", "jump_comparison"):
-        tables = list(run_jump_stress(base, n_workers=n_workers).values())
-    elif name in ("apr", "sensitivity_apr"):
-        tables = [run_sensitivity_apr(base, n_workers=n_workers)]
-    elif name in ("vol", "sensitivity_vol"):
-        tables = [run_sensitivity_vol(base, n_workers=n_workers)]
-    elif name in ("penalty", "sensitivity_penalty"):
-        tables = [run_sensitivity_penalty(base, n_workers=n_workers)]
-    elif name in ("cv", "cv_sensitivity"):
-        tables = [run_sensitivity_cv(base, n_workers=n_workers)]
-    elif name in ("robustness", "robustness_pairs", "table6"):
-        tables = [run_robustness_pairs(scn, n_workers=n_workers)]
-    elif name in ("fig1", "fig2", "fig3", "fig4"):
-        tables = [emit_figure_data(name, base, n_workers=n_workers)]
-    else:
-        raise ScenarioError(
-            "unknown reproduction target %r; known: table4, table5, table8, liqstats, "
-            "rebalancing, jumps, apr, vol, penalty, cv, robustness, fig1..fig4" % (name,))
+    """Run one target of TARGETS, by name or alias; returns its Tables."""
+    target = next((t for key, t in TARGETS.items() if name == key or name in t.aliases), None)
+    if target is None:
+        raise ScenarioError("unknown reproduction target %r; known: %s"
+                            % (name, describe_targets()))
+    tables = target.run(scn if scn is not None else get_preset("baseline"), scn, n_workers)
     if out_dir is not None:
         for t in tables:
             write_table(t, out_dir)

@@ -15,55 +15,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, PositionParams,
-                            RateParams, SimConfig, parse_rebalance)
+from .config_domain import (DAYS_PER_YEAR, MarketParams, PositionParams, RateParams,
+                            ScenarioError, SimConfig, _whole_steps, parse_rebalance)
 
 BLOCK = 8192
 
 
-class PricePath(NamedTuple):
-    """One path of price relatives on the simulation grid, starting at 1.0."""
-
-    rel_a: np.ndarray
-    rel_b: np.ndarray
-
-
-@dataclass
-class PositionState:
-    """Mutable accounting state of one hedged LP position.
-
-    debt_a/debt_b are in token units; reserves hold claimed-but-unapplied
-    reward dollars earmarked against each leg; accrued_borrow is unpaid
-    borrow interest in numeraire.
-    """
-
-    lp_value: float
-    debt_a: float
-    debt_b: float
-    collateral: float
-    cash: float
-    accrued_borrow: float
-    pending_rewards: float = 0.0
-    reserve_a: float = 0.0
-    reserve_b: float = 0.0
-
-
-class PathResult(NamedTuple):
-    roe: float
-    liquidated: bool
-    liq_time_days: Optional[float]
-    max_ltv: float
-    n_rebalances: int
-    tx_cost_paid: float
-
-
 @dataclass
 class BatchResult:
-    """Vectorized twin of a sequence of PathResult, plus both ROE bases."""
+    """Per-path outcomes of one accounting pass, with ROE on both cost bases."""
 
     roe: np.ndarray
     roe_raw: np.ndarray
@@ -95,13 +58,6 @@ class SummaryStats:
 
 # ---------------------------------------------------------------------------
 # price paths
-
-def _n_steps(horizon_days, dt_days):
-    steps = int(round(horizon_days / dt_days))
-    if steps < 1 or abs(steps * dt_days - horizon_days) > 1e-6 * max(1.0, horizon_days):
-        raise ValueError("dt_days = %g does not divide horizon_days = %g" % (dt_days, horizon_days))
-    return steps
-
 
 def _add_jump_leg(z, k, eps, jump, compensator, scratch):
     """z += mu_J k + sigma_J sqrt(k) eps - compensator, in place.
@@ -172,7 +128,12 @@ def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_w
     The arrays are column-major, so each step's prices across all paths are
     contiguous: the accounting loop reads one column per step.
     """
-    steps = _n_steps(horizon_days, dt_days)
+    steps = _whole_steps(horizon_days, dt_days)
+    if steps is None:
+        # a configuration error that only simulation meets: the closed form
+        # and the first-passage bound take any horizon
+        raise ScenarioError("dt_days = %g does not divide horizon_days = %g"
+                            % (dt_days, horizon_days))
     n_blocks = -(-n_paths // BLOCK)
     rel_a = np.empty((n_paths, steps + 1), order="F")
     rel_b = np.empty((n_paths, steps + 1), order="F")
@@ -195,21 +156,6 @@ def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_w
     return rel_a, rel_b
 
 
-def generate_paths(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
-    """Stream of PricePath records; same draws as generate_path_matrix."""
-    steps = _n_steps(horizon_days, dt_days)
-    n_blocks = -(-n_paths // BLOCK)
-    for bi in range(n_blocks):
-        lo = bi * BLOCK
-        hi = min(n_paths, lo + BLOCK)
-        a, b = _generate_block(market, jump, steps, dt_days, seed, bi)
-        start = np.ones((hi - lo, 1))
-        a = np.hstack((start, a[:hi - lo]))
-        b = np.hstack((start, b[:hi - lo]))
-        for i in range(hi - lo):
-            yield PricePath(rel_a=a[i], rel_b=b[i])
-
-
 # ---------------------------------------------------------------------------
 # portfolio accounting
 
@@ -219,13 +165,18 @@ def _grid_strides(pos, sim, steps):
         raise ValueError("path grid (%d steps over %g days) does not match sim.dt_days = %g"
                          % (steps, pos.horizon_days, sim.dt_days))
     day_stride = max(1, int(round(1.0 / dt_days)))
-    claim_stride = 0
-    if sim.claim_interval_days > 0:
-        claim_stride = int(round(sim.claim_interval_days / dt_days))
-        if claim_stride < 1:
-            raise ValueError("claim_interval_days below the grid step")
     kind, par = parse_rebalance(sim.rebalance)
-    reb_stride = int(round(par / dt_days)) if kind == "periodic" else 0
+
+    def stride(what, days):
+        n = _whole_steps(days, dt_days)
+        if n is None:
+            raise ScenarioError("%s = %g is not a whole number of %g-day steps"
+                                % (what, days, dt_days))
+        return n
+
+    claim_stride = stride("claim_interval_days", sim.claim_interval_days) \
+        if sim.claim_interval_days > 0 else 0
+    reb_stride = stride("periodic(days)", par) if kind == "periodic" else 0
     return dt_days, day_stride, claim_stride, kind, par, reb_stride
 
 
@@ -233,8 +184,9 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
                    pos: PositionParams, sim: SimConfig) -> BatchResult:
     """Run the accounting loop over a matrix of paths.
 
-    LTV is checked on every grid step; reward claims and rebalance triggers
-    only on whole-day marks. A breached path keeps its price accounting
+    LTV is checked on every grid step. Reward claims and periodic rebalances
+    fire every interval / dt steps; threshold triggers are checked on
+    whole-day marks. A breached path keeps its price accounting
     running (so max-LTV diagnostics cover the full horizon) but can no longer
     rebalance, and its P&L is overridden with the flat penalty loss.
     """
@@ -269,9 +221,8 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
         b = rel_b[:, t]
         interest = interest + (da * a * r_a + db * b * r_b) * dt_y
         pending = pending + reward * v0 * dt_y
-        day_mark = (t % day_stride == 0)
 
-        if claim_stride and day_mark and t % claim_stride == 0:
+        if claim_stride and t % claim_stride == 0:
             # claimed rewards become per-leg repayment reserves, split
             # proportionally to current net debt value; excess goes to cash
             va = np.maximum(da * a - res_a, 0.0)
@@ -292,23 +243,24 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
             liq_day[breach] = t * dt_days
             liq = liq | breach
 
-        if reb_kind != "none" and day_mark:
-            if reb_kind == "periodic":
-                trig = np.full(n, t % reb_stride == 0) & ~liq
-            else:
-                lp = v0 * np.sqrt(a * b)
-                # trigger on gross per-leg hedge drift; reserves do not leak in
-                ha = da * a / (lp / 2.0)
-                hb = db * b / (lp / 2.0)
-                trig = ((np.abs(ha - h) > thr) | (np.abs(hb - h) > thr)) & ~liq
-            if trig.any():
-                lp = v0 * np.sqrt(a * b)
-                gross = da * a + db * b
-                da = np.where(trig, h * lp / (2.0 * a), da)
-                db = np.where(trig, h * lp / (2.0 * b), db)
-                # resetting after a move realizes hedge pnl into cash
-                cash = cash + np.where(trig, gross - h * lp, 0.0)
-                n_reb = n_reb + trig
+        if reb_kind == "periodic" and t % reb_stride == 0:
+            trig = ~liq
+        elif reb_kind == "threshold" and t % day_stride == 0:
+            lp = v0 * np.sqrt(a * b)
+            # trigger on gross per-leg hedge drift; reserves do not leak in
+            ha = da * a / (lp / 2.0)
+            hb = db * b / (lp / 2.0)
+            trig = ((np.abs(ha - h) > thr) | (np.abs(hb - h) > thr)) & ~liq
+        else:
+            continue
+        if trig.any():
+            lp = v0 * np.sqrt(a * b)
+            gross = da * a + db * b
+            da = np.where(trig, h * lp / (2.0 * a), da)
+            db = np.where(trig, h * lp / (2.0 * b), db)
+            # resetting after a move realizes hedge pnl into cash
+            cash = cash + np.where(trig, gross - h * lp, 0.0)
+            n_reb = n_reb + trig
 
     a_t = rel_a[:, -1]
     b_t = rel_b[:, -1]
@@ -328,110 +280,6 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
         tx_cost_paid=tx if np.ndim(tx) else np.full(n, tx), pi0=pi0)
 
 
-def initial_state(pos: PositionParams) -> PositionState:
-    h, v0 = pos.h, pos.v0
-    return PositionState(lp_value=v0, debt_a=h * v0 / 2.0, debt_b=h * v0 / 2.0,
-                         collateral=pos.c_over_v0 * v0, cash=0.0, accrued_borrow=0.0)
-
-
-def apply_rebalance_rule(state: PositionState, rel_a, rel_b, rule, h_target) -> int:
-    """Apply one rebalance decision at current prices; returns tx count (0 or 1).
-
-    threshold(pp) fires when either leg's gross effective hedge ratio drifts
-    more than pp/100 from the target. periodic(days) always fires when
-    invoked; the cadence is the caller's job. Resets both debts to
-    h * lp / (2 price) and books the gross-vs-target difference to cash.
-    """
-    kind, par = parse_rebalance(rule)
-    if kind == "none":
-        return 0
-    lp = state.lp_value
-    if kind == "threshold":
-        ha = state.debt_a * rel_a / (lp / 2.0)
-        hb = state.debt_b * rel_b / (lp / 2.0)
-        thr = par / 100.0
-        if abs(ha - h_target) <= thr and abs(hb - h_target) <= thr:
-            return 0
-    gross = state.debt_a * rel_a + state.debt_b * rel_b
-    state.debt_a = h_target * lp / (2.0 * rel_a)
-    state.debt_b = h_target * lp / (2.0 * rel_b)
-    state.cash += gross - h_target * lp
-    return 1
-
-
-def simulate_position(path: PricePath, market: MarketParams, rates: RateParams,
-                      pos: PositionParams, sim: SimConfig) -> PathResult:
-    """Scalar reference implementation of the accounting loop for one path.
-
-    Mirrors simulate_batch step for step (the test suite holds the two to
-    agreement); market enters only through the path itself.
-    """
-    rel_a = np.asarray(path.rel_a, dtype=float)
-    rel_b = np.asarray(path.rel_b, dtype=float)
-    steps = rel_a.shape[0] - 1
-    dt_days, day_stride, claim_stride, reb_kind, reb_par, reb_stride = _grid_strides(pos, sim, steps)
-    dt_y = dt_days / DAYS_PER_YEAR
-
-    v0, h = pos.v0, pos.h
-    coll0 = pos.c_over_v0 * v0
-    st = initial_state(pos)
-    liq = False
-    liq_day = None
-    max_ltv = h * v0 / coll0
-    n_reb = 0
-    n_claims = 0
-
-    for t in range(1, steps + 1):
-        a = float(rel_a[t])
-        b = float(rel_b[t])
-        st.lp_value = v0 * math.sqrt(a * b)
-        st.accrued_borrow += (st.debt_a * a * rates.r_a + st.debt_b * b * rates.r_b) * dt_y
-        st.collateral += coll0 * rates.r_f * dt_y
-        st.pending_rewards += rates.reward_rate * v0 * dt_y
-        day_mark = (t % day_stride == 0)
-
-        if claim_stride and day_mark and t % claim_stride == 0:
-            va = max(st.debt_a * a - st.reserve_a, 0.0)
-            vb = max(st.debt_b * b - st.reserve_b, 0.0)
-            tot = va + vb
-            repay = min(st.pending_rewards, tot)
-            w = va / tot if tot > 0 else 0.5
-            st.reserve_a += repay * w
-            st.reserve_b += repay * (1.0 - w)
-            st.cash += st.pending_rewards - repay
-            st.pending_rewards = 0.0
-            if not liq:
-                n_claims += 1
-
-        ltv = (max(st.debt_a * a - st.reserve_a, 0.0)
-               + max(st.debt_b * b - st.reserve_b, 0.0) + st.accrued_borrow) / coll0
-        if ltv > max_ltv:
-            max_ltv = ltv
-        if not liq and ltv >= pos.l_max:
-            liq = True
-            liq_day = t * dt_days
-
-        if reb_kind != "none" and day_mark and not liq:
-            if reb_kind == "periodic":
-                if t % reb_stride == 0:
-                    n_reb += apply_rebalance_rule(st, a, b, ("periodic", reb_par), h)
-            else:
-                n_reb += apply_rebalance_rule(st, a, b, ("threshold", reb_par), h)
-
-    a_t = float(rel_a[-1])
-    b_t = float(rel_b[-1])
-    debt_t = max(st.debt_a * a_t - st.reserve_a, 0.0) + max(st.debt_b * b_t - st.reserve_b, 0.0)
-    pi_t = v0 * math.sqrt(a_t * b_t) + st.pending_rewards + st.cash + st.collateral \
-        - debt_t - st.accrued_borrow
-    pi0 = coll0 + (1.0 - h) * v0
-    pnl = -sim.liq_penalty_frac * coll0 if liq else pi_t - pi0
-    tx = sim.borrow_fee_frac * h * v0 + sim.gas_cost * (n_claims + n_reb)
-    if sim.include_tx_costs:
-        pnl -= tx
-    return PathResult(roe=pnl / pi0, liquidated=liq, liq_time_days=liq_day,
-                      max_ltv=max_ltv, n_rebalances=n_reb, tx_cost_paid=tx)
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 
@@ -446,46 +294,17 @@ def _annualized_sharpe(roe, r_f, horizon_days):
     return (mean - r_f * t_frac) / sd * math.sqrt(DAYS_PER_YEAR / horizon_days)
 
 
-def aggregate(results, sim: SimConfig, horizon_days, r_f=0.0, pi0=None) -> SummaryStats:
-    """Reduce path results to the summary row used by every table.
-
-    Accepts a BatchResult or any sequence of PathResult (two or more). For a
-    PathResult sequence, converting between raw and cost-adjusted Sharpe
-    needs the equity base pi0; without it the other-basis Sharpe is NaN
-    whenever costs are nonzero.
-    """
-    if isinstance(results, BatchResult):
-        roe = results.roe
-        roe_raw = results.roe_raw
-        roe_tx = results.roe_tx
-        liq = results.liquidated
-        max_ltv = results.max_ltv
-        n_reb = results.n_rebalances
-    else:
-        rs = list(results)
-        if len(rs) < 2:
-            raise ValueError("need at least 2 path results")
-        roe = np.array([r.roe for r in rs], dtype=float)
-        tx = np.array([r.tx_cost_paid for r in rs], dtype=float)
-        liq = np.array([r.liquidated for r in rs], dtype=bool)
-        max_ltv = np.array([r.max_ltv for r in rs], dtype=float)
-        n_reb = np.array([r.n_rebalances for r in rs], dtype=float)
-        shift = tx / pi0 if pi0 else np.where(tx == 0.0, 0.0, np.nan)
-        if sim.include_tx_costs:
-            roe_tx = roe
-            roe_raw = roe + shift
-        else:
-            roe_raw = roe
-            roe_tx = roe - shift
-
+def aggregate(batch: BatchResult, horizon_days, r_f=0.0) -> SummaryStats:
+    """Reduce one accounting pass to the summary row used by every table."""
+    roe, liq, max_ltv, n_reb = batch.roe, batch.liquidated, batch.max_ltv, batch.n_rebalances
     not_liq = ~liq
     avg_reb = float(np.mean(n_reb[not_liq])) if not_liq.any() else math.nan
     std_pp = float(np.std(roe, ddof=1)) * 100.0 if roe.shape[0] > 1 else math.nan
     return SummaryStats(
         e_roe_pp=float(np.mean(roe)) * 100.0,
         std_pp=std_pp,
-        sr_raw=_annualized_sharpe(roe_raw, r_f, horizon_days),
-        sr_tx=_annualized_sharpe(roe_tx, r_f, horizon_days),
+        sr_raw=_annualized_sharpe(batch.roe_raw, r_f, horizon_days),
+        sr_tx=_annualized_sharpe(batch.roe_tx, r_f, horizon_days),
         p_loss=float(np.mean(roe < 0.0)),
         p_liq=float(np.mean(liq)),
         var5_pp=float(np.percentile(roe, 5.0)) * 100.0,
@@ -504,19 +323,15 @@ def run_scenario(scn, n_workers=1, paths=None) -> SummaryStats:
                                      sim.dt_days, sim.n_paths, sim.seed, n_workers)
     rel_a, rel_b = paths
     batch = simulate_batch(rel_a, rel_b, scn.market, scn.rates, pos, sim)
-    return aggregate(batch, sim, pos.horizon_days, r_f=scn.rates.r_f)
+    return aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
 
 
-def write_path_dump(results, path):
+def write_path_dump(batch: BatchResult, path):
     """Per-path CSV dump: path_id,roe,liquidated,liq_day,max_ltv,n_rebalances."""
-    if isinstance(results, BatchResult):
-        rows = zip(results.roe, results.liquidated, results.liq_time_days,
-                   results.max_ltv, results.n_rebalances)
-    else:
-        rows = ((r.roe, r.liquidated, r.liq_time_days, r.max_ltv, r.n_rebalances)
-                for r in results)
+    rows = zip(batch.roe, batch.liquidated, batch.liq_time_days, batch.max_ltv,
+               batch.n_rebalances)
     with open(path, "w") as fh:
         fh.write("path_id,roe,liquidated,liq_day,max_ltv,n_rebalances\n")
         for i, (roe, liq, day, ltv, reb) in enumerate(rows):
-            day_s = "" if day is None or (isinstance(day, float) and math.isnan(day)) else "%g" % day
+            day_s = "" if math.isnan(day) else "%g" % day
             fh.write("%d,%.10g,%d,%s,%.10g,%d\n" % (i, roe, bool(liq), day_s, ltv, reb))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ammhedge.cli import SEED_ENV, main
+from ammhedge.experiments import PRESETS, TARGETS, Table
 
 
 @pytest.fixture(autouse=True)
@@ -133,11 +134,50 @@ def test_invalid_parameter_is_config_error(capsys):
 
 
 def test_runtime_failure_exits_two(capsys):
-    # dt that does not divide the horizon passes validation, fails at run time
-    code, _, err = _run(capsys, ["simulate", "--paths", "50",
-                                 "--override", "sim.dt_days=0.7"])
+    # a valid calibration whose unhedged P&L has no positive mean: no Sharpe optimum
+    code, _, err = _run(capsys, ["analytic", "--override", "rates.reward_rate=0",
+                                 "--override", "rates.r_f=0"])
     assert code == 2
-    assert err.startswith("error:") and "does not divide" in err
+    assert err.startswith("error:") and "mu0" in err
+
+
+def test_step_that_does_not_divide_horizon_is_config_error(capsys):
+    argv = ["--override", "position.horizon_days=91", "--override", "sim.dt_days=2"]
+    code, _, err = _run(capsys, ["simulate", "--paths", "50"] + argv)
+    assert code == 1
+    assert "dt_days = 2 does not divide horizon_days = 91" in err
+    # the closed form needs no grid
+    assert _run(capsys, ["analytic"] + argv)[0] == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    ["sim.dt_days=0.4"],
+    ["sim.dt_days=3", "sim.claim_interval_days=10"],
+    ["sim.dt_days=3", "sim.claim_interval_days=9", "sim.rebalance=periodic(10)"],
+])
+def test_event_cadence_off_the_grid_is_config_error(capsys, overrides):
+    argv = ["simulate", "--paths", "50"]
+    for pair in overrides:
+        argv += ["--override", pair]
+    code, _, err = _run(capsys, argv)
+    assert code == 1 and "configuration error" in err
+
+
+def test_horizon_days_alone_sets_the_horizon(capsys):
+    code, out, _ = _run(capsys, ["simulate", "--paths", "50",
+                                 "--override", "position.horizon_days=30"])
+    assert code == 0 and "E[ROE] (pp)" in out
+    code, out, _ = _run(capsys, ["fpt", "--h", "0.6", "--override", "position.horizon_days=30"])
+    assert code == 0 and "P(liq, 30d)" in out
+
+
+def test_horizon_years_must_agree_with_days(capsys):
+    code, _, err = _run(capsys, ["fpt", "--override", "position.horizon_years=0.3"])
+    assert code == 1
+    assert "position.horizon_years" in err and "position.horizon_days" in err
+    code, _, _ = _run(capsys, ["fpt", "--override", "position.horizon_days=%r" % 47.3,
+                               "--override", "position.horizon_years=%r" % (47.3 / 365.0)])
+    assert code == 0
 
 
 def test_negative_costs_are_config_errors(capsys):
@@ -203,6 +243,44 @@ def test_reproduce_robustness_honours_paths_and_seed(capsys):
     code, out, _ = _run(capsys, ["reproduce", "robustness", "--paths", "500", "--seed", "7"])
     assert code == 0
     assert out.startswith("# seed=7 n_paths=500 ")
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_simulates(capsys, preset):
+    code, out, err = _run(capsys, ["simulate", "--scenario", preset, "--paths", "64"])
+    assert code == 0, err
+    assert out.startswith("# seed=42 n_paths=64 ")
+
+
+@pytest.mark.parametrize("name", sorted(list(TARGETS) + [a for t in TARGETS.values()
+                                                          for a in t.aliases]))
+def test_every_target_name_dispatches(capsys, monkeypatch, name):
+    # each name and alias reaches its runner with the resolved scenario; the
+    # runners themselves are exercised in test_experiments and test_acceptance
+    key = next(n for n, t in TARGETS.items() if name == n or name in t.aliases)
+    seen = []
+
+    def run(base, scn, n_workers):
+        seen.append((base.sim.n_paths, scn.sim.seed, n_workers))
+        return [Table(name="stub", columns=["x"], rows=[[1.0]],
+                      provenance={"seed": scn.sim.seed, "n_paths": base.sim.n_paths,
+                                  "engine": "-", "config": "-"})]
+
+    monkeypatch.setitem(TARGETS, key, TARGETS[key]._replace(run=run))
+    code, out, _ = _run(capsys, ["reproduce", name, "--paths", "200", "--seed", "3",
+                                 "--workers", "2"])
+    assert code == 0
+    assert seen == [(200, 3, 2)]
+    assert out.startswith("# seed=3 n_paths=200 ")
+
+
+def test_apr_sweep_marks_the_calibrated_rate(capsys):
+    code, out, _ = _run(capsys, ["reproduce", "apr", "--paths", "200",
+                                 "--override", "rates.reward_rate=0.40"])
+    assert code == 0
+    rows = {line.split(",")[0]: line for line in out.splitlines()[2:]}
+    assert rows["40"].endswith(",Calibrated value")
+    assert not rows["54"].endswith(",Calibrated value")
 
 
 def test_reproduce_unknown_target(capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ammhedge import config_domain as cd
 
@@ -36,7 +37,7 @@ def test_single_field_boundary_gives_single_message():
         (scn.market, scn.rates, dataclasses.replace(scn.position, v0=0.0)),
         (scn.market, scn.rates, dataclasses.replace(scn.position, h=1.5)),
         (scn.market, scn.rates, dataclasses.replace(scn.position, l_max=1.0)),
-        (scn.market, scn.rates, dataclasses.replace(scn.position, horizon_days=91.5)),
+        (scn.market, scn.rates, dataclasses.replace(scn.position, horizon_days=0.0)),
     ]
     for market, rates, pos in cases:
         errs = cd.validate(market, rates, pos)
@@ -56,6 +57,61 @@ def test_negative_costs_rejected():
     assert cd.validate_sim(sim) == ["borrow_fee_frac must be nonnegative",
                                     "gas_cost must be nonnegative"]
     assert cd.validate_sim(cd.SimConfig(n_paths=10, borrow_fee_frac=0.0, gas_cost=0.0)) == []
+
+
+@pytest.mark.parametrize("dt_days, changes, error", [
+    # claims would fire every 28 days (3 in 90), not every 14 (6)
+    (0.4, {}, "dt_days = 0.4 is neither a whole number of days nor 1/k of a day"),
+    # claims would fire every 9 days (10 in 90), not every 10 (9)
+    (3.0, {"claim_interval_days": 10.0},
+     "claim_interval_days = 10 is not a whole number of days divisible by dt_days = 3"),
+    (1.0 / 3.0, {"claim_interval_days": 3.5},
+     "claim_interval_days = 3.5 is not a whole number of days divisible by dt_days = 0.333333"),
+    (3.0, {"claim_interval_days": 9.0, "rebalance": "periodic(10)"},
+     "rebalance = periodic(10) is not a whole number of days divisible by dt_days = 3"),
+    (0.25, {"rebalance": "periodic(7.5)"},
+     "rebalance = periodic(7.5) is not a whole number of days divisible by dt_days = 0.25"),
+])
+def test_event_cadence_must_fit_the_grid(dt_days, changes, error):
+    assert cd.validate_sim(cd.SimConfig(n_paths=10, dt_days=dt_days, **changes)) == [error]
+
+
+def test_baseline_cadences_are_valid():
+    for dt_days in (1.0 / 3.0, 0.25, 1.0, 2.0):
+        for rule in ("none", "threshold(15)", "periodic(14)", "periodic(30)"):
+            sim = cd.SimConfig(n_paths=10, dt_days=dt_days, rebalance=rule)
+            assert cd.validate_sim(sim) == [], (dt_days, rule)
+    assert cd.validate_sim(cd.SimConfig(n_paths=10, dt_days=3.0, claim_interval_days=0.0)) == []
+
+
+def test_horizon_years_is_derived():
+    scn = cd.apply_overrides(cd.baseline_scenario(), ["position.horizon_days=30"])
+    assert scn.position.horizon_days == 30.0
+    assert scn.position.horizon_years == 30.0 / cd.DAYS_PER_YEAR
+    assert cd.baseline_scenario().position.horizon_years == 90.0 / 365.0
+    assert cd.validate_scenario(scn) == []
+
+
+def test_consistent_horizon_years_is_accepted():
+    # both keys, years as days / 365 in repr form
+    for days in (30.0, 91.25, 180.0, 47.3):
+        scn = cd.apply_overrides(cd.baseline_scenario(), [
+            "position.horizon_days=%r" % days,
+            "position.horizon_years=%r" % (days / cd.DAYS_PER_YEAR)])
+        assert scn.position.horizon_days == days
+    from_text = cd.parse_scenario("position.horizon_years = 0.25\nposition.horizon_days = 91.25\n")
+    assert from_text.position.horizon_years == 0.25
+
+
+def test_conflicting_horizon_years_is_rejected():
+    for pairs in (["position.horizon_years=0.3"],
+                  ["position.horizon_days=30", "position.horizon_years=0.25"]):
+        with pytest.raises(cd.ScenarioError) as err:
+            cd.apply_overrides(cd.baseline_scenario(), pairs)
+        assert "position.horizon_years" in str(err.value)
+        assert "position.horizon_days" in str(err.value)
+    with pytest.raises(cd.ScenarioError, match="disagrees"):
+        cd.parse_scenario("position.horizon_years = 0.25\n")
 
 
 def test_jump_variance_matching_infeasible():
@@ -223,3 +279,29 @@ def test_scenario_hash_tracks_content():
     assert cd.scenario_hash(a) != cd.scenario_hash(b)
     assert cd.scenario_hash(a) == cd.scenario_hash(cd.baseline_scenario())
     assert len(cd.scenario_hash(a)) == 12
+
+
+_NUMBERS = st.floats(0.01, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.fixed_dictionaries({
+    "market.sigma_a": _NUMBERS, "market.rho": st.floats(-0.99, 0.99),
+    "rates.reward_rate": _NUMBERS, "position.c_over_v0": _NUMBERS,
+    "position.horizon_days": st.floats(1.0, 720.0),
+    "sim.n_paths": st.integers(1, 10 ** 6), "sim.seed": st.integers(0, 2 ** 32),
+    "sim.rebalance": st.sampled_from(["none", "threshold(15)", "periodic(14)"]),
+    "sim.include_tx_costs": st.booleans(),
+}), jumps=st.booleans())
+def test_scenario_text_roundtrips(values, jumps):
+    text = "".join("%s = %s\n" % kv for kv in values.items())
+    if jumps:
+        text += "jump.lambda = 2.5\njump.variance_matched = false\n"
+    scn = cd.parse_scenario(text)
+    flat = cd.scenario_values(scn)
+    assert flat["position.horizon_years"] == values["position.horizon_days"] / cd.DAYS_PER_YEAR
+    again = cd.parse_scenario("".join("%s = %s\n" % kv for kv in flat.items()))
+    assert cd.scenario_values(again) == flat
+    assert cd.scenario_hash(again) == cd.scenario_hash(scn)
+    pairs = ["%s=%s" % kv for kv in flat.items()]
+    assert cd.apply_overrides(cd.baseline_scenario("custom"), pairs) == scn

@@ -1,5 +1,6 @@
 """Table runner tests on downscaled path counts: structure, wiring, output."""
 
+import dataclasses
 import math
 import os
 
@@ -152,10 +153,11 @@ def test_sensitivity_rejects_bad_specs(tiny):
 
 
 def test_apr_remarks():
-    assert exp._apr_remark(0.10, 0.01) == "Strategy unprofitable"
-    assert exp._apr_remark(0.54, 0.90) == "Calibrated value"
-    assert exp._apr_remark(0.30, 0.15) == "Marginal viability"
-    assert exp._apr_remark(0.30, 0.50) == ""
+    assert exp._apr_remark(0.10, 0.01, 0.54) == "Strategy unprofitable"
+    assert exp._apr_remark(0.54, 0.90, 0.54) == "Calibrated value"
+    assert exp._apr_remark(0.54, 0.90, 0.40) == ""
+    assert exp._apr_remark(0.30, 0.15, 0.54) == "Marginal viability"
+    assert exp._apr_remark(0.30, 0.50, 0.54) == ""
 
 
 def test_sensitivity_apr_wrapper(tiny):
@@ -213,6 +215,25 @@ def test_jump_stress_structure(tiny, monkeypatch):
         assert r[5] in (60.0, 65.0)
     assert set(out["jump_stress"].extra["per_scenario"]) == {
         "gbm", (0.80, True), (0.30, True), (0.80, False), (0.30, False)}
+
+
+def test_jump_stress_generates_each_scenario_once(tiny, monkeypatch):
+    real, made = exp._paths_for, []
+
+    def counted(scn, n_workers=1, **kw):
+        made.append(scn.jump)
+        return real(scn, n_workers, n_paths=400)
+
+    monkeypatch.setattr(exp, "_paths_for", counted)
+    month = dataclasses.replace(tiny, position=dataclasses.replace(tiny.position,
+                                                                   horizon_days=30.0))
+    out = exp.run_jump_stress(month, grid=(0.3, 0.65), fine_grid=(0.6, 0.65))
+    # GBM plus the four stress scenarios; the matched 0.80 one feeds the comparison
+    assert len(made) == 5 and len(set(made)) == 5
+    comp, per_scn = out["jump_comparison"], out["jump_stress"].extra["per_scenario"]
+    matched = per_scn[(0.80, True)][1]
+    assert [r[4] for r in comp.rows] == [matched[0.3].sr_raw, matched[0.65].sr_raw]
+    assert comp.rows[0][1] == per_scn["gbm"][1][0.3].sr_raw  # off the fine grid
 
 
 def test_jump_stress_needs_the_reported_hedge_ratio(tiny):
@@ -275,6 +296,16 @@ def test_reproduce_dispatch(tiny, tmp_path):
 
     t8 = exp.reproduce("table8", scn=tiny)[0]
     assert t8.name == "rebalancing"
+
+
+def test_targets_are_one_registry():
+    names = list(exp.TARGETS) + [a for t in exp.TARGETS.values() for a in t.aliases]
+    assert len(names) == len(set(names))
+    assert {n for n, t in exp.TARGETS.items() if t.axis} == {"apr", "vol", "penalty", "cv"}
+    for fig in exp.FIGURES:
+        assert fig in exp.TARGETS
+    for name in names:
+        assert name in exp.describe_targets()
 
 
 def test_reproduce_unknown_target(tiny):

@@ -87,8 +87,8 @@ def test_crossing_probability_monotone(baseline):
     assert all(b > a for a, b in zip(probs, probs[1:]))
     # longer windows give the barrier more chances
     by_t = [
-        fpt.liquidation_probability(0.6, m, dataclasses.replace(pos, horizon_years=t))
-        for t in (0.1, 0.25, 0.5)
+        fpt.liquidation_probability(0.6, m, dataclasses.replace(pos, horizon_days=days))
+        for days in (36.5, 91.25, 182.5)
     ]
     assert by_t[0] < by_t[1] < by_t[2]
 

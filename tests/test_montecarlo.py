@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ammhedge.montecarlo as mc
-from ammhedge.config_domain import DAYS_PER_YEAR, JumpParams, MarketParams, SimConfig
+from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, RateParams,
+                                    ScenarioError)
+
+from scalar_oracle import simulate_path
 
 # hand-derived flat-market ROE: T * (reward - h*(r_a+r_b)/2 + cv*r_f) / pi0
 FLAT_PATH_ROE = 0.058150684932
@@ -52,15 +56,6 @@ def test_path_count_prefix_property(baseline):
     a_big, b_big = mc.generate_path_matrix(m, None, 90.0, 1.0, 20000, seed=3)
     assert np.array_equal(a_big[:9000], a_small)
     assert np.array_equal(b_big[:9000], b_small)
-
-
-def test_generator_matches_matrix(baseline):
-    m = baseline.market
-    a, b = mc.generate_path_matrix(m, None, 30.0, 1.0, 5, seed=9)
-    for i, p in enumerate(mc.generate_paths(m, None, 30.0, 1.0, 5, seed=9)):
-        assert p.rel_a[0] == 1.0 and len(p.rel_a) == 31
-        assert np.array_equal(p.rel_a, a[i]) and np.array_equal(p.rel_b, b[i])
-    assert i == 4
 
 
 def test_zero_intensity_jump_is_plain_gbm(baseline):
@@ -130,6 +125,9 @@ def test_path_matrix_is_column_major(baseline):
 def test_grid_must_divide_horizon(baseline):
     with pytest.raises(ValueError, match="does not divide"):
         mc.generate_path_matrix(baseline.market, None, 90.0, 0.7, 10, seed=1)
+    # a configuration error: the CLI reports it with exit status 1
+    with pytest.raises(ScenarioError, match="0.333333 does not divide horizon_days = 91.25"):
+        mc.generate_path_matrix(baseline.market, None, 91.25, 1.0 / 3.0, 10, seed=1)
 
 
 def test_log_increment_moments(baseline):
@@ -202,10 +200,9 @@ def test_flat_path_accounting_oracle(baseline):
     assert batch.tx_cost_paid[0] == pytest.approx(0.003 * 0.6, abs=1e-15)
     assert batch.roe_raw[0] - batch.roe_tx[0] == pytest.approx(0.0018 / 2.4, abs=1e-15)
 
-    one = mc.simulate_position(mc.PricePath(rel_a[0], rel_b[0]), baseline.market,
-                               baseline.rates, baseline.position, baseline.sim)
-    assert one.roe == pytest.approx(batch.roe[0], abs=1e-12)
-    assert one.max_ltv == pytest.approx(batch.max_ltv[0], abs=1e-12)
+    one = simulate_path(rel_a[0], rel_b[0], baseline.rates, baseline.position, baseline.sim)
+    assert one["roe"] == pytest.approx(batch.roe[0], abs=1e-12)
+    assert one["max_ltv"] == pytest.approx(batch.max_ltv[0], abs=1e-12)
 
 
 def test_immediate_crash_pays_flat_penalty(baseline):
@@ -219,10 +216,9 @@ def test_immediate_crash_pays_flat_penalty(baseline):
     assert batch.liquidated[0]
     assert batch.liq_time_days[0] == pytest.approx(baseline.sim.dt_days, abs=1e-12)
     assert batch.roe_raw[0] == -0.2  # penalty*coll / pi0 exactly
-    one = mc.simulate_position(mc.PricePath(rel_a[0], rel_b[0]), baseline.market,
-                               baseline.rates, pos, baseline.sim)
-    assert one.liquidated and one.roe == -0.2
-    assert one.liq_time_days == pytest.approx(baseline.sim.dt_days, abs=1e-12)
+    one = simulate_path(rel_a[0], rel_b[0], baseline.rates, pos, baseline.sim)
+    assert one["liquidated"] and one["roe"] == -0.2
+    assert one["liq_time_days"] == pytest.approx(baseline.sim.dt_days, abs=1e-12)
 
 
 def test_breached_paths_keep_diagnostics_but_stop_rebalancing(baseline):
@@ -251,6 +247,22 @@ def test_periodic_rule_counts_rebalances(baseline):
     assert np.all(batch.n_rebalances <= 3)
 
 
+def _assert_kernel_matches_oracle(rel_a, rel_b, rates, pos, sim):
+    batch = mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim)
+    for i in range(rel_a.shape[0]):
+        one = simulate_path(rel_a[i], rel_b[i], rates, pos, sim)
+        assert one["roe"] == pytest.approx(batch.roe[i], abs=1e-10), i
+        assert one["liquidated"] == batch.liquidated[i], i
+        if one["liquidated"]:
+            assert one["liq_time_days"] == pytest.approx(batch.liq_time_days[i], abs=1e-9)
+        else:
+            assert one["liq_time_days"] is None and math.isnan(batch.liq_time_days[i])
+        assert one["max_ltv"] == pytest.approx(batch.max_ltv[i], abs=1e-10), i
+        assert one["n_rebalances"] == batch.n_rebalances[i], i
+        assert one["n_claims"] == batch.n_claims[i], i
+        assert one["tx_cost_paid"] == pytest.approx(batch.tx_cost_paid[i], abs=1e-12), i
+
+
 @pytest.mark.parametrize("sim_changes", [
     dict(rebalance="threshold(15)"),
     dict(rebalance="periodic(30)", include_tx_costs=True, gas_cost=0.001),
@@ -260,19 +272,31 @@ def test_scalar_and_vector_kernels_agree(baseline, sim_changes):
     sim = dataclasses.replace(baseline.sim, **sim_changes)
     rel_a, rel_b = mc.generate_path_matrix(baseline.market, None, pos.horizon_days,
                                            sim.dt_days, 50, seed=7)
-    batch = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim)
-    for i in range(50):
-        one = mc.simulate_position(mc.PricePath(rel_a[i], rel_b[i]), baseline.market,
-                                   baseline.rates, pos, sim)
-        assert one.roe == pytest.approx(batch.roe[i], abs=1e-10), i
-        assert one.liquidated == batch.liquidated[i], i
-        if one.liquidated:
-            assert one.liq_time_days == pytest.approx(batch.liq_time_days[i], abs=1e-9)
-        else:
-            assert one.liq_time_days is None and math.isnan(batch.liq_time_days[i])
-        assert one.max_ltv == pytest.approx(batch.max_ltv[i], abs=1e-10), i
-        assert one.n_rebalances == batch.n_rebalances[i], i
-        assert one.tx_cost_paid == pytest.approx(batch.tx_cost_paid[i], abs=1e-12), i
+    _assert_kernel_matches_oracle(rel_a, rel_b, baseline.rates, pos, sim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.floats(0.0, 1.0), cv=st.floats(1.3, 4.0), seed=st.integers(0, 2 ** 16),
+       dt_days=st.sampled_from([2.0, 1.0, 0.5, 1.0 / 3.0, 0.25]),
+       claim_days=st.sampled_from([0.0, 4.0, 6.0, 14.0]),
+       rule=st.sampled_from(["none", "threshold(5)", "threshold(15)", "periodic(2)",
+                             "periodic(6)"]),
+       gas=st.sampled_from([0.0, 0.001]), tx=st.booleans())
+def test_kernel_matches_scalar_oracle(baseline, h, cv, seed, dt_days, claim_days, rule,
+                                      gas, tx):
+    # volatile random-walk paths over 24 days, so claims, rebalances and
+    # liquidations all occur; every interval here is whole days of whole steps
+    pos = dataclasses.replace(baseline.position, h=h, c_over_v0=cv, horizon_days=24.0)
+    sim = dataclasses.replace(baseline.sim, dt_days=dt_days, claim_interval_days=claim_days,
+                              rebalance=rule, gas_cost=gas, include_tx_costs=tx)
+    steps = int(round(24.0 / dt_days))
+    rng = np.random.default_rng(seed)
+    sd = 4.0 * math.sqrt(dt_days / DAYS_PER_YEAR)
+    z = rng.standard_normal((2, 8, steps))
+    rel = np.ones((2, 8, steps + 1))
+    rel[:, :, 1:] = np.exp(np.cumsum(sd * z - 0.5 * sd * sd, axis=2))
+    rates = RateParams(r_a=0.05, r_b=0.20, reward_rate=0.6, r_f=0.04)
+    _assert_kernel_matches_oracle(rel[0], rel[1], rates, pos, sim)
 
 
 @pytest.mark.parametrize("rule", ["none", "threshold(15)", "periodic(14)"])
@@ -306,47 +330,40 @@ def test_claim_interval_below_grid_step_rejected(baseline):
 
 
 def test_rebalance_rule_state_transitions(baseline):
-    pos = baseline.position
-    st = mc.initial_state(pos)
-    assert st.lp_value == pos.v0
-    assert st.debt_a == st.debt_b == pos.h * pos.v0 / 2.0
-    assert st.collateral == pos.c_over_v0 * pos.v0
-
-    assert mc.apply_rebalance_rule(st, 1.0, 1.0, "none", pos.h) == 0
-    # on-target position stays untouched under a threshold rule
-    assert mc.apply_rebalance_rule(st, 1.0, 1.0, "threshold(15)", pos.h) == 0
-    assert st.cash == 0.0
-
-    # leg A drifts to 0.84 effective vs 0.60 target: beyond the 15pp band
-    assert mc.apply_rebalance_rule(st, 1.4, 1.0, "threshold(15)", pos.h) == 1
-    assert st.debt_a == pytest.approx(pos.h * pos.v0 / (2.0 * 1.4))
-    assert st.debt_b == pytest.approx(pos.h * pos.v0 / 2.0)
-    assert st.cash == pytest.approx(0.72 - 0.60)
-
-    st2 = mc.initial_state(pos)
-    # periodic rules always fire; balanced prices make it a no-op trade
-    assert mc.apply_rebalance_rule(st2, 1.0, 1.0, "periodic(30)", pos.h) == 1
-    assert st2.cash == 0.0
+    # two daily steps, no rates, claims or fees, so the P&L is pure accounting
+    pos = dataclasses.replace(baseline.position, horizon_days=2.0)
+    sim = dataclasses.replace(baseline.sim, dt_days=1.0, claim_interval_days=0.0,
+                              borrow_fee_frac=0.0, rebalance="threshold(15)")
+    rates = RateParams(r_a=0.0, r_b=0.0, reward_rate=0.0, r_f=0.0)
+    rel_a = np.array([[1.0, 1.4, 1.4], [1.0, 2.25, 2.25]])
+    rel_b = np.ones((2, 3))
+    batch = mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim)
+    # A at 1.4 leaves both legs' hedge ratios (0.71, 0.51) inside 0.60 +- 0.15
+    assert batch.n_rebalances[0] == 0
+    assert batch.roe_raw[0] == pytest.approx((1.4 ** 0.5 + 2.0 - 0.72 - 2.4) / 2.4, abs=1e-15)
+    # A at 2.25 puts leg A at 0.90: one reset of both debts to h * lp = 0.6 * 1.5,
+    # booking gross - h * lp = 0.975 - 0.9 to cash; at target, day 2 stays put
+    assert batch.n_rebalances[1] == 1
+    assert batch.roe_raw[1] == pytest.approx((1.5 + 0.075 + 2.0 - 0.9 - 2.4) / 2.4, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # aggregation and output
 
-def _mk_result(roe, liq=False, day=None, ltv=0.4, reb=0, tx=0.0):
-    return mc.PathResult(roe=roe, liquidated=liq, liq_time_days=day,
-                         max_ltv=ltv, n_rebalances=reb, tx_cost_paid=tx)
+def _mk_batch(roes, liq, ltv, reb, tx=0.0, pi0=2.4):
+    roe = np.array(roes)
+    return mc.BatchResult(
+        roe=roe, roe_raw=roe, roe_tx=roe - tx / pi0, liquidated=np.array(liq),
+        liq_time_days=np.where(liq, 40.0, np.nan), max_ltv=np.array(ltv),
+        n_rebalances=np.array(reb), n_claims=np.zeros(len(roes), dtype=np.int64),
+        tx_cost_paid=np.full(len(roes), tx), pi0=pi0)
 
 
 def test_aggregate_matches_numpy_reductions():
     roes = [0.10, -0.02, 0.04, -0.20]
-    rs = [
-        _mk_result(roes[0], reb=1),
-        _mk_result(roes[1], reb=2, ltv=0.5),
-        _mk_result(roes[2], reb=3, ltv=0.6),
-        _mk_result(roes[3], liq=True, day=40.0, ltv=0.9, reb=7),
-    ]
-    sim = SimConfig(n_paths=4)
-    agg = mc.aggregate(rs, sim, 90.0)
+    batch = _mk_batch(roes, liq=[False, False, False, True], ltv=[0.4, 0.5, 0.6, 0.9],
+                      reb=[1, 2, 3, 7])
+    agg = mc.aggregate(batch, 90.0)
     arr = np.array(roes)
     assert agg.e_roe_pp == pytest.approx(arr.mean() * 100.0)
     assert agg.std_pp == pytest.approx(arr.std(ddof=1) * 100.0)
@@ -360,24 +377,19 @@ def test_aggregate_matches_numpy_reductions():
     assert agg.n_paths == 4
 
     # the funding hurdle only shifts the numerator
-    agg_rf = mc.aggregate(rs, sim, 90.0, r_f=0.04)
+    agg_rf = mc.aggregate(batch, 90.0, r_f=0.04)
     want = (arr.mean() - 0.04 * 90.0 / DAYS_PER_YEAR) / arr.std(ddof=1) * ann
     assert agg_rf.sr_raw == pytest.approx(want)
 
 
 def test_aggregate_cost_basis_needs_equity_base():
-    rs = [_mk_result(0.05, tx=0.0018), _mk_result(-0.01, tx=0.0018)]
-    sim = SimConfig(n_paths=2)
-    assert math.isnan(mc.aggregate(rs, sim, 90.0).sr_tx)
-    agg = mc.aggregate(rs, sim, 90.0, pi0=2.4)
+    batch = _mk_batch([0.05, -0.01], liq=[False, False], ltv=[0.4, 0.4], reb=[0, 0],
+                      tx=0.0018)
+    agg = mc.aggregate(batch, 90.0)
     shifted = np.array([0.05, -0.01]) - 0.0018 / 2.4
     ann = math.sqrt(DAYS_PER_YEAR / 90.0)
     assert agg.sr_tx == pytest.approx(shifted.mean() / shifted.std(ddof=1) * ann)
-
-
-def test_aggregate_rejects_short_sequences():
-    with pytest.raises(ValueError, match="at least 2"):
-        mc.aggregate([_mk_result(0.01)], SimConfig(n_paths=1), 90.0)
+    assert agg.sr_raw == pytest.approx(np.mean([0.05, -0.01]) / np.std([0.05, -0.01], ddof=1) * ann)
 
 
 def test_aggregate_degenerate_samples(baseline):
@@ -385,14 +397,14 @@ def test_aggregate_degenerate_samples(baseline):
     rel_a, rel_b = _flat_paths(baseline)
     batch = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
                               baseline.position, baseline.sim)
-    agg1 = mc.aggregate(batch, baseline.sim, 90.0)
+    agg1 = mc.aggregate(batch, 90.0)
     assert math.isnan(agg1.std_pp) and math.isnan(agg1.sr_raw)
     assert agg1.e_roe_pp == pytest.approx(FLAT_PATH_ROE * 100.0, abs=1e-8)
 
     rel_a2, rel_b2 = _flat_paths(baseline, n=2)
     batch2 = mc.simulate_batch(rel_a2, rel_b2, baseline.market, baseline.rates,
                                baseline.position, baseline.sim)
-    agg2 = mc.aggregate(batch2, baseline.sim, 90.0)
+    agg2 = mc.aggregate(batch2, 90.0)
     assert agg2.std_pp == 0.0 and math.isnan(agg2.sr_raw)
 
 
@@ -420,11 +432,3 @@ def test_write_path_dump_roundtrip(tmp_path, baseline):
     assert f0[2] == "0" and f0[3] == ""  # survivor: no liquidation day
     assert f1[2] == "1" and float(f1[3]) == pytest.approx(1.0 / 3.0, abs=1e-6)
     assert float(f1[1]) == pytest.approx(batch.roe[1], rel=1e-9)
-
-    # sequence input writes the identical table
-    results = [mc.simulate_position(mc.PricePath(rel_a[i], rel_b[i]), baseline.market,
-                                    baseline.rates, pos, baseline.sim)
-               for i in range(2)]
-    out2 = tmp_path / "paths2.csv"
-    mc.write_path_dump(results, out2)
-    assert out2.read_text() == out.read_text()
