@@ -20,10 +20,10 @@ from .config_domain import (BASELINE_VALUES, DAYS_PER_YEAR, DEFAULT_SEED,
                             load_scenario, parse_rebalance, parse_scenario,
                             read_price_csv, scenario_hash, scenario_values, validate,
                             validate_scenario)
-from .experiments import (PRESETS, SweepSpec, Table, get_preset, reproduce,
-                          run_analytic_vs_mc, run_hedge_grid, run_jump_stress,
-                          run_liquidation_stats, run_rebalancing_comparison,
-                          run_robustness_pairs, run_sensitivity, write_table)
+from .experiments import (PRESETS, Table, get_preset, reproduce, run_analytic_vs_mc,
+                          run_hedge_grid, run_jump_stress, run_liquidation_stats,
+                          run_rebalancing_comparison, run_robustness_pairs, run_sensitivity,
+                          write_table)
 from .liquidation_fpt import (FptInputs, fpt_inputs, h_bar, h_double_star,
                               liquidation_probability, sigma_tilde)
 from .montecarlo import (BatchResult, SummaryStats, aggregate, generate_path_matrix,
@@ -45,9 +45,8 @@ __all__ = [
     "h_bar", "h_double_star",
     "BatchResult", "SummaryStats", "generate_path_matrix", "simulate_batch", "aggregate",
     "run_scenario", "write_path_dump",
-    "Table", "SweepSpec", "PRESETS", "get_preset", "run_hedge_grid",
-    "run_analytic_vs_mc", "run_liquidation_stats", "run_rebalancing_comparison",
-    "run_sensitivity", "run_robustness_pairs", "run_jump_stress", "reproduce",
-    "write_table",
+    "Table", "PRESETS", "get_preset", "run_hedge_grid", "run_analytic_vs_mc",
+    "run_liquidation_stats", "run_rebalancing_comparison", "run_sensitivity",
+    "run_robustness_pairs", "run_jump_stress", "reproduce", "write_table",
     "__version__",
 ]

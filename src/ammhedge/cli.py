@@ -43,6 +43,8 @@ def _add_common(p):
 
 
 def _resolve_scenario(args):
+    """The scenario the flags ask for, and whether any flag asked for one: a preset
+    or file other than the baseline, --override, --paths, --tx, --seed or SEED_ENV."""
     name = args.scenario
     if name in experiments.PRESETS and not os.path.exists(name):
         scn = experiments.get_preset(name)
@@ -65,7 +67,7 @@ def _resolve_scenario(args):
     errs = validate_scenario(scn)
     if errs:
         raise ScenarioError("; ".join(errs))
-    return scn
+    return scn, name != "baseline" or bool(overrides)
 
 
 def _emit(tables, out_dir):
@@ -80,7 +82,7 @@ def _emit(tables, out_dir):
 # subcommands
 
 def cmd_analytic(args):
-    scn = _resolve_scenario(args)
+    scn, _ = _resolve_scenario(args)
     m, r, pos = scn.market, scn.rates, scn.position
     t = pos.horizon_years
     mom = analytics.variance_components(m, t)
@@ -98,9 +100,7 @@ def cmd_analytic(args):
     print("h*           = %.6f" % h_opt)
     print("SR(h*)       = %.4f" % analytics.sharpe(h_opt, m, r, pos))
     print("SOC at h*    = %s" % ("satisfied" if analytics.verify_soc(h_opt, m, r, pos) else "VIOLATED"))
-    rows = []
-    for h in (0.0, 0.20, 0.40, 0.50, 0.60, 0.65, 0.70, 0.80, 1.00):
-        rows.append([h, analytics.sharpe(h, m, r, pos)])
+    rows = [[h, analytics.sharpe(h, m, r, pos)] for h in experiments.TABLE4_GRID]
     table = experiments.Table(
         name="analytic_sharpe", columns=["h", "SR"], rows=rows,
         provenance={"seed": "-", "n_paths": "-", "engine": "closed_form",
@@ -112,7 +112,7 @@ def cmd_analytic(args):
 
 
 def cmd_fpt(args):
-    scn = _resolve_scenario(args)
+    scn, _ = _resolve_scenario(args)
     m, pos = scn.market, scn.position
     if args.h is not None:
         if not 0.0 <= args.h <= 1.0:
@@ -134,14 +134,12 @@ def cmd_fpt(args):
 
 
 def cmd_simulate(args):
-    scn = _resolve_scenario(args)
+    scn, _ = _resolve_scenario(args)
     if args.dump_paths:
-        pos, s = scn.position, scn.sim
-        paths = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
-                                        s.dt_days, s.n_paths, s.seed, args.workers)
-        batch = mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates, pos, s)
+        rel_a, rel_b = experiments._paths_for(scn, args.workers)
+        batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, scn.position, scn.sim)
         mc.write_path_dump(batch, args.dump_paths)
-        stats = mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
+        stats = mc.aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)
     else:
         stats = mc.run_scenario(scn, n_workers=args.workers)
     rows = [
@@ -163,7 +161,7 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    scn = _resolve_scenario(args)
+    scn, _ = _resolve_scenario(args)
     target = experiments.TARGETS.get(args.axis)
     shortcut = target.axis if target is not None else None
     if shortcut and args.values is None:
@@ -171,25 +169,27 @@ def cmd_sweep(args):
     else:
         if args.values is None:
             raise ScenarioError("--values is required for a custom sweep axis")
+        axis = shortcut or args.axis
+        # text passes an unknown axis on to run_sensitivity, which reports it
+        parse = experiments.SWEEP_AXES.get(axis, str)
         try:
-            values = tuple(float(v) for v in args.values.split(","))
-        except ValueError as exc:
-            raise ScenarioError("cannot parse --values: %s" % exc) from None
-        spec = experiments.SweepSpec(base=scn, axis=shortcut or args.axis, values=values)
-        tables = [experiments.run_sensitivity(spec, n_workers=args.workers)]
+            values = tuple(parse(v.strip()) for v in args.values.split(","))
+        except (ValueError, ScenarioError) as exc:
+            raise ScenarioError("cannot parse --values for %s: %s" % (axis, exc)) from None
+        tables = [experiments.run_sensitivity(scn, axis, values, n_workers=args.workers)]
     _emit(tables, args.out)
     return 0
 
 
 def cmd_rebalance(args):
-    scn = _resolve_scenario(args)
+    scn, _ = _resolve_scenario(args)
     tables = [experiments.run_rebalancing_comparison(scn, h=args.h, n_workers=args.workers)]
     _emit(tables, args.out)
     return 0
 
 
 def cmd_jumps(args):
-    scn = _resolve_scenario(args)
+    scn, _ = _resolve_scenario(args)
     tables = list(experiments.run_jump_stress(scn, n_workers=args.workers).values())
     _emit(tables, args.out)
     return 0
@@ -223,11 +223,8 @@ def cmd_calibrate(args):
 
 
 def cmd_reproduce(args):
-    scn = _resolve_scenario(args) if (args.scenario != "baseline" or args.override
-                                      or args.paths is not None or args.seed is not None
-                                      or args.tx is not None
-                                      or os.environ.get(SEED_ENV)) else None
-    tables = experiments.reproduce(args.name, scn=scn, n_workers=args.workers)
+    scn, given = _resolve_scenario(args)
+    tables = experiments.reproduce(args.name, scn=scn if given else None, n_workers=args.workers)
     _emit(tables, args.out)
     return 0
 

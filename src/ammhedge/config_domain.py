@@ -10,8 +10,9 @@ import csv
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -330,10 +331,6 @@ def _parse_number(s):
     return float(s)
 
 
-def _parse_int(s):
-    return int(str(s).strip())
-
-
 def _parse_bool(s):
     t = str(s).strip().lower()
     if t in ("true", "1", "yes", "on"):
@@ -343,89 +340,72 @@ def _parse_bool(s):
     raise ScenarioError("expected a boolean, got %r" % (s,))
 
 
-def _parse_str(s):
-    return str(s).strip()
+# The records are the one schema. A key is `section.field` (JumpParams.lam is
+# `jump.lambda`) and its parser follows the field's annotation; parsers see
+# stripped text. An init=False field is a derived key: scenario_values emits
+# it, and a scenario that gives it must agree with the value derived.
+_SECTIONS = (("market", MarketParams), ("rates", RateParams), ("position", PositionParams),
+             ("sim", SimConfig), ("jump", JumpParams))
+_RENAMED = {("jump", "lam"): "lambda"}
+_TYPE_PARSERS = {"float": _parse_number, "int": int, "bool": _parse_bool, "str": str}
 
 
-# position.horizon_years is optional: derived from horizon_days, and a given
-# value must agree with it
-_KEY_PARSERS = {k: _parse_number
-                for k in (*BASELINE_VALUES, "position.horizon_years", *JUMP_DEFAULTS)}
-_KEY_PARSERS["sim.n_paths"] = _parse_int
-_KEY_PARSERS["sim.seed"] = _parse_int
-_KEY_PARSERS["sim.rebalance"] = _parse_str
-_KEY_PARSERS["sim.include_tx_costs"] = _parse_bool
-_KEY_PARSERS["jump.variance_matched"] = _parse_bool
+def _schema():
+    """section -> (record, its init keys in field order, dict -> the record's
+    arguments, all its keys, record -> their values, (key, attribute) of each
+    derived field), and key -> parser; built once, at import."""
+    schema, parsers = {}, {}
+    for section, record in _SECTIONS:
+        fs = fields(record)
+        keys = tuple("%s.%s" % (section, _RENAMED.get((section, f.name), f.name)) for f in fs)
+        parsers.update((key, _TYPE_PARSERS[f.type]) for key, f in zip(keys, fs))
+        init = tuple(key for key, f in zip(keys, fs) if f.init)
+        schema[section] = (record, init, itemgetter(*init), keys, attrgetter(*(f.name for f in fs)),
+                           tuple((key, f.name) for key, f in zip(keys, fs) if not f.init))
+    return schema, parsers
 
+
+_SCHEMA, _KEY_PARSERS = _schema()
+_DERIVED_KEYS = tuple(key for *_, derived in _SCHEMA.values() for key, _ in derived)
 SCENARIO_KEYS = tuple(sorted(_KEY_PARSERS))
 
 
 def _build_scenario(values, name):
-    v = values
-    market = MarketParams(
-        sigma_a=v["market.sigma_a"], sigma_b=v["market.sigma_b"], rho=v["market.rho"],
-        mu_a=v["market.mu_a"], mu_b=v["market.mu_b"])
-    rates = RateParams(
-        r_a=v["rates.r_a"], r_b=v["rates.r_b"],
-        reward_rate=v["rates.reward_rate"], r_f=v["rates.r_f"])
-    pos = PositionParams(
-        v0=v["position.v0"], c_over_v0=v["position.c_over_v0"], h=v["position.h"],
-        l_max=v["position.l_max"], horizon_days=v["position.horizon_days"])
-    years = v.get("position.horizon_years")
-    if years is not None and not math.isclose(years, pos.horizon_years, rel_tol=1e-9):
-        raise ScenarioError(
-            "position.horizon_years = %r disagrees with position.horizon_days = %r "
-            "(horizon_years is derived as horizon_days / %g; give horizon_days alone)"
-            % (years, pos.horizon_days, DAYS_PER_YEAR))
-    sim = SimConfig(
-        n_paths=v["sim.n_paths"], dt_days=v["sim.dt_days"],
-        claim_interval_days=v["sim.claim_interval_days"],
-        liq_penalty_frac=v["sim.liq_penalty_frac"], borrow_fee_frac=v["sim.borrow_fee_frac"],
-        gas_cost=v["sim.gas_cost"], rebalance=v["sim.rebalance"], seed=v["sim.seed"],
-        include_tx_costs=v["sim.include_tx_costs"])
-    jump = None
-    if any(k.startswith("jump.") for k in v):
-        jv = dict(JUMP_DEFAULTS)
-        jv.update({k: v[k] for k in v if k.startswith("jump.")})
-        jump = JumpParams(lam=jv["jump.lambda"], mu_j=jv["jump.mu_j"],
-                          sigma_j=jv["jump.sigma_j"], rho_j=jv["jump.rho_j"],
-                          variance_matched=jv["jump.variance_matched"])
-    return Scenario(market=market, rates=rates, position=pos, sim=sim, jump=jump, name=name)
+    records = {}
+    for section, (record, init, args_of, _, _, derived) in _SCHEMA.items():
+        v = values
+        if section == "jump":
+            # the one optional section: any jump key turns it on, the rest default
+            if values.keys().isdisjoint(init):
+                continue
+            v = {**JUMP_DEFAULTS, **values}
+        records[section] = rec = record(*args_of(v))
+        for key, attr in derived:
+            given = values.get(key)
+            if given is not None and not math.isclose(given, getattr(rec, attr), rel_tol=1e-9):
+                raise ScenarioError(
+                    "position.horizon_years = %r disagrees with position.horizon_days = %r "
+                    "(horizon_years is derived as horizon_days / %g; give horizon_days alone)"
+                    % (given, rec.horizon_days, DAYS_PER_YEAR))
+    return Scenario(name=name, **records)
 
 
 def scenario_values(scn: Scenario) -> dict:
-    """Flatten a Scenario back into its key->value form (inverse of _build_scenario)."""
-    v = {
-        "market.sigma_a": scn.market.sigma_a, "market.sigma_b": scn.market.sigma_b,
-        "market.rho": scn.market.rho, "market.mu_a": scn.market.mu_a, "market.mu_b": scn.market.mu_b,
-        "rates.r_a": scn.rates.r_a, "rates.r_b": scn.rates.r_b,
-        "rates.reward_rate": scn.rates.reward_rate, "rates.r_f": scn.rates.r_f,
-        "position.v0": scn.position.v0, "position.c_over_v0": scn.position.c_over_v0,
-        "position.h": scn.position.h, "position.l_max": scn.position.l_max,
-        "position.horizon_years": scn.position.horizon_years,  # derived, hashed as ever
-        "position.horizon_days": scn.position.horizon_days,
-        "sim.n_paths": scn.sim.n_paths, "sim.dt_days": scn.sim.dt_days,
-        "sim.claim_interval_days": scn.sim.claim_interval_days,
-        "sim.liq_penalty_frac": scn.sim.liq_penalty_frac,
-        "sim.borrow_fee_frac": scn.sim.borrow_fee_frac, "sim.gas_cost": scn.sim.gas_cost,
-        "sim.rebalance": scn.sim.rebalance, "sim.seed": scn.sim.seed,
-        "sim.include_tx_costs": scn.sim.include_tx_costs,
-    }
-    if scn.jump is not None:
-        v["jump.lambda"] = scn.jump.lam
-        v["jump.mu_j"] = scn.jump.mu_j
-        v["jump.sigma_j"] = scn.jump.sigma_j
-        v["jump.rho_j"] = scn.jump.rho_j
-        v["jump.variance_matched"] = scn.jump.variance_matched
+    """Flatten a Scenario back into its key->value form, derived keys included."""
+    v = {}
+    for section, (_, _, _, keys, values_of, _) in _SCHEMA.items():
+        rec = getattr(scn, section)
+        if rec is not None:
+            v.update(zip(keys, values_of(rec)))
     return v
 
 
 def _scenario_from(base, entries, bad, name):
     """Parse (where, key, text) entries over the base values; report every bad one at once."""
     values = dict(base)
-    # a base's horizon_years is derived from its horizon_days: only a value
-    # given in the entries is checked against the horizon in force
-    values.pop("position.horizon_years", None)
+    # a base's derived values follow its records; only given ones are checked
+    for key in _DERIVED_KEYS:
+        values.pop(key, None)
     unknown = []
     for where, key, text in entries:
         parser = _KEY_PARSERS.get(key)
@@ -454,7 +434,7 @@ def parse_scenario(text, name="custom", base=None):
             bad.append("line %d: expected key = value, got %r" % (lineno, raw.strip()))
             continue
         key, _, val = line.partition("=")
-        key = key.strip()
+        key, val = key.strip(), val.strip()
         entries.append(("line %d: key %s" % (lineno, key), key, val))
     return _scenario_from(BASELINE_VALUES if base is None else base, entries, bad, name)
 
@@ -475,7 +455,7 @@ def apply_overrides(scn: Scenario, pairs) -> Scenario:
             bad.append("override %r is not key=value" % (pair,))
             continue
         key, _, val = pair.partition("=")
-        key = key.strip()
+        key, val = key.strip(), val.strip()
         entries.append(("override " + key, key, val))
     return _scenario_from(scenario_values(scn), entries, bad, scn.name)
 
@@ -488,4 +468,4 @@ def scenario_hash(scn: Scenario) -> str:
 
 
 def baseline_scenario(name="baseline") -> Scenario:
-    return _build_scenario(dict(BASELINE_VALUES), name)
+    return _build_scenario(BASELINE_VALUES, name)

@@ -3,8 +3,8 @@
 Each runner returns a Table; write_table() emits two CSVs per table, one at
 display precision and one full precision, both carrying a provenance header
 (seed, path count, engine, config hash). Sweeps share one path matrix across
-hedge ratios and axis values whenever the axis does not touch the price
-process, so comparisons ride on common random numbers.
+hedge ratios, and across axis values whose scenarios ask for the same paths,
+so comparisons ride on common random numbers.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import montecarlo as mc
-from .config_domain import (DAYS_PER_YEAR, JumpParams, Scenario, ScenarioError, parse_scenario,
-                            scenario_hash, scenario_values)
+from .config_domain import (_KEY_PARSERS, DAYS_PER_YEAR, Scenario, ScenarioError,
+                            apply_overrides, parse_scenario, scenario_hash, validate_scenario)
 from .liquidation_fpt import fpt_inputs, liquidation_probability
 
 TABLE4_GRID = (0.0, 0.20, 0.40, 0.50, 0.60, 0.65, 0.70, 0.80, 1.00)
@@ -33,11 +33,8 @@ PRESETS = {
     "table5": "sim.n_paths = 50000\n",
     "sec46": ("position.horizon_days = 91.25\n"
               "sim.dt_days = 1/4\n"),
-    "jumps": ("jump.lambda = 4.0\n"
-              "jump.mu_j = -0.05\n"
-              "jump.sigma_j = 0.15\n"
-              "jump.rho_j = 0.80\n"
-              "jump.variance_matched = true\n"),
+    # the default jump calibration: any jump key turns it on
+    "jumps": "jump.lambda = 4.0\n",
     # representative lending/reward rates for the extra pairs; treat as
     # illustrative defaults rather than authoritative calibrations
     "sol_ray": ("market.sigma_a = 0.80\nmarket.sigma_b = 1.10\nmarket.rho = 0.83\n"
@@ -72,16 +69,6 @@ class Table:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass
-class SweepSpec:
-    """One sensitivity axis: vary `axis` over `values`, re-optimizing h each time."""
-
-    base: Scenario
-    axis: str
-    values: tuple
-    grid: tuple = FINE_GRID
-
-
 # ---------------------------------------------------------------------------
 # shared machinery
 
@@ -91,11 +78,15 @@ def _provenance(scn, n_paths=None):
             "engine": engine, "config": scenario_hash(scn)}
 
 
-def _paths_for(scn, n_workers=1, n_paths=None):
+def _path_inputs(scn, n_paths=None):
+    """The generate_path_matrix arguments a scenario fixes; equal inputs, equal paths."""
     sim = scn.sim
-    return mc.generate_path_matrix(scn.market, scn.jump, scn.position.horizon_days, sim.dt_days,
-                                   sim.n_paths if n_paths is None else n_paths, sim.seed,
-                                   n_workers)
+    return (scn.market, scn.jump, scn.position.horizon_days, sim.dt_days,
+            sim.n_paths if n_paths is None else n_paths, sim.seed)
+
+
+def _paths_for(scn, n_workers=1, n_paths=None):
+    return mc.generate_path_matrix(*_path_inputs(scn, n_paths), n_workers)
 
 
 def _stats_at(scn, paths, h=None, **sim_changes):
@@ -222,7 +213,6 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
     if paths is None:
         paths = _paths_for(scn, n_workers)
     rows, stats = [], {}
-    pi0 = scn.position.c_over_v0 * scn.position.v0 + (1.0 - h) * scn.position.v0
     for label, rule in strategies:
         pos = replace(scn.position, h=h)
         sim = replace(scn.sim, rebalance=rule)
@@ -231,7 +221,7 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
         stats[label] = st
         gas_paid = scn.sim.gas_cost * float(np.mean(batch.n_rebalances))
         rows.append([label, st.e_roe_pp, st.std_pp, st.sr_raw, st.p_liq * 100.0,
-                     st.avg_rebalances, gas_paid / pi0 * 100.0, _sr_se(st, pos.horizon_days)])
+                     st.avg_rebalances, gas_paid / batch.pi0 * 100.0, _sr_se(st, pos.horizon_days)])
     return Table(
         name="rebalancing",
         columns=["Strategy", "E[ROE]", "Std", "SR", "P(liq)", "Avg rebal.", "Cost", "se(SR)"],
@@ -244,47 +234,56 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
 # ---------------------------------------------------------------------------
 # sensitivity sweeps
 
+# sweep axis -> parser of its values: every scenario key with its own parser,
+# and market.vol_scale, which scales both vols
+SWEEP_AXES = {**_KEY_PARSERS, "market.vol_scale": float}
+
+
 def _apply_axis(scn, axis, value) -> Scenario:
     if axis == "market.vol_scale":
-        market = replace(scn.market, sigma_a=scn.market.sigma_a * value,
-                         sigma_b=scn.market.sigma_b * value)
-        return replace(scn, market=market)
-    return parse_scenario("%s = %r\n" % (axis, value), name=scn.name, base=scenario_values(scn))
+        m = scn.market
+        return replace(scn, market=replace(m, sigma_a=m.sigma_a * value, sigma_b=m.sigma_b * value))
+    return apply_overrides(scn, ["%s=%s" % (axis, value)])
 
 
-def run_sensitivity(spec: SweepSpec, n_workers=1) -> Table:
+def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
     """Re-optimize h over the grid for each value of one parameter axis.
 
     Optima are selected on the raw (cost-free) Sharpe; the cost-adjusted
-    Sharpe at the optimum is reported alongside.
+    Sharpe at the optimum is reported alongside. Every value is validated
+    (at h = 0: the grid sets h) before any path is drawn, and reuses the
+    previous value's paths when it asks for the same ones.
     """
-    if not spec.values:
+    if not values:
         raise ScenarioError("sweep needs at least one axis value")
-    if spec.axis != "market.vol_scale" and spec.axis not in scenario_values(spec.base) \
-            and not spec.axis.startswith("jump."):
-        raise ScenarioError("unknown sweep axis %r" % (spec.axis,))
-    if not spec.grid:
+    if axis not in SWEEP_AXES:
+        raise ScenarioError("unknown sweep axis %r" % (axis,))
+    if not grid:
         raise ScenarioError("sweep needs a nonempty h grid")
-    regen = spec.axis.startswith(("market.", "jump."))
-    base_paths = None if regen else _paths_for(spec.base, n_workers)
-    rows, per_value = [], {}
-    for value in spec.values:
-        scn = _apply_axis(spec.base, spec.axis, value)
-        # regenerated paths die with their grid: one matrix is alive at a time
-        stats = _grid_stats(scn, _paths_for(scn, n_workers) if regen else base_paths, spec.grid)
-        h_opt = argmax_h(spec.grid, stats)
+    scenarios = [_apply_axis(base, axis, value) for value in values]
+    for value, scn in zip(values, scenarios):
+        errs = validate_scenario(replace(scn, position=replace(scn.position, h=0.0)))
+        if errs:
+            raise ScenarioError("sweep value %s = %r: %s" % (axis, value, "; ".join(errs)))
+    rows, per_value, paths, drawn = [], {}, None, None
+    for value, scn in zip(values, scenarios):
+        inputs = _path_inputs(scn)
+        if inputs != drawn:
+            paths = None  # drop the old matrix first: one matrix is alive at a time
+            paths, drawn = _paths_for(scn, n_workers), inputs
+        stats = _grid_stats(scn, paths, grid)
+        h_opt = argmax_h(grid, stats)
         st = stats[h_opt]
-        init_ltv = h_opt / scn.position.c_over_v0 * 100.0
-        rows.append([value, h_opt * 100.0, st.sr_raw, st.sr_tx, st.p_liq * 100.0,
-                     st.e_roe_pp, init_ltv, _sr_se(st, scn.position.horizon_days)])
+        rows.append([value, h_opt * 100.0, st.sr_raw, st.sr_tx, st.p_liq * 100.0, st.e_roe_pp,
+                     h_opt / scn.position.c_over_v0 * 100.0, _sr_se(st, scn.position.horizon_days)])
         per_value[value] = (h_opt, stats)
     return Table(
-        name="sensitivity_" + spec.axis.replace(".", "_"),
-        columns=[spec.axis, "h**", "SR", "SR (+tx)", "P(liq)", "E[ROE]", "Init LTV", "se(SR)"],
+        name="sensitivity_" + axis.replace(".", "_"),
+        columns=[axis, "h**", "SR", "SR (+tx)", "P(liq)", "E[ROE]", "Init LTV", "se(SR)"],
         rows=rows,
-        provenance=_provenance(spec.base),
+        provenance=_provenance(base),
         formats=["%g", "%.0f", "%.2f", "%.2f", "%.1f", "%+.2f", "%.1f", "%.3f"],
-        extra={"per_value": per_value, "spec": spec})
+        extra={"per_value": per_value})
 
 
 def _apr_remark(value, sr, calibrated):
@@ -299,8 +298,7 @@ def _apr_remark(value, sr, calibrated):
 
 def run_sensitivity_apr(scn, values=(0.10, 0.20, 0.30, 0.40, 0.54, 0.70, 1.00),
                         grid=FINE_GRID, n_workers=1) -> Table:
-    t = run_sensitivity(SweepSpec(base=scn, axis="rates.reward_rate", values=tuple(values),
-                                  grid=grid), n_workers)
+    t = run_sensitivity(scn, "rates.reward_rate", tuple(values), grid, n_workers)
     rows = [[r[0] * 100.0, r[1], r[2], _apr_remark(r[0], r[2], scn.rates.reward_rate)]
             for r in t.rows]
     return Table(name="sensitivity_apr",
@@ -310,8 +308,7 @@ def run_sensitivity_apr(scn, values=(0.10, 0.20, 0.30, 0.40, 0.54, 0.70, 1.00),
 
 
 def run_sensitivity_vol(scn, scales=(0.8, 1.0, 1.2), grid=FINE_GRID, n_workers=1) -> Table:
-    t = run_sensitivity(SweepSpec(base=scn, axis="market.vol_scale", values=tuple(scales),
-                                  grid=grid), n_workers)
+    t = run_sensitivity(scn, "market.vol_scale", tuple(scales), grid, n_workers)
     labels = {0.8: "-20%", 1.0: "Baseline", 1.2: "+20%"}
     rows = []
     for r in t.rows:
@@ -326,8 +323,7 @@ def run_sensitivity_vol(scn, scales=(0.8, 1.0, 1.2), grid=FINE_GRID, n_workers=1
 
 
 def run_sensitivity_penalty(scn, values=(0.10, 0.20, 0.30), grid=FINE_GRID, n_workers=1) -> Table:
-    t = run_sensitivity(SweepSpec(base=scn, axis="sim.liq_penalty_frac", values=tuple(values),
-                                  grid=grid), n_workers)
+    t = run_sensitivity(scn, "sim.liq_penalty_frac", tuple(values), grid, n_workers)
     rows = [[r[0] * 100.0, r[1], r[2], r[4]] for r in t.rows]
     return Table(name="sensitivity_penalty",
                  columns=["Penalty", "h**", "SR", "P(liq) at h**"],
@@ -337,8 +333,7 @@ def run_sensitivity_penalty(scn, values=(0.10, 0.20, 0.30), grid=FINE_GRID, n_wo
 
 def run_sensitivity_cv(scn, values=(1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0),
                        grid=FINE_GRID, n_workers=1) -> Table:
-    t = run_sensitivity(SweepSpec(base=scn, axis="position.c_over_v0", values=tuple(values),
-                                  grid=grid), n_workers)
+    t = run_sensitivity(scn, "position.c_over_v0", tuple(values), grid, n_workers)
     rows = [[r[0], r[1], r[2], r[4], r[5], r[6]] for r in t.rows]
     return Table(name="cv_sensitivity",
                  columns=["C/V_0", "h**", "SR", "P(liq)", "E[ROE]", "Init LTV"],
@@ -380,9 +375,8 @@ def run_robustness_pairs(base=None, grid=FINE_GRID, n_workers=1) -> Table:
 # jump stress
 
 def _with_jump(scn, rho_j, matched) -> Scenario:
-    base = scn.jump if scn.jump is not None else JumpParams(
-        lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.80, variance_matched=True)
-    return replace(scn, jump=replace(base, rho_j=rho_j, variance_matched=matched))
+    # a base without jumps takes the default jump calibration
+    return apply_overrides(scn, ["jump.rho_j=%s" % rho_j, "jump.variance_matched=%s" % matched])
 
 
 def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> dict:
@@ -452,8 +446,7 @@ def _by_h(*fields):
 def _sharpe_series(axis, values):
     """Figure rows of the raw Sharpe per h, one column per axis value."""
     def build(scn, grid, n_workers):
-        spec = SweepSpec(base=scn, axis=axis, values=values, grid=grid)
-        per_value = run_sensitivity(spec, n_workers).extra["per_value"]
+        per_value = run_sensitivity(scn, axis, values, grid, n_workers).extra["per_value"]
         return [[h] + [per_value[v][1][h].sr_raw for v in values] for h in grid], {}
     return build
 

@@ -5,6 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
+import ammhedge.montecarlo as mc
 from ammhedge.cli import SEED_ENV, main
 from ammhedge.experiments import PRESETS, TARGETS, Table
 
@@ -209,6 +210,39 @@ def test_sweep_shortcut_axis(capsys):
     assert code == 0
     assert "R/V_0,h**,SR,Remark" in out
     assert "Calibrated value" in out
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("position.horizon_days", "30,60"),
+    ("sim.dt_days", "0.5,1"),
+    ("sim.seed", "1,2"),
+])
+def test_sweep_any_scenario_key(capsys, axis, values):
+    # a 30-day base keeps the draws small; the horizon axis overrides it
+    code, out, err = _run(capsys, ["sweep", "--axis", axis, "--values", values, "--paths", "200",
+                                   "--override", "position.horizon_days=30"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[1].startswith(axis + ",h**,SR")
+    assert [line.split(",")[0] for line in lines[2:]] == values.split(",")
+
+
+@pytest.mark.parametrize("axis, good, bad", [
+    ("rates.r_b", "0.1", "-0.5"),
+    ("sim.liq_penalty_frac", "0.1", "2"),
+    ("position.l_max", "0.7", "1.5"),
+    ("market.rho", "0.5", "1.5"),
+])
+def test_bad_sweep_value_is_config_error_before_any_draw(capsys, monkeypatch, axis, good, bad):
+    def boom(*args, **kw):
+        raise AssertionError("paths drawn before the sweep was validated")
+
+    monkeypatch.setattr(mc, "generate_path_matrix", boom)
+    code, out, err = _run(capsys, ["sweep", "--axis", axis, "--values", good + "," + bad,
+                                   "--paths", "200"])
+    assert code == 1
+    assert out == ""
+    assert "%s = %r" % (axis, float(bad)) in err
 
 
 def test_rebalance_table(capsys):

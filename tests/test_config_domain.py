@@ -305,3 +305,44 @@ def test_scenario_text_roundtrips(values, jumps):
     assert cd.scenario_hash(again) == cd.scenario_hash(scn)
     pairs = ["%s=%s" % kv for kv in flat.items()]
     assert cd.apply_overrides(cd.baseline_scenario("custom"), pairs) == scn
+
+
+# ---------------------------------------------------------------------------
+# the records are the schema
+
+FROZEN_PRESET_HASHES = {
+    "baseline": "ef72a8db5210", "table5": "ca0f300bcabd", "sec46": "9a3eca46f94c",
+    "jumps": "2151aadf3a84", "sol_ray": "250bb60ac501", "sol_jup": "ca53472fa5fe",
+    "eth_arb": "e1a08beb2155",
+}
+
+FROZEN_KEY_TYPES = {
+    "market.sigma_a": float, "market.sigma_b": float, "market.rho": float,
+    "market.mu_a": float, "market.mu_b": float,
+    "rates.r_a": float, "rates.r_b": float, "rates.reward_rate": float, "rates.r_f": float,
+    "position.v0": float, "position.c_over_v0": float, "position.h": float,
+    "position.l_max": float, "position.horizon_days": float, "position.horizon_years": float,
+    "sim.n_paths": int, "sim.dt_days": float, "sim.claim_interval_days": float,
+    "sim.liq_penalty_frac": float, "sim.borrow_fee_frac": float, "sim.gas_cost": float,
+    "sim.rebalance": str, "sim.seed": int, "sim.include_tx_costs": bool,
+    "jump.lambda": float, "jump.mu_j": float, "jump.sigma_j": float, "jump.rho_j": float,
+    "jump.variance_matched": bool,
+}
+
+
+def test_preset_hashes_are_frozen():
+    from ammhedge.experiments import PRESETS, get_preset
+    assert {name: cd.scenario_hash(get_preset(name)) for name in PRESETS} == FROZEN_PRESET_HASHES
+
+
+def test_scenario_keys_and_types_are_frozen():
+    assert cd.SCENARIO_KEYS == tuple(sorted(FROZEN_KEY_TYPES))
+    assert len(cd.SCENARIO_KEYS) == 29
+    for key, kind in FROZEN_KEY_TYPES.items():
+        value = cd._KEY_PARSERS[key]({float: "0.25", int: "7", str: "none", bool: "true"}[kind])
+        assert type(value) is kind, key
+    # the defaults table covers every key a record takes, and nothing else
+    derived = {"position.horizon_years"}
+    assert set(cd.BASELINE_VALUES) | set(cd.JUMP_DEFAULTS) == set(FROZEN_KEY_TYPES) - derived
+    jumps = cd.parse_scenario("jump.rho_j = 0.3\n")
+    assert set(cd.scenario_values(jumps)) == set(FROZEN_KEY_TYPES)

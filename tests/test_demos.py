@@ -1,0 +1,54 @@
+"""The demos stay on the public API: every name they import from ammhedge exists.
+
+The demos are parsed, never run. A name imported from the package itself must
+be in `ammhedge.__all__` or be one of its modules, so shrinking the public API
+cannot break a demo unnoticed.
+"""
+
+import ast
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+import ammhedge
+
+DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+DEMOS = sorted(f for f in os.listdir(DEMO_DIR) if f.endswith(".py"))
+
+
+def _is_module(name):
+    return importlib.util.find_spec("ammhedge." + name) is not None
+
+
+def test_there_are_demos():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_imports_exist(demo):
+    with open(os.path.join(DEMO_DIR, demo)) as fh:
+        tree = ast.parse(fh.read(), filename=demo)
+    modules = {}  # local alias -> imported ammhedge module
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "ammhedge":
+                    modules[a.asname or a.name] = importlib.import_module(a.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ammhedge":
+            source = importlib.import_module(node.module)
+            for a in node.names:
+                if node.module == "ammhedge" and _is_module(a.name):
+                    modules[a.asname or a.name] = importlib.import_module("ammhedge." + a.name)
+                elif node.module == "ammhedge" and a.name not in ammhedge.__all__:
+                    missing.append(a.name)
+                elif not hasattr(source, a.name):
+                    missing.append("%s.%s" % (node.module, a.name))
+    # attributes read off an imported module, e.g. fpt.h_bar
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)):
+            missing.append("%s.%s" % (node.value.id, node.attr))
+    assert not missing, "%s uses names ammhedge does not export: %s" % (demo, missing)

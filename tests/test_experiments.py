@@ -3,13 +3,15 @@
 import dataclasses
 import math
 import os
+import weakref
 
 import pytest
 
 import ammhedge.experiments as exp
 import ammhedge.liquidation_fpt as fpt
 import ammhedge.montecarlo as mc
-from ammhedge.config_domain import ScenarioError, load_scenario, scenario_hash, scenario_values
+from ammhedge.config_domain import (JUMP_DEFAULTS, ScenarioError, apply_overrides, load_scenario,
+                                    scenario_hash, scenario_values)
 
 from conftest import scaled
 
@@ -132,9 +134,7 @@ def test_argmax_prefers_lower_h_on_ties():
 # sensitivity sweeps
 
 def test_sensitivity_sweep_structure(tiny):
-    spec = exp.SweepSpec(base=tiny, axis="rates.reward_rate", values=(0.30, 0.54),
-                         grid=(0.5, 0.6))
-    t = exp.run_sensitivity(spec)
+    t = exp.run_sensitivity(tiny, "rates.reward_rate", (0.30, 0.54), grid=(0.5, 0.6))
     assert t.name == "sensitivity_rates_reward_rate"
     assert [r[0] for r in t.rows] == [0.30, 0.54]
     for r in t.rows:
@@ -144,12 +144,56 @@ def test_sensitivity_sweep_structure(tiny):
 
 def test_sensitivity_rejects_bad_specs(tiny):
     with pytest.raises(ScenarioError, match="at least one"):
-        exp.run_sensitivity(exp.SweepSpec(base=tiny, axis="rates.r_b", values=()))
+        exp.run_sensitivity(tiny, "rates.r_b", ())
     with pytest.raises(ScenarioError, match="unknown sweep axis"):
-        exp.run_sensitivity(exp.SweepSpec(base=tiny, axis="rates.bogus", values=(0.1,)))
+        exp.run_sensitivity(tiny, "rates.bogus", (0.1,))
     with pytest.raises(ScenarioError, match="nonempty"):
-        exp.run_sensitivity(exp.SweepSpec(base=tiny, axis="rates.r_b", values=(0.1,),
-                                          grid=()))
+        exp.run_sensitivity(tiny, "rates.r_b", (0.1,), grid=())
+
+
+@pytest.mark.parametrize("axis, values", [("sim.seed", (1, 2)), ("sim.n_paths", (100, 300))])
+def test_sweep_draws_the_paths_each_value_asks_for(tiny, axis, values):
+    grid, month = (0.5, 0.6, 0.7), apply_overrides(tiny, ["position.horizon_days=30"])
+    t = exp.run_sensitivity(month, axis, values, grid=grid)
+    assert t.rows[0][1:] != t.rows[1][1:]
+    for value, row in zip(values, t.rows):
+        alone = exp.run_sensitivity(apply_overrides(month, ["%s=%d" % (axis, value)]), axis,
+                                    (value,), grid=grid)
+        assert alone.rows == [row]
+
+
+@pytest.mark.parametrize("axis, values, draws", [
+    ("position.c_over_v0", (2.0, 3.0), 1),
+    ("rates.r_b", (0.05, 0.25), 1),
+    ("sim.liq_penalty_frac", (0.1, 0.3), 1),
+    ("market.rho", (0.3, 0.3, 0.6), 2),
+    ("market.vol_scale", (0.8, 1.2), 2),
+])
+def test_sweep_reuses_paths_while_their_inputs_hold(tiny, monkeypatch, axis, values, draws):
+    real, drawn = exp._paths_for, []
+
+    def counted(scn, n_workers=1, **kw):
+        # the previous matrix is dropped before the next one is drawn
+        assert all(ref() is None for ref in drawn)
+        paths = real(scn, n_workers, **kw)
+        drawn.append(weakref.ref(paths[0]))
+        return paths
+
+    monkeypatch.setattr(exp, "_paths_for", counted)
+    exp.run_sensitivity(apply_overrides(tiny, ["position.horizon_days=30"]), axis, values,
+                        grid=(0.6,))
+    assert len(drawn) == draws
+
+
+def test_sweep_values_are_validated_before_any_draw(tiny, monkeypatch):
+    def boom(*args, **kw):
+        raise AssertionError("paths drawn before the sweep was validated")
+
+    monkeypatch.setattr(mc, "generate_path_matrix", boom)
+    with pytest.raises(ScenarioError, match=r"sim\.dt_days = 0\.4: .*dt_days"):
+        exp.run_sensitivity(tiny, "sim.dt_days", (0.5, 0.4))
+    with pytest.raises(ScenarioError, match="sim.seed"):
+        exp.run_sensitivity(tiny, "sim.seed", (1.5,))
 
 
 def test_apr_remarks():
@@ -234,6 +278,15 @@ def test_jump_stress_generates_each_scenario_once(tiny, monkeypatch):
     matched = per_scn[(0.80, True)][1]
     assert [r[4] for r in comp.rows] == [matched[0.3].sr_raw, matched[0.65].sr_raw]
     assert comp.rows[0][1] == per_scn["gbm"][1][0.3].sr_raw  # off the fine grid
+
+
+def test_with_jump_fills_the_default_jump_calibration(tiny):
+    assert tiny.jump is None
+    scn = exp._with_jump(tiny, 0.30, False)
+    values = scenario_values(scn)
+    jumps = {k: values.pop(k) for k in list(values) if k.startswith("jump.")}
+    assert jumps == dict(JUMP_DEFAULTS, **{"jump.rho_j": 0.30, "jump.variance_matched": False})
+    assert values == scenario_values(tiny)
 
 
 def test_jump_stress_needs_the_reported_hedge_ratio(tiny):

@@ -4,10 +4,11 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ammhedge.analytics as an
 import ammhedge.liquidation_fpt as fpt
-from ammhedge.config_domain import MarketParams
+from ammhedge.config_domain import MarketParams, PositionParams
 
 # moment-matched single-factor vol for the baseline market, both horizon conventions
 SIGMA_TILDE_90D = 0.932961565920489
@@ -145,3 +146,35 @@ def test_constrained_optimum_slack(baseline):
     hds = fpt.h_double_star(0.05, baseline.market, baseline.rates, pos5)
     assert hds == hs
     assert 0.9 < hds < 1.0
+
+
+# ---------------------------------------------------------------------------
+# properties over random calibrations
+
+_MARKETS = st.builds(MarketParams, sigma_a=st.floats(0.05, 2.0), sigma_b=st.floats(0.05, 2.0),
+                     rho=st.floats(-0.95, 0.95))
+_POSITIONS = st.builds(PositionParams, v0=st.just(1.0), c_over_v0=st.floats(1.05, 6.0),
+                       h=st.just(0.0), l_max=st.floats(0.3, 0.95),
+                       horizon_days=st.floats(1.0, 730.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=_MARKETS, pos=_POSITIONS, h1=st.floats(0.0, 1.0), dh=st.floats(0.0, 1.0))
+def test_crossing_probability_is_a_monotone_probability(m, pos, h1, dh):
+    p1 = fpt.liquidation_probability(h1, m, pos)
+    p2 = fpt.liquidation_probability(h1 + dh, m, pos)
+    assert 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0
+    assert p1 <= p2
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=_MARKETS, pos=_POSITIONS, alpha=st.floats(0.001, 0.5))
+def test_safe_ratio_brackets_its_root(m, pos, alpha):
+    tol = 1e-6
+    hb = fpt.h_bar(alpha, m, pos, tol=tol)
+    cap = min(1.0, pos.l_max * pos.c_over_v0)
+    assert 0.0 < hb <= cap
+    assert fpt.liquidation_probability(max(hb - tol, 0.0), m, pos) <= alpha
+    # either the budget never binds below the cap, or one step up breaks it
+    assert (hb == pytest.approx(cap, rel=1e-8)
+            or fpt.liquidation_probability(hb + tol, m, pos) > alpha)

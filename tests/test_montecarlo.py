@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import ammhedge.montecarlo as mc
 from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, RateParams,
-                                    ScenarioError)
+                                    ScenarioError, validate_sim)
 
 from scalar_oracle import simulate_path
 
@@ -245,6 +245,30 @@ def test_periodic_rule_counts_rebalances(baseline):
     assert alive.any()
     assert np.all(batch.n_rebalances[alive] == 3)
     assert np.all(batch.n_rebalances <= 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dt_days=st.sampled_from([2.0, 1.0, 0.5, 1.0 / 3.0, 0.25]), days=st.integers(1, 60),
+       claim_days=st.integers(1, 40), period_days=st.integers(1, 40), seed=st.integers(0, 2 ** 16))
+def test_event_counts_are_whole_intervals(baseline, dt_days, days, claim_days, period_days, seed):
+    # h = 0 carries no debt, so no path is liquidated and every event fires;
+    # a 2-day step needs even spans, any 1/k-day step divides whole days
+    unit = 2 if dt_days == 2.0 else 1
+    horizon, claim, period = days * unit, claim_days * unit, period_days * unit
+    pos = dataclasses.replace(baseline.position, h=0.0, horizon_days=float(horizon))
+    steps = int(round(horizon / dt_days))
+    rng = np.random.default_rng(seed)
+    sd = 2.0 * math.sqrt(dt_days / DAYS_PER_YEAR)
+    rel = np.ones((2, 3, steps + 1))
+    rel[:, :, 1:] = np.exp(np.cumsum(sd * rng.standard_normal((2, 3, steps)), axis=2))
+    for rule in ("none", "periodic(%d)" % period):
+        sim = dataclasses.replace(baseline.sim, dt_days=dt_days, claim_interval_days=float(claim),
+                                  rebalance=rule)
+        assert validate_sim(sim) == []
+        batch = mc.simulate_batch(rel[0], rel[1], baseline.market, baseline.rates, pos, sim)
+        assert not batch.liquidated.any()
+        assert np.all(batch.n_claims == horizon // claim)
+        assert np.all(batch.n_rebalances == (horizon // period if rule != "none" else 0))
 
 
 def _assert_kernel_matches_oracle(rel_a, rel_b, rates, pos, sim):
