@@ -258,7 +258,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="sensitivity sweep with per-value re-optimization")
     _add_common(p)
     p.add_argument("--axis", required=True,
-                   help="%s, or any scenario key (market.vol_scale scales both vols)"
+                   help="%s, or any scenario key but position.h and position.horizon_years "
+                        "(market.vol_scale scales both vols)"
                         % " | ".join(n for n, t in experiments.TARGETS.items() if t.axis))
     p.add_argument("--values", default=None, help="comma-separated axis values")
     p.set_defaults(func=cmd_sweep)

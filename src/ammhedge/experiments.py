@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import montecarlo as mc
 from .config_domain import (_KEY_PARSERS, DAYS_PER_YEAR, Scenario, ScenarioError,
-                            apply_overrides, parse_scenario, scenario_hash, validate_scenario)
+                            apply_overrides, parse_rebalance, parse_scenario, scenario_hash,
+                            validate_scenario)
 from .liquidation_fpt import fpt_inputs, liquidation_probability
 
 TABLE4_GRID = (0.0, 0.20, 0.40, 0.50, 0.60, 0.65, 0.70, 0.80, 1.00)
@@ -89,11 +91,30 @@ def _paths_for(scn, n_workers=1, n_paths=None):
     return mc.generate_path_matrix(*_path_inputs(scn, n_paths), n_workers)
 
 
-def _stats_at(scn, paths, h=None, **sim_changes):
+def _pass_key(scn):
+    """What one kernel pass reads of a scenario in its step loop; scenarios with
+    equal keys share a pass. The penalty is read only after the loop, and so is
+    C/V0 without rebalancing, apart from the breach test the kernel runs per C/V0."""
+    pos, sim = scn.position, replace(scn.sim, liq_penalty_frac=0.0)
+    if parse_rebalance(sim.rebalance)[0] == "none":
+        pos = replace(pos, c_over_v0=1.0)
+    return scn.market, scn.jump, scn.rates, pos, sim
+
+
+def _group_stats_at(group, paths, h=None):
+    """SummaryStats of every scenario of a pass group at h, from one kernel pass."""
+    scn = group[0]
     pos = scn.position if h is None else replace(scn.position, h=h)
-    sim = replace(scn.sim, **sim_changes) if sim_changes else scn.sim
-    batch = mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates, pos, sim)
-    return mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
+    variants = [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in group]
+    batch = mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates, pos, scn.sim,
+                              variants=variants)
+    return [mc.aggregate(row, pos.horizon_days, r_f=scn.rates.r_f) for row in batch.rows()]
+
+
+def _stats_at(scn, paths, h=None, **sim_changes):
+    if sim_changes:
+        scn = replace(scn, sim=replace(scn.sim, **sim_changes))
+    return _group_stats_at([scn], paths, h)[0]
 
 
 def _grid_stats(scn, paths, grid, **sim_changes):
@@ -234,9 +255,15 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
 # ---------------------------------------------------------------------------
 # sensitivity sweeps
 
-# sweep axis -> parser of its values: every scenario key with its own parser,
-# and market.vol_scale, which scales both vols
-SWEEP_AXES = {**_KEY_PARSERS, "market.vol_scale": float}
+# scenario keys a sweep cannot vary, and why
+_UNSWEPT = {
+    "position.h": "the h grid sets h in every pass; give the grid instead",
+    "position.horizon_years": "it is derived from position.horizon_days; sweep that key",
+}
+# sweep axis -> parser of its values: every other scenario key with its own
+# parser, and market.vol_scale, which scales both vols
+SWEEP_AXES = {**{k: p for k, p in _KEY_PARSERS.items() if k not in _UNSWEPT},
+              "market.vol_scale": float}
 
 
 def _apply_axis(scn, axis, value) -> Scenario:
@@ -246,16 +273,30 @@ def _apply_axis(scn, axis, value) -> Scenario:
     return apply_overrides(scn, ["%s=%s" % (axis, value)])
 
 
+def _sweep_provenance(base, scenarios):
+    """The base's provenance, naming the seeds and path counts the rows used."""
+    prov = _provenance(base)
+    for key in ("seed", "n_paths"):
+        used = list(dict.fromkeys(getattr(scn.sim, key) for scn in scenarios))
+        # "|", not ",": the header sits above a CSV
+        prov[key] = used[0] if len(used) == 1 else "|".join(map(str, used))
+    return prov
+
+
 def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
     """Re-optimize h over the grid for each value of one parameter axis.
 
     Optima are selected on the raw (cost-free) Sharpe; the cost-adjusted
     Sharpe at the optimum is reported alongside. Every value is validated
     (at h = 0: the grid sets h) before any path is drawn, and reuses the
-    previous value's paths when it asks for the same ones.
+    previous value's paths when it asks for the same ones. Consecutive values
+    that differ only in the penalty, or without rebalancing only in C/V0,
+    share one kernel pass per h.
     """
     if not values:
         raise ScenarioError("sweep needs at least one axis value")
+    if axis in _UNSWEPT:
+        raise ScenarioError("cannot sweep %s: %s" % (axis, _UNSWEPT[axis]))
     if axis not in SWEEP_AXES:
         raise ScenarioError("unknown sweep axis %r" % (axis,))
     if not grid:
@@ -266,22 +307,27 @@ def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
         if errs:
             raise ScenarioError("sweep value %s = %r: %s" % (axis, value, "; ".join(errs)))
     rows, per_value, paths, drawn = [], {}, None, None
-    for value, scn in zip(values, scenarios):
-        inputs = _path_inputs(scn)
+    for _, group in groupby(scenarios, key=_pass_key):
+        group = list(group)
+        inputs = _path_inputs(group[0])
         if inputs != drawn:
             paths = None  # drop the old matrix first: one matrix is alive at a time
-            paths, drawn = _paths_for(scn, n_workers), inputs
-        stats = _grid_stats(scn, paths, grid)
-        h_opt = argmax_h(grid, stats)
-        st = stats[h_opt]
-        rows.append([value, h_opt * 100.0, st.sr_raw, st.sr_tx, st.p_liq * 100.0, st.e_roe_pp,
-                     h_opt / scn.position.c_over_v0 * 100.0, _sr_se(st, scn.position.horizon_days)])
-        per_value[value] = (h_opt, stats)
+            paths, drawn = _paths_for(group[0], n_workers), inputs
+        by_h = {h: _group_stats_at(group, paths, h) for h in grid}
+        for k, scn in enumerate(group):
+            value = values[len(rows)]  # one row per value done
+            stats = {h: by_h[h][k] for h in grid}
+            h_opt = argmax_h(grid, stats)
+            st = stats[h_opt]
+            rows.append([value, h_opt * 100.0, st.sr_raw, st.sr_tx, st.p_liq * 100.0,
+                         st.e_roe_pp, h_opt / scn.position.c_over_v0 * 100.0,
+                         _sr_se(st, scn.position.horizon_days)])
+            per_value[value] = (h_opt, stats)
     return Table(
         name="sensitivity_" + axis.replace(".", "_"),
         columns=[axis, "h**", "SR", "SR (+tx)", "P(liq)", "E[ROE]", "Init LTV", "se(SR)"],
         rows=rows,
-        provenance=_provenance(base),
+        provenance=_sweep_provenance(base, scenarios),
         formats=["%g", "%.0f", "%.2f", "%.2f", "%.1f", "%+.2f", "%.1f", "%.3f"],
         extra={"per_value": per_value})
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,12 @@ class BatchResult:
     n_claims: np.ndarray
     tx_cost_paid: np.ndarray
     pi0: float
+
+    def rows(self):
+        """One BatchResult per row of a pass run with variants."""
+        return [BatchResult(*(getattr(self, f.name)[k] for f in fields(self)[:-1]),
+                            pi0=float(self.pi0[k]))
+                for k in range(len(self.pi0))]
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ def _grid_strides(pos, sim, steps):
 
 
 def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
-                   pos: PositionParams, sim: SimConfig) -> BatchResult:
+                   pos: PositionParams, sim: SimConfig, *, variants=None) -> BatchResult:
     """Run the accounting loop over a matrix of paths.
 
     LTV is checked on every grid step. Reward claims and periodic rebalances
@@ -189,6 +195,13 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     whole-day marks. A breached path keeps its price accounting
     running (so max-LTV diagnostics cover the full horizon) but can no longer
     rebalance, and its P&L is overridden with the flat penalty loss.
+
+    variants, a sequence of (c_over_v0, liq_penalty_frac) pairs, scores them
+    all in this one pass in place of pos.c_over_v0 and sim.liq_penalty_frac:
+    each per-path field then has one row per pair and pi0 one entry per pair.
+    The step loop reads C/V0 only in the breach test, which it runs for each
+    distinct C/V0, and the penalty not at all; with a rebalancing rule C/V0
+    gates the trigger, so all pairs must share it.
     """
     rel_a = np.atleast_2d(np.asarray(rel_a, dtype=float))
     rel_b = np.atleast_2d(np.asarray(rel_b, dtype=float))
@@ -197,8 +210,14 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     dt_days, day_stride, claim_stride, reb_kind, reb_par, reb_stride = _grid_strides(pos, sim, steps)
     dt_y = dt_days / DAYS_PER_YEAR
 
+    pairs = ((pos.c_over_v0, sim.liq_penalty_frac),) if variants is None else tuple(variants)
+    cvs = tuple(dict.fromkeys(cv for cv, _ in pairs))
+    if reb_kind != "none" and len(cvs) != 1:
+        raise ValueError("a %s pass takes one c_over_v0, got %d" % (sim.rebalance, len(cvs)))
+
     v0, h = pos.v0, pos.h
-    coll = pos.c_over_v0 * v0
+    # one breach state per distinct collateral: rows of (K, n) arrays
+    coll = np.array(cvs)[:, None] * v0
     l_max = pos.l_max
     r_a, r_b, reward, r_f = rates.r_a, rates.r_b, rates.reward_rate, rates.r_f
     thr = reb_par / 100.0  # threshold parameter arrives in percentage points
@@ -210,11 +229,11 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     pending = np.zeros(n)
     cash = np.zeros(n)
     interest = np.zeros(n)
-    liq = np.zeros(n, dtype=bool)
-    liq_day = np.full(n, np.nan)
-    max_ltv = np.full(n, h * v0 / coll)
+    liq = np.zeros((len(cvs), n), dtype=bool)
+    liq_day = np.full((len(cvs), n), np.nan)
+    max_ltv = np.repeat(h * v0 / coll, n, axis=1)
     n_reb = np.zeros(n, dtype=np.int64)
-    n_claims = np.zeros(n, dtype=np.int64)
+    n_claims = np.zeros((len(cvs), n), dtype=np.int64)
 
     for t in range(1, steps + 1):
         a = rel_a[:, t]
@@ -244,13 +263,13 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
             liq = liq | breach
 
         if reb_kind == "periodic" and t % reb_stride == 0:
-            trig = ~liq
+            trig = ~liq[0]
         elif reb_kind == "threshold" and t % day_stride == 0:
             lp = v0 * np.sqrt(a * b)
             # trigger on gross per-leg hedge drift; reserves do not leak in
             ha = da * a / (lp / 2.0)
             hb = db * b / (lp / 2.0)
-            trig = ((np.abs(ha - h) > thr) | (np.abs(hb - h) > thr)) & ~liq
+            trig = ((np.abs(ha - h) > thr) | (np.abs(hb - h) > thr)) & ~liq[0]
         else:
             continue
         if trig.any():
@@ -268,16 +287,21 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     debt_t = np.maximum(da * a_t - res_a, 0.0) + np.maximum(db * b_t - res_b, 0.0)
     pi_t = lp_t + pending + cash + coll * (1.0 + r_f * pos.horizon_days / DAYS_PER_YEAR) \
         - debt_t - interest
+    # the closing lines run once per pair, on its collateral's row
+    row = [cvs.index(cv) for cv, _ in pairs]
+    coll, liq, pi_t, n_claims = coll[row], liq[row], pi_t[row], n_claims[row]
+    penalty = np.array([pen for _, pen in pairs])[:, None]
     pi0 = coll + (1.0 - h) * v0
-    pnl_raw = np.where(liq, -sim.liq_penalty_frac * coll, pi_t - pi0)
+    pnl_raw = np.where(liq, -penalty * coll, pi_t - pi0)
     tx = sim.borrow_fee_frac * h * v0 + sim.gas_cost * (n_claims + n_reb)
     roe_raw = pnl_raw / pi0
     roe_tx = (pnl_raw - tx) / pi0
-    return BatchResult(
+    batch = BatchResult(
         roe=roe_tx if sim.include_tx_costs else roe_raw,
-        roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq, liq_time_days=liq_day,
-        max_ltv=max_ltv, n_rebalances=n_reb, n_claims=n_claims,
-        tx_cost_paid=tx if np.ndim(tx) else np.full(n, tx), pi0=pi0)
+        roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq, liq_time_days=liq_day[row],
+        max_ltv=max_ltv[row], n_rebalances=np.tile(n_reb, (len(pairs), 1)), n_claims=n_claims,
+        tx_cost_paid=tx, pi0=pi0[:, 0])
+    return batch if variants is not None else batch.rows()[0]
 
 
 # ---------------------------------------------------------------------------

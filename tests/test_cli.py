@@ -227,6 +227,23 @@ def test_sweep_any_scenario_key(capsys, axis, values):
     assert [line.split(",")[0] for line in lines[2:]] == values.split(",")
 
 
+@pytest.mark.parametrize("axis, values, hint", [
+    ("position.h", "0.3,0.6", "the h grid sets h"),
+    ("position.horizon_years", "0.25", "sweep that key"),
+])
+def test_dead_sweep_axes_are_config_errors(capsys, monkeypatch, axis, values, hint):
+    def boom(*args, **kw):
+        raise AssertionError("paths drawn for an axis that cannot be swept")
+
+    monkeypatch.setattr(mc, "generate_path_matrix", boom)
+    code, out, err = _run(capsys, ["sweep", "--axis", axis, "--values", values,
+                                   "--paths", "200"])
+    assert code == 1 and out == ""
+    assert "cannot sweep %s" % axis in err and hint in err
+    if axis == "position.horizon_years":
+        assert "position.horizon_days" in err
+
+
 @pytest.mark.parametrize("axis, good, bad", [
     ("rates.r_b", "0.1", "-0.5"),
     ("sim.liq_penalty_frac", "0.1", "2"),

@@ -1,6 +1,7 @@
 """Table runner tests on downscaled path counts: structure, wiring, output."""
 
 import dataclasses
+import itertools
 import math
 import os
 import weakref
@@ -149,6 +150,10 @@ def test_sensitivity_rejects_bad_specs(tiny):
         exp.run_sensitivity(tiny, "rates.bogus", (0.1,))
     with pytest.raises(ScenarioError, match="nonempty"):
         exp.run_sensitivity(tiny, "rates.r_b", (0.1,), grid=())
+    with pytest.raises(ScenarioError, match="h grid sets h"):
+        exp.run_sensitivity(tiny, "position.h", (0.3, 0.6))
+    with pytest.raises(ScenarioError, match="position.horizon_days"):
+        exp.run_sensitivity(tiny, "position.horizon_years", (0.25,))
 
 
 @pytest.mark.parametrize("axis, values", [("sim.seed", (1, 2)), ("sim.n_paths", (100, 300))])
@@ -183,6 +188,75 @@ def test_sweep_reuses_paths_while_their_inputs_hold(tiny, monkeypatch, axis, val
     exp.run_sensitivity(apply_overrides(tiny, ["position.horizon_days=30"]), axis, values,
                         grid=(0.6,))
     assert len(drawn) == draws
+
+
+def _count_passes(monkeypatch):
+    real, calls = mc.simulate_batch, []
+
+    def counted(*args, **kw):
+        calls.append(kw.get("variants"))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(mc, "simulate_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("runner, axis, n_values", [
+    (exp.run_sensitivity_cv, "position.c_over_v0", 8),
+    (exp.run_sensitivity_penalty, "sim.liq_penalty_frac", 3),
+])
+def test_shared_sweep_runs_one_pass_per_h(tiny, monkeypatch, runner, axis, n_values):
+    month = apply_overrides(tiny, ["position.horizon_days=30"])
+    calls = _count_passes(monkeypatch)
+    t = runner(month)
+    assert len(calls) == len(exp.FINE_GRID) == 21
+    assert all(len(variants) == n_values for variants in calls)
+    # each value's statistics are those of its own single-value passes
+    monkeypatch.undo()
+    per_value = t.extra["per_value"]
+    assert len(per_value) == n_values
+    paths = exp._paths_for(month)
+    for value, (h_opt, stats) in per_value.items():
+        scn = apply_overrides(month, ["%s=%r" % (axis, value)])
+        assert stats == exp._grid_stats(scn, paths, exp.FINE_GRID), value
+
+
+def test_rebalancing_cv_sweep_runs_one_pass_per_value(tiny, monkeypatch):
+    base = apply_overrides(tiny, ["position.horizon_days=30", "sim.rebalance=threshold(15)"])
+    grid, values = (0.6, 0.8, 1.0), (1.3, 2.0)
+    calls = _count_passes(monkeypatch)
+    t = exp.run_sensitivity(base, "position.c_over_v0", values, grid=grid)
+    assert len(calls) == len(values) * len(grid)
+    monkeypatch.undo()
+    for value, row in zip(values, t.rows):
+        alone = exp.run_sensitivity(apply_overrides(base, ["position.c_over_v0=%r" % value]),
+                                    "position.c_over_v0", (value,), grid=grid)
+        assert alone.rows == [row]
+
+
+def test_pass_groups_follow_the_step_loop_inputs(tiny):
+    def groups(axis, values, base=tiny):
+        scns = [exp._apply_axis(base, axis, v) for v in values]
+        return [len(list(g)) for _, g in itertools.groupby(scns, key=exp._pass_key)]
+
+    assert groups("position.c_over_v0", (1.5, 2.0, 3.0)) == [3]
+    assert groups("sim.liq_penalty_frac", (0.1, 0.2)) == [2]
+    assert groups("rates.r_b", (0.1, 0.2)) == [1, 1]
+    threshold = apply_overrides(tiny, ["sim.rebalance=threshold(15)"])
+    assert groups("position.c_over_v0", (1.5, 2.0), threshold) == [1, 1]
+    assert groups("sim.liq_penalty_frac", (0.1, 0.2), threshold) == [2]
+
+
+@pytest.mark.parametrize("axis, values, header", [
+    ("sim.seed", (1, 2), "seed=1|2 n_paths=400 "),
+    ("sim.seed", (7,), "seed=7 n_paths=400 "),
+    ("sim.n_paths", (100, 300), "seed=42 n_paths=100|300 "),
+    ("rates.r_b", (0.1, 0.2), "seed=42 n_paths=400 "),
+])
+def test_sweep_provenance_names_what_the_rows_used(tiny, axis, values, header):
+    t = exp.run_sensitivity(apply_overrides(tiny, ["position.horizon_days=30"]), axis, values,
+                            grid=(0.6,))
+    assert exp.render_table(t).startswith("# " + header)
 
 
 def test_sweep_values_are_validated_before_any_draw(tiny, monkeypatch):

@@ -58,6 +58,17 @@ def test_path_count_prefix_property(baseline):
     assert np.array_equal(b_big[:9000], b_small)
 
 
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 2 * mc.BLOCK + 300), workers=st.sampled_from([1, 2]),
+       seed=st.integers(0, 3))
+def test_paths_are_prefix_and_worker_invariant(baseline, n, workers, seed):
+    # two days at a third of a day: full 8192-path blocks stay cheap
+    m = baseline.market
+    a_ref, b_ref = mc.generate_path_matrix(m, None, 2.0, 1.0 / 3.0, 3 * mc.BLOCK, seed)
+    a, b = mc.generate_path_matrix(m, None, 2.0, 1.0 / 3.0, n, seed, n_workers=workers)
+    assert np.array_equal(a, a_ref[:n]) and np.array_equal(b, b_ref[:n])
+
+
 def test_zero_intensity_jump_is_plain_gbm(baseline):
     m = baseline.market
     off = JumpParams(lam=0.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8)
@@ -299,6 +310,15 @@ def test_scalar_and_vector_kernels_agree(baseline, sim_changes):
     _assert_kernel_matches_oracle(rel_a, rel_b, baseline.rates, pos, sim)
 
 
+def _volatile_paths(seed, n, steps, dt_days):
+    rng = np.random.default_rng(seed)
+    sd = 4.0 * math.sqrt(dt_days / DAYS_PER_YEAR)
+    rel = np.ones((2, n, steps + 1))
+    rel[:, :, 1:] = np.exp(np.cumsum(sd * rng.standard_normal((2, n, steps)) - 0.5 * sd * sd,
+                                     axis=2))
+    return rel[0], rel[1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(h=st.floats(0.0, 1.0), cv=st.floats(1.3, 4.0), seed=st.integers(0, 2 ** 16),
        dt_days=st.sampled_from([2.0, 1.0, 0.5, 1.0 / 3.0, 0.25]),
@@ -313,14 +333,55 @@ def test_kernel_matches_scalar_oracle(baseline, h, cv, seed, dt_days, claim_days
     pos = dataclasses.replace(baseline.position, h=h, c_over_v0=cv, horizon_days=24.0)
     sim = dataclasses.replace(baseline.sim, dt_days=dt_days, claim_interval_days=claim_days,
                               rebalance=rule, gas_cost=gas, include_tx_costs=tx)
-    steps = int(round(24.0 / dt_days))
-    rng = np.random.default_rng(seed)
-    sd = 4.0 * math.sqrt(dt_days / DAYS_PER_YEAR)
-    z = rng.standard_normal((2, 8, steps))
-    rel = np.ones((2, 8, steps + 1))
-    rel[:, :, 1:] = np.exp(np.cumsum(sd * z - 0.5 * sd * sd, axis=2))
+    rel_a, rel_b = _volatile_paths(seed, 8, int(round(24.0 / dt_days)), dt_days)
     rates = RateParams(r_a=0.05, r_b=0.20, reward_rate=0.6, r_f=0.04)
-    _assert_kernel_matches_oracle(rel[0], rel[1], rates, pos, sim)
+    _assert_kernel_matches_oracle(rel_a, rel_b, rates, pos, sim)
+
+
+def _assert_variants_match_single_passes(rel_a, rel_b, market, rates, pos, sim, variants):
+    shared = mc.simulate_batch(rel_a, rel_b, market, rates, pos, sim, variants=variants)
+    assert len(shared.pi0) == len(variants)
+    for (cv, pen), row in zip(variants, shared.rows()):
+        alone = mc.simulate_batch(rel_a, rel_b, market, rates,
+                                  dataclasses.replace(pos, c_over_v0=cv),
+                                  dataclasses.replace(sim, liq_penalty_frac=pen))
+        got, want = dataclasses.asdict(row), dataclasses.asdict(alone)
+        for name, value in want.items():
+            assert np.array_equal(got[name], value, equal_nan=True), (cv, pen, name)
+        assert type(row.pi0) is float
+    return shared
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16),
+       variants=st.lists(st.tuples(st.floats(1.3, 4.0) | st.just(2.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=4),
+       claim_days=st.sampled_from([0.0, 2.0, 4.0, 14.0]),
+       gas=st.sampled_from([0.0, 0.001]), tx=st.booleans())
+def test_shared_pass_matches_single_passes(baseline, h, seed, variants, claim_days, gas, tx):
+    # 1-4 (C/V0, penalty) pairs, C/V0 repeating now and then, on volatile
+    # 24-day paths so that breaches at some collaterals and not others occur
+    pos = dataclasses.replace(baseline.position, h=h, horizon_days=24.0)
+    sim = dataclasses.replace(baseline.sim, dt_days=0.5, claim_interval_days=claim_days,
+                              gas_cost=gas, include_tx_costs=tx)
+    rel_a, rel_b = _volatile_paths(seed, 32, 48, 0.5)
+    rates = RateParams(r_a=0.05, r_b=0.20, reward_rate=0.6, r_f=0.04)
+    _assert_variants_match_single_passes(rel_a, rel_b, baseline.market, rates, pos, sim,
+                                         variants)
+
+
+@pytest.mark.parametrize("rule", ["threshold(15)", "periodic(14)"])
+def test_rebalancing_pass_shares_only_the_penalty(baseline, rule):
+    pos = dataclasses.replace(baseline.position, h=0.8)
+    sim = dataclasses.replace(baseline.sim, rebalance=rule)
+    rel_a, rel_b = _volatile_paths(3, 200, 270, sim.dt_days)
+    shared = _assert_variants_match_single_passes(
+        rel_a, rel_b, baseline.market, baseline.rates, pos, sim, [(1.8, 0.1), (1.8, 0.3)])
+    assert shared.liquidated.any() and shared.n_rebalances.any()
+    # C/V0 gates the trigger: a rebalancing pass cannot share it
+    with pytest.raises(ValueError, match="one c_over_v0"):
+        mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim,
+                          variants=[(1.8, 0.1), (3.0, 0.1)])
 
 
 @pytest.mark.parametrize("rule", ["none", "threshold(15)", "periodic(14)"])
