@@ -135,13 +135,11 @@ def cmd_fpt(args):
 
 def cmd_simulate(args):
     scn, _ = _resolve_scenario(args)
+    rel_a, rel_b = experiments._paths_for(scn, args.workers)
+    batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, scn.position, scn.sim)
     if args.dump_paths:
-        rel_a, rel_b = experiments._paths_for(scn, args.workers)
-        batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, scn.position, scn.sim)
         mc.write_path_dump(batch, args.dump_paths)
-        stats = mc.aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)
-    else:
-        stats = mc.run_scenario(scn, n_workers=args.workers)
+    stats = mc.aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)
     rows = [
         ["E[ROE] (pp)", stats.e_roe_pp], ["Std (pp)", stats.std_pp],
         ["SR (raw)", stats.sr_raw], ["SR (+tx)", stats.sr_tx],

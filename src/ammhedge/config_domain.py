@@ -213,8 +213,6 @@ _REBALANCE_RE = re.compile(r"(threshold|periodic)\(([^)]+)\)")
 def parse_rebalance(desc):
     """'none' -> ('none', 0.0); 'threshold(15)' -> ('threshold', 15.0) in pp;
     'periodic(30)' -> ('periodic', 30.0) in days."""
-    if isinstance(desc, tuple):
-        return desc
     s = str(desc).strip().lower()
     if s in ("none", ""):
         return ("none", 0.0)

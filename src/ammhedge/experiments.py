@@ -1,10 +1,13 @@
 """Config-driven reproduction of every results table and figure dataset.
 
+Each runner names the scenarios it scores and reads their statistics per
+hedge ratio from _score, the one place that draws, reuses and drops path
+matrices: scenarios that ask for the same paths score on one matrix, so
+comparisons ride on common random numbers, and consecutive scenarios that
+differ only in what the kernel reads after its step loop share one pass per h.
 Each runner returns a Table; write_table() emits two CSVs per table, one at
-display precision and one full precision, both carrying a provenance header
-(seed, path count, engine, config hash). Sweeps share one path matrix across
-hedge ratios, and across axis values whose scenarios ask for the same paths,
-so comparisons ride on common random numbers.
+display precision and one at full precision, both under a provenance header
+(the seeds, path counts and engines the rows used, and a config hash).
 """
 
 from __future__ import annotations
@@ -74,21 +77,30 @@ class Table:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _provenance(scn, n_paths=None):
-    engine = "mc_jump" if scn.jump is not None and scn.jump.lam > 0 else "mc_gbm"
-    return {"seed": scn.sim.seed, "n_paths": n_paths if n_paths is not None else scn.sim.n_paths,
-            "engine": engine, "config": scenario_hash(scn)}
+def _provenance(scn, used=(), paths=None):
+    """scn's config hash, with the seeds, path counts and engines of the scenarios
+    the rows used (scn itself by default), joined by "|" where they differ;
+    given paths set the path count."""
+    used = used or (scn,)
+    counts = [s.sim.n_paths for s in used] if paths is None else [paths[0].shape[0]]
+    engines = ["mc_jump" if s.jump is not None and s.jump.lam > 0 else "mc_gbm" for s in used]
+    prov = {"config": scenario_hash(scn)}
+    for key, vals in (("seed", [s.sim.seed for s in used]), ("n_paths", counts),
+                      ("engine", engines)):
+        vals = list(dict.fromkeys(vals))
+        # "|", not ",": the header sits above a CSV
+        prov[key] = vals[0] if len(vals) == 1 else "|".join(map(str, vals))
+    return prov
 
 
-def _path_inputs(scn, n_paths=None):
+def _path_inputs(scn):
     """The generate_path_matrix arguments a scenario fixes; equal inputs, equal paths."""
     sim = scn.sim
-    return (scn.market, scn.jump, scn.position.horizon_days, sim.dt_days,
-            sim.n_paths if n_paths is None else n_paths, sim.seed)
+    return scn.market, scn.jump, scn.position.horizon_days, sim.dt_days, sim.n_paths, sim.seed
 
 
-def _paths_for(scn, n_workers=1, n_paths=None):
-    return mc.generate_path_matrix(*_path_inputs(scn, n_paths), n_workers)
+def _paths_for(scn, n_workers=1):
+    return mc.generate_path_matrix(*_path_inputs(scn), n_workers)
 
 
 def _pass_key(scn):
@@ -101,24 +113,31 @@ def _pass_key(scn):
     return scn.market, scn.jump, scn.rates, pos, sim
 
 
-def _group_stats_at(group, paths, h=None):
-    """SummaryStats of every scenario of a pass group at h, from one kernel pass."""
-    scn = group[0]
-    pos = scn.position if h is None else replace(scn.position, h=h)
-    variants = [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in group]
-    batch = mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates, pos, scn.sim,
-                              variants=variants)
-    return [mc.aggregate(row, pos.horizon_days, r_f=scn.rates.r_f) for row in batch.rows()]
+def _score(scenarios, grid, n_workers=1, paths=None) -> list:
+    """{h: SummaryStats} over the grid for each scenario, on common random numbers.
 
-
-def _stats_at(scn, paths, h=None, **sim_changes):
-    if sim_changes:
-        scn = replace(scn, sim=replace(scn.sim, **sim_changes))
-    return _group_stats_at([scn], paths, h)[0]
-
-
-def _grid_stats(scn, paths, grid, **sim_changes):
-    return {h: _stats_at(scn, paths, h=h, **sim_changes) for h in grid}
+    Given paths serve every scenario. Otherwise a scenario draws paths only when
+    it asks for other ones than the last draw, and the old matrix is dropped
+    first, so one matrix is alive at a time. Consecutive scenarios with equal
+    _pass_key share one kernel pass per h.
+    """
+    given, drawn, out = paths is not None, None, []
+    for _, group in groupby(scenarios, key=_pass_key):
+        group = list(group)
+        scn = group[0]
+        inputs = _path_inputs(scn)
+        if not given and inputs != drawn:
+            paths = None  # drop the old matrix before the next draw
+            paths, drawn = _paths_for(scn, n_workers), inputs
+        variants = [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in group]
+        by_h = {}
+        for h in grid:
+            pos = replace(scn.position, h=h)
+            by_h[h] = [mc.aggregate(row, pos.horizon_days, r_f=scn.rates.r_f)
+                       for row in mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates,
+                                                    pos, scn.sim, variants=variants).rows()]
+        out += [{h: by_h[h][k] for h in grid} for k in range(len(group))]
+    return out
 
 
 def argmax_h(grid, stats_by_h, key=lambda s: s.sr_raw):
@@ -151,9 +170,7 @@ def _sr_se(st, horizon_days):
 
 def run_hedge_grid(scn, grid=TABLE4_GRID, n_workers=1, paths=None) -> Table:
     """Summary statistics by hedge ratio on shared paths."""
-    if paths is None:
-        paths = _paths_for(scn, n_workers)
-    stats = _grid_stats(scn, paths, grid)
+    stats, = _score([scn], grid, n_workers, paths)
     rows = []
     for h in grid:
         st = stats[h]
@@ -166,19 +183,19 @@ def run_hedge_grid(scn, grid=TABLE4_GRID, n_workers=1, paths=None) -> Table:
         columns=["h (%)", "E[ROE]", "Std", "SR (raw)", "SR (+tx)", "P(loss)", "P(liq)",
                  "5% VaR", "se(E[ROE])", "se(P(loss))", "se(P(liq))"],
         rows=rows,
-        provenance=_provenance(scn, n_paths=paths[0].shape[0]),
+        provenance=_provenance(scn, paths=paths),
         formats=["%.0f", "%+.2f", "%.1f", "%.3f", "%.3f", "%.1f", "%.1f", "%+.1f",
                  "%.3f", "%.2f", "%.2f"],
         extra={"stats": stats, "grid": grid})
 
 
-def run_analytic_vs_mc(scn, grid=TABLE5_GRID, n_paths=50000, n_workers=1, paths=None) -> Table:
+def _no_claims(scn) -> Scenario:
+    return replace(scn, sim=replace(scn.sim, claim_interval_days=0.0))
+
+
+def run_analytic_vs_mc(scn, grid=TABLE5_GRID, n_workers=1, paths=None) -> Table:
     """First-passage approximation against MC liquidation frequency."""
-    if paths is None:
-        paths = _paths_for(scn, n_workers, n_paths=n_paths)
-    n = paths[0].shape[0]
-    no_claims = _grid_stats(scn, paths, grid, claim_interval_days=0.0)
-    claims = _grid_stats(scn, paths, grid)
+    no_claims, claims = _score([_no_claims(scn), scn], grid, n_workers, paths)
     rows = []
     for h in grid:
         fi = fpt_inputs(h, scn.market, scn.position)
@@ -186,23 +203,22 @@ def run_analytic_vs_mc(scn, grid=TABLE5_GRID, n_paths=50000, n_workers=1, paths=
         p_no = no_claims[h].p_liq * 100.0
         p_cl = claims[h].p_liq * 100.0
         rows.append([h * 100.0, fi.ltv0 * 100.0, fi.barrier_log, ana, p_no, p_cl,
-                     _se_prob_pp(no_claims[h].p_liq, n), _se_prob_pp(claims[h].p_liq, n)])
+                     _se_prob_pp(no_claims[h].p_liq, no_claims[h].n_paths),
+                     _se_prob_pp(claims[h].p_liq, claims[h].n_paths)])
     return Table(
         name="analytic_vs_mc",
         columns=["h (%)", "LTV_0", "b", "Analytical", "MC (no claims)", "MC (claims)",
                  "se(no claims)", "se(claims)"],
         rows=rows,
-        provenance=_provenance(scn, n_paths=n),
+        provenance=_provenance(scn, paths=paths),
         formats=["%.0f", "%.1f", "%.3f", "%.2f", "%.2f", "%.2f", "%.3f", "%.3f"],
         extra={"no_claims": no_claims, "claims": claims, "grid": grid})
 
 
 def run_liquidation_stats(scn, h=1.0, n_workers=1, paths=None) -> Table:
     """Liquidation outcome statistics with and without reward claims."""
-    if paths is None:
-        paths = _paths_for(scn, n_workers)
-    st_no = _stats_at(scn, paths, h=h, claim_interval_days=0.0)
-    st_cl = _stats_at(scn, paths, h=h)
+    no_claims, claims = _score([_no_claims(scn), scn], (h,), n_workers, paths)
+    st_no, st_cl = no_claims[h], claims[h]
     rows = [
         ["Liquidation probability", st_no.p_liq * 100.0, st_cl.p_liq * 100.0],
         ["Mean max LTV", st_no.mean_max_ltv * 100.0, st_cl.mean_max_ltv * 100.0],
@@ -213,7 +229,7 @@ def run_liquidation_stats(scn, h=1.0, n_workers=1, paths=None) -> Table:
         name="liquidation_stats",
         columns=["Metric", "No claims", "Claim/14d"],
         rows=rows,
-        provenance=_provenance(scn, n_paths=paths[0].shape[0]),
+        provenance=_provenance(scn, paths=paths),
         formats=[None, "%.1f", "%.1f"],
         extra={"no_claims": st_no, "claims": st_cl, "h": h})
 
@@ -247,7 +263,7 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
         name="rebalancing",
         columns=["Strategy", "E[ROE]", "Std", "SR", "P(liq)", "Avg rebal.", "Cost", "se(SR)"],
         rows=rows,
-        provenance=_provenance(scn, n_paths=paths[0].shape[0]),
+        provenance=_provenance(scn, paths=paths),
         formats=[None, "%+.2f", "%.2f", "%.3f", "%.1f", "%.1f", "%.2f", "%.3f"],
         extra={"stats": stats, "h": h})
 
@@ -273,16 +289,6 @@ def _apply_axis(scn, axis, value) -> Scenario:
     return apply_overrides(scn, ["%s=%s" % (axis, value)])
 
 
-def _sweep_provenance(base, scenarios):
-    """The base's provenance, naming the seeds and path counts the rows used."""
-    prov = _provenance(base)
-    for key in ("seed", "n_paths"):
-        used = list(dict.fromkeys(getattr(scn.sim, key) for scn in scenarios))
-        # "|", not ",": the header sits above a CSV
-        prov[key] = used[0] if len(used) == 1 else "|".join(map(str, used))
-    return prov
-
-
 def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
     """Re-optimize h over the grid for each value of one parameter axis.
 
@@ -306,28 +312,19 @@ def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
         errs = validate_scenario(replace(scn, position=replace(scn.position, h=0.0)))
         if errs:
             raise ScenarioError("sweep value %s = %r: %s" % (axis, value, "; ".join(errs)))
-    rows, per_value, paths, drawn = [], {}, None, None
-    for _, group in groupby(scenarios, key=_pass_key):
-        group = list(group)
-        inputs = _path_inputs(group[0])
-        if inputs != drawn:
-            paths = None  # drop the old matrix first: one matrix is alive at a time
-            paths, drawn = _paths_for(group[0], n_workers), inputs
-        by_h = {h: _group_stats_at(group, paths, h) for h in grid}
-        for k, scn in enumerate(group):
-            value = values[len(rows)]  # one row per value done
-            stats = {h: by_h[h][k] for h in grid}
-            h_opt = argmax_h(grid, stats)
-            st = stats[h_opt]
-            rows.append([value, h_opt * 100.0, st.sr_raw, st.sr_tx, st.p_liq * 100.0,
-                         st.e_roe_pp, h_opt / scn.position.c_over_v0 * 100.0,
-                         _sr_se(st, scn.position.horizon_days)])
-            per_value[value] = (h_opt, stats)
+    rows, per_value = [], {}
+    for value, scn, stats in zip(values, scenarios, _score(scenarios, grid, n_workers)):
+        h_opt = argmax_h(grid, stats)
+        st = stats[h_opt]
+        rows.append([value, h_opt * 100.0, st.sr_raw, st.sr_tx, st.p_liq * 100.0,
+                     st.e_roe_pp, h_opt / scn.position.c_over_v0 * 100.0,
+                     _sr_se(st, scn.position.horizon_days)])
+        per_value[value] = (h_opt, stats)
     return Table(
         name="sensitivity_" + axis.replace(".", "_"),
         columns=[axis, "h**", "SR", "SR (+tx)", "P(liq)", "E[ROE]", "Init LTV", "se(SR)"],
         rows=rows,
-        provenance=_sweep_provenance(base, scenarios),
+        provenance=_provenance(base, scenarios),
         formats=["%g", "%.0f", "%.2f", "%.2f", "%.1f", "%+.2f", "%.1f", "%.3f"],
         extra={"per_value": per_value})
 
@@ -394,13 +391,12 @@ def run_robustness_pairs(base=None, grid=FINE_GRID, n_workers=1) -> Table:
     pair takes its simulation settings (paths, seed, time step, claims,
     costs) from it.
     """
+    scenarios = [get_preset(preset) for _, _, preset in ROBUSTNESS_PAIRS]
+    if base is not None:
+        scenarios = [replace(scn, sim=base.sim) for scn in scenarios]
     rows, per_pair = [], {}
-    for pair, chain, preset in ROBUSTNESS_PAIRS:
-        scn = get_preset(preset)
-        if base is not None:
-            scn = replace(scn, sim=base.sim)
-        # the path matrix dies with its grid: one matrix is alive at a time
-        stats = _grid_stats(scn, _paths_for(scn, n_workers), grid)
+    for (pair, chain, _), scn, stats in zip(ROBUSTNESS_PAIRS, scenarios,
+                                            _score(scenarios, grid, n_workers)):
         h_opt = argmax_h(grid, stats)
         st = stats[h_opt]
         m, r = scn.market, scn.rates
@@ -411,7 +407,7 @@ def run_robustness_pairs(base=None, grid=FINE_GRID, n_workers=1) -> Table:
     return Table(name="robustness_pairs",
                  columns=["Pair", "Chain", "sigma_A", "sigma_B", "rho", "r_A", "r_B",
                           "LP APR", "h**", "SR"],
-                 rows=rows, provenance=_provenance(base or get_preset("baseline")),
+                 rows=rows, provenance=_provenance(base or get_preset("baseline"), scenarios),
                  formats=[None, None, "%.0f", "%.0f", "%.2f", "%.0f", "%.0f", "%.0f",
                           "%.0f", "%.2f"],
                  extra={"per_pair": per_pair})
@@ -436,16 +432,11 @@ def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> di
     if 0.65 not in fine_grid:
         raise ScenarioError("jump stress needs h = 0.65 in its fine grid")
     hs = tuple(sorted(set(grid) | set(fine_grid)))
-
-    def scored(s_scn):
-        # the path matrix dies with this call: one matrix is alive at a time
-        stats = _grid_stats(s_scn, _paths_for(s_scn, n_workers), hs)
-        return argmax_h(fine_grid, stats), stats
-
-    per_scn = {"gbm": scored(replace(scn, jump=None))}
-    for rho_j, matched in ((0.80, True), (0.30, True), (0.80, False), (0.30, False)):
-        per_scn[(rho_j, matched)] = scored(_with_jump(scn, rho_j, matched))
-    jd_scn = _with_jump(scn, 0.80, True)
+    keys = ["gbm", (0.80, True), (0.30, True), (0.80, False), (0.30, False)]
+    scenarios = [replace(scn, jump=None)] + [_with_jump(scn, *key) for key in keys[1:]]
+    per_scn = {key: (argmax_h(fine_grid, stats), stats)
+               for key, stats in zip(keys, _score(scenarios, hs, n_workers))}
+    jd_scn = scenarios[1]
     gbm, jd = per_scn["gbm"][1], per_scn[(0.80, True)][1]
 
     comparison = Table(
@@ -484,7 +475,7 @@ FIG4_RBS = (0.05, 0.10, 0.15, 0.20, 0.30)
 def _by_h(*fields):
     """Figure rows of SummaryStats fields per h, on one shared path matrix."""
     def build(scn, grid, n_workers):
-        stats = _grid_stats(scn, _paths_for(scn, n_workers), grid)
+        stats, = _score([scn], grid, n_workers)
         return [[h] + [getattr(stats[h], f) for f in fields] for h in grid], {"stats": stats}
     return build
 
@@ -567,11 +558,12 @@ def write_table(table, out_dir) -> list:
 
 class Target(NamedTuple):
     """run(base, scn, n_workers) -> Tables, scn being the caller's scenario or None and
-    base it or the baseline; a sweep shortcut also names the scenario key it varies."""
+    base it or the target's preset; a sweep shortcut also names the scenario key it varies."""
 
     aliases: tuple
     run: Callable
     axis: str = None
+    preset: str = "baseline"
 
 
 def _one(runner):
@@ -581,9 +573,8 @@ def _one(runner):
 # the single list of target names, aliases and sweep shortcuts
 TARGETS = {
     "table4": Target(("hedge_grid",), _one(run_hedge_grid)),
-    # 50k paths, as in the paper, unless the caller brings a scenario
-    "table5": Target(("analytic_vs_mc",), lambda base, scn, n_workers: [run_analytic_vs_mc(
-        base, n_paths=50000 if scn is None else base.sim.n_paths, n_workers=n_workers)]),
+    # the table5 preset's 50k paths, as in the paper, unless the caller brings a scenario
+    "table5": Target(("analytic_vs_mc",), _one(run_analytic_vs_mc), preset="table5"),
     "liqstats": Target(("liquidation_stats",), _one(run_liquidation_stats)),
     "table8": Target(("rebalancing",), _one(run_rebalancing_comparison)),
     "jumps": Target(("jump_stress", "jump_comparison"), lambda base, scn, n_workers: list(
@@ -612,7 +603,7 @@ def reproduce(name, scn=None, out_dir=None, n_workers=1):
     if target is None:
         raise ScenarioError("unknown reproduction target %r; known: %s"
                             % (name, describe_targets()))
-    tables = target.run(scn if scn is not None else get_preset("baseline"), scn, n_workers)
+    tables = target.run(scn if scn is not None else get_preset(target.preset), scn, n_workers)
     if out_dir is not None:
         for t in tables:
             write_table(t, out_dir)

@@ -96,7 +96,7 @@ def test_analytic_liquidation_curve_matches_reference(base_scn):
 def test_mc_liquidation_agrees_with_analytic_bound():
     scn = exp.get_preset("table5")
     t0 = time.perf_counter()
-    t = exp.run_analytic_vs_mc(scn, n_paths=scn.sim.n_paths)
+    t = exp.run_analytic_vs_mc(scn)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, "table took %.1f s" % elapsed
 
@@ -197,7 +197,9 @@ def test_engine_property_suite(base_scn, base_paths):
     probs = [fpt.liquidation_probability(h, m, pos) for h in (0.2, 0.4, 0.6, 0.8, 1.0)]
     assert all(b > a for a, b in zip(probs, probs[1:]))
     sub = (rel_a[:4000], rel_b[:4000])
-    mc_liq = [exp._stats_at(base_scn, sub, h=h).p_liq for h in (0.4, 0.6, 0.8, 1.0)]
+    hs = (0.4, 0.6, 0.8, 1.0)
+    stats, = exp._score([base_scn], hs, paths=sub)
+    mc_liq = [stats[h].p_liq for h in hs]
     assert all(b >= a for a, b in zip(mc_liq, mc_liq[1:]))
 
     # the safe-ratio bisection brackets its root

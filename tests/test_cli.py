@@ -7,7 +7,8 @@ import pytest
 
 import ammhedge.montecarlo as mc
 from ammhedge.cli import SEED_ENV, main
-from ammhedge.experiments import PRESETS, TARGETS, Table
+from ammhedge.config_domain import scenario_hash
+from ammhedge.experiments import PRESETS, TARGETS, Table, get_preset
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +88,15 @@ def test_simulate_summary_and_path_dump(capsys, tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0].startswith("path_id,roe,")
     assert len(lines) == 401
+
+
+def test_simulate_stdout_ignores_the_path_dump(capsys, tmp_path):
+    argv = ["simulate", "--paths", "300", "--seed", "5", "--override",
+            "sim.rebalance=threshold(15)"]
+    code1, plain, _ = _run(capsys, argv)
+    code2, dumped, _ = _run(capsys, argv + ["--dump-paths", str(tmp_path / "paths.csv")])
+    assert code1 == code2 == 0
+    assert plain == dumped
 
 
 def test_simulate_runs_are_byte_identical(capsys):
@@ -312,17 +322,24 @@ def test_every_target_name_dispatches(capsys, monkeypatch, name):
     seen = []
 
     def run(base, scn, n_workers):
-        seen.append((base.sim.n_paths, scn.sim.seed, n_workers))
+        seen.append((base, scn, n_workers))
         return [Table(name="stub", columns=["x"], rows=[[1.0]],
-                      provenance={"seed": scn.sim.seed, "n_paths": base.sim.n_paths,
+                      provenance={"seed": base.sim.seed, "n_paths": base.sim.n_paths,
                                   "engine": "-", "config": "-"})]
 
     monkeypatch.setitem(TARGETS, key, TARGETS[key]._replace(run=run))
     code, out, _ = _run(capsys, ["reproduce", name, "--paths", "200", "--seed", "3",
                                  "--workers", "2"])
     assert code == 0
-    assert seen == [(200, 3, 2)]
+    (base, scn, n_workers), = seen
+    assert (base.sim.n_paths, scn.sim.seed, n_workers) == (200, 3, 2) and base is scn
     assert out.startswith("# seed=3 n_paths=200 ")
+    # with no flags the target runs its own preset: table5 the 50k-path one
+    seen.clear()
+    assert _run(capsys, ["reproduce", name])[0] == 0
+    (base, scn, n_workers), = seen
+    preset = "table5" if key == "table5" else "baseline"
+    assert scn is None and scenario_hash(base) == scenario_hash(get_preset(preset))
 
 
 def test_apr_sweep_marks_the_calibrated_rate(capsys):

@@ -76,7 +76,7 @@ def test_hedge_grid_uses_caller_paths(tiny):
 
 
 def test_analytic_vs_mc_columns(tiny):
-    t = exp.run_analytic_vs_mc(tiny, grid=(0.4, 0.8), n_paths=400)
+    t = exp.run_analytic_vs_mc(tiny, grid=(0.4, 0.8))
     assert t.columns[:6] == ["h (%)", "LTV_0", "b", "Analytical", "MC (no claims)",
                              "MC (claims)"]
     assert len(t.rows) == 2
@@ -167,6 +167,21 @@ def test_sweep_draws_the_paths_each_value_asks_for(tiny, axis, values):
         assert alone.rows == [row]
 
 
+def _count_draws(monkeypatch):
+    """Scenarios whose paths get drawn; each draw asserts the previous matrix is dead."""
+    real, drawn, refs = exp._paths_for, [], []
+
+    def counted(scn, n_workers=1):
+        assert all(ref() is None for ref in refs)
+        paths = real(scn, n_workers)
+        refs.append(weakref.ref(paths[0]))
+        drawn.append(scn)
+        return paths
+
+    monkeypatch.setattr(exp, "_paths_for", counted)
+    return drawn
+
+
 @pytest.mark.parametrize("axis, values, draws", [
     ("position.c_over_v0", (2.0, 3.0), 1),
     ("rates.r_b", (0.05, 0.25), 1),
@@ -175,16 +190,7 @@ def test_sweep_draws_the_paths_each_value_asks_for(tiny, axis, values):
     ("market.vol_scale", (0.8, 1.2), 2),
 ])
 def test_sweep_reuses_paths_while_their_inputs_hold(tiny, monkeypatch, axis, values, draws):
-    real, drawn = exp._paths_for, []
-
-    def counted(scn, n_workers=1, **kw):
-        # the previous matrix is dropped before the next one is drawn
-        assert all(ref() is None for ref in drawn)
-        paths = real(scn, n_workers, **kw)
-        drawn.append(weakref.ref(paths[0]))
-        return paths
-
-    monkeypatch.setattr(exp, "_paths_for", counted)
+    drawn = _count_draws(monkeypatch)
     exp.run_sensitivity(apply_overrides(tiny, ["position.horizon_days=30"]), axis, values,
                         grid=(0.6,))
     assert len(drawn) == draws
@@ -218,7 +224,7 @@ def test_shared_sweep_runs_one_pass_per_h(tiny, monkeypatch, runner, axis, n_val
     paths = exp._paths_for(month)
     for value, (h_opt, stats) in per_value.items():
         scn = apply_overrides(month, ["%s=%r" % (axis, value)])
-        assert stats == exp._grid_stats(scn, paths, exp.FINE_GRID), value
+        assert [stats] == exp._score([scn], exp.FINE_GRID, paths=paths), value
 
 
 def test_rebalancing_cv_sweep_runs_one_pass_per_value(tiny, monkeypatch):
@@ -252,6 +258,7 @@ def test_pass_groups_follow_the_step_loop_inputs(tiny):
     ("sim.seed", (7,), "seed=7 n_paths=400 "),
     ("sim.n_paths", (100, 300), "seed=42 n_paths=100|300 "),
     ("rates.r_b", (0.1, 0.2), "seed=42 n_paths=400 "),
+    ("jump.lambda", (0, 4), "seed=42 n_paths=400 engine=mc_gbm|mc_jump "),
 ])
 def test_sweep_provenance_names_what_the_rows_used(tiny, axis, values, header):
     t = exp.run_sensitivity(apply_overrides(tiny, ["position.horizon_days=30"]), axis, values,
@@ -305,10 +312,10 @@ def test_sensitivity_penalty_wrapper(tiny):
     assert t.columns == ["Penalty", "h**", "SR", "P(liq) at h**"]
 
 
-def test_robustness_pairs_structure(monkeypatch):
-    real = exp._paths_for
-    monkeypatch.setattr(exp, "_paths_for", lambda scn, n_workers=1, **kw: real(scn, n_workers, n_paths=4000))
-    t = exp.run_robustness_pairs(grid=tuple(round(0.05 * i, 2) for i in range(9, 17)))
+def test_robustness_pairs_structure(baseline):
+    # every preset pair shares the baseline's simulation settings
+    t = exp.run_robustness_pairs(scaled(baseline, 4000),
+                                 grid=tuple(round(0.05 * i, 2) for i in range(9, 17)))
     assert [r[0] for r in t.rows] == ["SUI/NS", "SOL/RAY", "SOL/JUP", "ETH/ARB"]
     for row in t.rows:
         # optimum stays in the interior band for every shipped pair
@@ -319,9 +326,7 @@ def test_robustness_pairs_structure(monkeypatch):
 # ---------------------------------------------------------------------------
 # jump stress
 
-def test_jump_stress_structure(tiny, monkeypatch):
-    real = exp._paths_for
-    monkeypatch.setattr(exp, "_paths_for", lambda scn, n_workers=1, **kw: real(scn, n_workers, n_paths=400))
+def test_jump_stress_structure(tiny):
     out = exp.run_jump_stress(tiny, grid=(0.6, 0.65), fine_grid=(0.6, 0.65))
     comp, stress = out["jump_comparison"], out["jump_stress"]
     assert comp.columns[0] == "h (%)" and len(comp.rows) == 2
@@ -336,17 +341,12 @@ def test_jump_stress_structure(tiny, monkeypatch):
 
 
 def test_jump_stress_generates_each_scenario_once(tiny, monkeypatch):
-    real, made = exp._paths_for, []
-
-    def counted(scn, n_workers=1, **kw):
-        made.append(scn.jump)
-        return real(scn, n_workers, n_paths=400)
-
-    monkeypatch.setattr(exp, "_paths_for", counted)
+    drawn = _count_draws(monkeypatch)
     month = dataclasses.replace(tiny, position=dataclasses.replace(tiny.position,
                                                                    horizon_days=30.0))
     out = exp.run_jump_stress(month, grid=(0.3, 0.65), fine_grid=(0.6, 0.65))
     # GBM plus the four stress scenarios; the matched 0.80 one feeds the comparison
+    made = [scn.jump for scn in drawn]
     assert len(made) == 5 and len(set(made)) == 5
     comp, per_scn = out["jump_comparison"], out["jump_stress"].extra["per_scenario"]
     matched = per_scn[(0.80, True)][1]
@@ -366,6 +366,84 @@ def test_with_jump_fills_the_default_jump_calibration(tiny):
 def test_jump_stress_needs_the_reported_hedge_ratio(tiny):
     with pytest.raises(ScenarioError, match="0.65"):
         exp.run_jump_stress(tiny, fine_grid=(0.6, 0.7))
+
+
+# ---------------------------------------------------------------------------
+# every runner against a naive reference
+
+REF_GRID = (0.4, 0.8)
+
+
+def _naive(scn, grid):
+    """{h: SummaryStats} of scn on freshly drawn paths, one plain kernel call per h."""
+    pos, sim = scn.position, scn.sim
+    rel_a, rel_b = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days, sim.dt_days,
+                                           sim.n_paths, sim.seed)
+    out = {}
+    for h in grid:
+        at_h = dataclasses.replace(pos, h=h)
+        batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, at_h, sim)
+        out[h] = mc.aggregate(batch, at_h.horizon_days, r_f=scn.rates.r_f)
+    return out
+
+
+def _no_claims(scn):
+    return apply_overrides(scn, ["sim.claim_interval_days=0"])
+
+
+# runner(month) -> [(scenario, {h: SummaryStats} the runner reports for it)]
+def _hedge_grid(m):
+    return [(m, exp.run_hedge_grid(m, grid=REF_GRID).extra["stats"])]
+
+
+def _analytic_vs_mc(m):
+    t = exp.run_analytic_vs_mc(m, grid=REF_GRID)
+    return [(_no_claims(m), t.extra["no_claims"]), (m, t.extra["claims"])]
+
+
+def _liquidation_stats(m):
+    t = exp.run_liquidation_stats(m, h=0.8)
+    return [(_no_claims(m), {0.8: t.extra["no_claims"]}), (m, {0.8: t.extra["claims"]})]
+
+
+def _robustness_pairs(m):
+    per_pair = exp.run_robustness_pairs(m, grid=REF_GRID).extra["per_pair"]
+    return [(dataclasses.replace(exp.get_preset(preset), sim=m.sim), per_pair[pair][1])
+            for pair, _, preset in exp.ROBUSTNESS_PAIRS]
+
+
+def _jump_stress(m):
+    out = exp.run_jump_stress(m, grid=(0.4,), fine_grid=(0.65,))
+    return [(dataclasses.replace(m, jump=None) if key == "gbm" else exp._with_jump(m, *key),
+             stats) for key, (_, stats) in out["jump_stress"].extra["per_scenario"].items()]
+
+
+def _figure(m):
+    return [(m, exp.emit_figure_data("fig2", m, grid=REF_GRID).extra["stats"])]
+
+
+def _sweep(axis, values):
+    def scored(m):
+        per_value = exp.run_sensitivity(m, axis, values, grid=REF_GRID).extra["per_value"]
+        return [(apply_overrides(m, ["%s=%r" % (axis, v)]), per_value[v][1]) for v in values]
+    return scored
+
+
+@pytest.mark.parametrize("runner, draws", [
+    (_hedge_grid, 1), (_analytic_vs_mc, 1), (_liquidation_stats, 1), (_robustness_pairs, 4),
+    (_jump_stress, 5), (_figure, 1), (_sweep("position.c_over_v0", (1.5, 3.0)), 1),
+    (_sweep("sim.liq_penalty_frac", (0.1, 0.3)), 1), (_sweep("market.rho", (0.3, 0.6)), 2),
+], ids=["hedge_grid", "analytic_vs_mc", "liquidation_stats", "robustness_pairs", "jump_stress",
+        "figure", "sweep_cv", "sweep_penalty", "sweep_rho"])
+def test_runner_stats_equal_a_naive_reference(tiny, monkeypatch, runner, draws):
+    # each runner also drops its old matrix before the next draw
+    drawn = _count_draws(monkeypatch)
+    scored = runner(apply_overrides(tiny, ["position.horizon_days=30"]))
+    assert len(drawn) == draws
+    monkeypatch.undo()
+    assert scored
+    for scn, stats in scored:
+        assert stats and stats == _naive(scn, tuple(stats))
 
 
 # ---------------------------------------------------------------------------
