@@ -388,12 +388,11 @@ def run_robustness_pairs(base=None, grid=FINE_GRID, n_workers=1) -> Table:
     """Optimal hedge ratio across the shipped token-pair presets.
 
     Each pair keeps its own market and rates; given a base scenario, every
-    pair takes its simulation settings (paths, seed, time step, claims,
-    costs) from it.
+    pair takes the rest from it: position, jumps and simulation settings.
     """
     scenarios = [get_preset(preset) for _, _, preset in ROBUSTNESS_PAIRS]
     if base is not None:
-        scenarios = [replace(scn, sim=base.sim) for scn in scenarios]
+        scenarios = [replace(base, market=scn.market, rates=scn.rates) for scn in scenarios]
     rows, per_pair = [], {}
     for (pair, chain, _), scn, stats in zip(ROBUSTNESS_PAIRS, scenarios,
                                             _score(scenarios, grid, n_workers)):
@@ -426,8 +425,9 @@ def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> di
 
     Returns {"jump_comparison": Table, "jump_stress": Table}. Each scenario's
     paths are generated once and scored on the union of both grids; the
-    comparison reads the matched rho_J = 0.80 stress scenario. The stress
-    table reports every scenario at h = 0.65, so fine_grid must contain it.
+    comparison reads the GBM and the matched rho_J = 0.80 stress scenario. The
+    stress table reports every scenario at h = 0.65, so fine_grid must contain
+    it. Both headers carry scn's config hash and the engines their rows used.
     """
     if 0.65 not in fine_grid:
         raise ScenarioError("jump stress needs h = 0.65 in its fine grid")
@@ -436,7 +436,6 @@ def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> di
     scenarios = [replace(scn, jump=None)] + [_with_jump(scn, *key) for key in keys[1:]]
     per_scn = {key: (argmax_h(fine_grid, stats), stats)
                for key, stats in zip(keys, _score(scenarios, hs, n_workers))}
-    jd_scn = scenarios[1]
     gbm, jd = per_scn["gbm"][1], per_scn[(0.80, True)][1]
 
     comparison = Table(
@@ -445,7 +444,7 @@ def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> di
                  "SR (JD)", "P(liq) (JD)", "5% VaR (JD)"],
         rows=[[h * 100.0, gbm[h].sr_raw, gbm[h].p_liq * 100.0, gbm[h].var5_pp,
                jd[h].sr_raw, jd[h].p_liq * 100.0, jd[h].var5_pp] for h in grid],
-        provenance=_provenance(jd_scn),
+        provenance=_provenance(scn, scenarios[:2]),
         formats=["%.0f", "%.2f", "%.1f", "%+.1f", "%.2f", "%.1f", "%+.1f"],
         extra={"gbm": gbm, "jd": jd})
 
@@ -459,7 +458,7 @@ def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> di
         name="jump_stress",
         columns=["rho_J", "Variance", "SR", "P(liq)", "5% VaR", "h**"],
         rows=stress_rows,
-        provenance=_provenance(jd_scn),
+        provenance=_provenance(scn, scenarios),
         formats=[None, None, "%.2f", "%.1f", "%+.1f", "%.0f"],
         extra={"per_scenario": per_scn})
     return {"jump_comparison": comparison, "jump_stress": stress}

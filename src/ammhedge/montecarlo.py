@@ -166,11 +166,15 @@ def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_w
 # portfolio accounting
 
 def _grid_strides(pos, sim, steps):
+    """dt_days, the claim stride, the rebalance rule and its stride in steps.
+
+    A threshold rule is checked on whole-day marks, a periodic one every
+    period; a stride of 0 means never.
+    """
     dt_days = pos.horizon_days / steps
     if abs(dt_days - sim.dt_days) > 1e-9 * max(1.0, sim.dt_days):
         raise ValueError("path grid (%d steps over %g days) does not match sim.dt_days = %g"
                          % (steps, pos.horizon_days, sim.dt_days))
-    day_stride = max(1, int(round(1.0 / dt_days)))
     kind, par = parse_rebalance(sim.rebalance)
 
     def stride(what, days):
@@ -182,8 +186,30 @@ def _grid_strides(pos, sim, steps):
 
     claim_stride = stride("claim_interval_days", sim.claim_interval_days) \
         if sim.claim_interval_days > 0 else 0
-    reb_stride = stride("periodic(days)", par) if kind == "periodic" else 0
-    return dt_days, day_stride, claim_stride, kind, par, reb_stride
+    reb_stride = 0
+    if kind == "periodic":
+        reb_stride = stride("periodic(days)", par)
+    elif kind == "threshold":
+        reb_stride = max(1, int(round(1.0 / dt_days)))
+    return dt_days, claim_stride, kind, par, reb_stride
+
+
+def _breach_level(coll, l_max):
+    """The smallest double d with d / coll >= l_max, for coll > 0.
+
+    Correctly rounded division by coll > 0 is monotone in d, so for every
+    double d the breach test d / coll >= l_max holds exactly when d is at
+    least this level. The search runs that very division, starting from
+    l_max * coll, which lies within an ulp or so of the level.
+    """
+    if not coll > 0:
+        raise ValueError("collateral must be positive, got %r" % coll)
+    d = l_max * coll
+    while d / coll >= l_max:
+        d = math.nextafter(d, -math.inf)
+    while d / coll < l_max:
+        d = math.nextafter(d, math.inf)
+    return d
 
 
 def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
@@ -202,12 +228,19 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     The step loop reads C/V0 only in the breach test, which it runs for each
     distinct C/V0, and the penalty not at all; with a rebalancing rule C/V0
     gates the trigger, so all pairs must share it.
+
+    The step computes each debt value once, into buffers allocated once.
+    Values every path shares stay Python floats: the pending rewards, and
+    both debts until a rebalance first sets them per path. The breach test
+    fl(D / C) >= l_max is run as D >= _breach_level(C, l_max), the same
+    value for every double D, and max LTV is fl(max_t D_t / C), which equals
+    max_t fl(D_t / C) by the same monotonicity.
     """
     rel_a = np.atleast_2d(np.asarray(rel_a, dtype=float))
     rel_b = np.atleast_2d(np.asarray(rel_b, dtype=float))
     n, m = rel_a.shape
     steps = m - 1
-    dt_days, day_stride, claim_stride, reb_kind, reb_par, reb_stride = _grid_strides(pos, sim, steps)
+    dt_days, claim_stride, reb_kind, reb_par, reb_stride = _grid_strides(pos, sim, steps)
     dt_y = dt_days / DAYS_PER_YEAR
 
     pairs = ((pos.c_over_v0, sim.liq_penalty_frac),) if variants is None else tuple(variants)
@@ -218,68 +251,81 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     v0, h = pos.v0, pos.h
     # one breach state per distinct collateral: rows of (K, n) arrays
     coll = np.array(cvs)[:, None] * v0
-    l_max = pos.l_max
+    level = np.array([_breach_level(cv * v0, pos.l_max) for cv in cvs])[:, None]
     r_a, r_b, reward, r_f = rates.r_a, rates.r_b, rates.reward_rate, rates.r_f
     thr = reb_par / 100.0  # threshold parameter arrives in percentage points
 
-    da = np.full(n, h * v0 / 2.0)
-    db = np.full(n, h * v0 / 2.0)
+    da = db = h * v0 / 2.0  # per-path arrays from the first rebalance on
+    pending = 0.0
     res_a = np.zeros(n)
     res_b = np.zeros(n)
-    pending = np.zeros(n)
     cash = np.zeros(n)
     interest = np.zeros(n)
     liq = np.zeros((len(cvs), n), dtype=bool)
     liq_day = np.full((len(cvs), n), np.nan)
-    max_ltv = np.repeat(h * v0 / coll, n, axis=1)
+    max_debt = np.full(n, h * v0)
     n_reb = np.zeros(n, dtype=np.int64)
     n_claims = np.zeros((len(cvs), n), dtype=np.int64)
+    xa, xb, debt, tmp = (np.empty(n) for _ in range(4))
+    breach = np.empty((len(cvs), n), dtype=bool)
 
     for t in range(1, steps + 1):
         a = rel_a[:, t]
         b = rel_b[:, t]
-        interest = interest + (da * a * r_a + db * b * r_b) * dt_y
-        pending = pending + reward * v0 * dt_y
+        np.multiply(da, a, out=xa)
+        np.multiply(db, b, out=xb)
+        # interest += (xa * r_a + xb * r_b) * dt_y
+        np.multiply(xa, r_a, out=tmp)
+        np.multiply(xb, r_b, out=debt)
+        tmp += debt
+        tmp *= dt_y
+        interest += tmp
+        pending += reward * v0 * dt_y
 
         if claim_stride and t % claim_stride == 0:
             # claimed rewards become per-leg repayment reserves, split
             # proportionally to current net debt value; excess goes to cash
-            va = np.maximum(da * a - res_a, 0.0)
-            vb = np.maximum(db * b - res_b, 0.0)
+            va = np.maximum(xa - res_a, 0.0)
+            vb = np.maximum(xb - res_b, 0.0)
             tot = va + vb
             repay = np.minimum(pending, tot)
             w = np.divide(va, tot, out=np.full(n, 0.5), where=tot > 0)
-            res_a = res_a + repay * w
-            res_b = res_b + repay * (1.0 - w)
-            cash = cash + pending - repay
-            pending = np.zeros(n)
-            n_claims = n_claims + (~liq)
+            res_a += repay * w
+            res_b += repay * (1.0 - w)
+            cash += pending
+            cash -= repay
+            pending = 0.0
+            n_claims += ~liq
 
-        ltv = (np.maximum(da * a - res_a, 0.0) + np.maximum(db * b - res_b, 0.0) + interest) / coll
-        np.maximum(max_ltv, ltv, out=max_ltv)
-        breach = (~liq) & (ltv >= l_max)
+        # debt = max(xa - res_a, 0) + max(xb - res_b, 0) + interest
+        np.subtract(xa, res_a, out=debt)
+        np.maximum(debt, 0.0, out=debt)
+        np.subtract(xb, res_b, out=tmp)
+        np.maximum(tmp, 0.0, out=tmp)
+        debt += tmp
+        debt += interest
+        np.maximum(max_debt, debt, out=max_debt)
+        np.greater_equal(debt, level, out=breach)
+        breach &= ~liq
         if breach.any():
             liq_day[breach] = t * dt_days
-            liq = liq | breach
+            liq |= breach
 
-        if reb_kind == "periodic" and t % reb_stride == 0:
-            trig = ~liq[0]
-        elif reb_kind == "threshold" and t % day_stride == 0:
-            lp = v0 * np.sqrt(a * b)
-            # trigger on gross per-leg hedge drift; reserves do not leak in
-            ha = da * a / (lp / 2.0)
-            hb = db * b / (lp / 2.0)
-            trig = ((np.abs(ha - h) > thr) | (np.abs(hb - h) > thr)) & ~liq[0]
-        else:
+        if not reb_stride or t % reb_stride:
             continue
+        lp = v0 * np.sqrt(a * b)
+        trig = ~liq[0]
+        if reb_kind == "threshold":
+            # trigger on gross per-leg hedge drift; reserves do not leak in
+            half = lp / 2.0
+            trig &= (np.abs(xa / half - h) > thr) | (np.abs(xb / half - h) > thr)
         if trig.any():
-            lp = v0 * np.sqrt(a * b)
-            gross = da * a + db * b
-            da = np.where(trig, h * lp / (2.0 * a), da)
-            db = np.where(trig, h * lp / (2.0 * b), db)
+            h_lp = h * lp
+            da = np.where(trig, h_lp / (2.0 * a), da)
+            db = np.where(trig, h_lp / (2.0 * b), db)
             # resetting after a move realizes hedge pnl into cash
-            cash = cash + np.where(trig, gross - h * lp, 0.0)
-            n_reb = n_reb + trig
+            cash += np.where(trig, xa + xb - h_lp, 0.0)
+            n_reb += trig
 
     a_t = rel_a[:, -1]
     b_t = rel_b[:, -1]
@@ -299,8 +345,8 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     batch = BatchResult(
         roe=roe_tx if sim.include_tx_costs else roe_raw,
         roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq, liq_time_days=liq_day[row],
-        max_ltv=max_ltv[row], n_rebalances=np.tile(n_reb, (len(pairs), 1)), n_claims=n_claims,
-        tx_cost_paid=tx, pi0=pi0[:, 0])
+        max_ltv=max_debt / coll, n_rebalances=np.tile(n_reb, (len(pairs), 1)),
+        n_claims=n_claims, tx_cost_paid=tx, pi0=pi0[:, 0])
     return batch if variants is not None else batch.rows()[0]
 
 

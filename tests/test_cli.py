@@ -306,6 +306,20 @@ def test_reproduce_robustness_honours_paths_and_seed(capsys):
     assert out.startswith("# seed=7 n_paths=500 ")
 
 
+def test_reproduce_robustness_honours_position_and_jumps(capsys):
+    # every pair takes the caller's position and jump keys, not only its sim keys
+    rows = {}
+    for extra in ([], ["--override", "position.horizon_days=30"]):
+        code, out, _ = _run(capsys, ["reproduce", "robustness", "--paths", "200"] + extra)
+        assert code == 0
+        rows[len(extra)] = out.splitlines()[1:]
+    assert rows[0] != rows[2]
+    code, out, _ = _run(capsys, ["reproduce", "robustness", "--scenario", "jumps",
+                                 "--paths", "200"])
+    assert code == 0
+    assert " engine=mc_jump " in out.splitlines()[0]
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_every_preset_simulates(capsys, preset):
     code, out, err = _run(capsys, ["simulate", "--scenario", preset, "--paths", "64"])

@@ -330,7 +330,10 @@ def test_jump_stress_structure(tiny):
     out = exp.run_jump_stress(tiny, grid=(0.6, 0.65), fine_grid=(0.6, 0.65))
     comp, stress = out["jump_comparison"], out["jump_stress"]
     assert comp.columns[0] == "h (%)" and len(comp.rows) == 2
-    assert comp.provenance["engine"] == "mc_jump"
+    # the GBM columns and row were drawn without jumps; the hash is the caller's
+    for t in (comp, stress):
+        assert t.provenance["engine"] == "mc_gbm|mc_jump"
+        assert t.provenance["config"] == scenario_hash(tiny)
     assert stress.rows[0][0] == "GBM (baseline)"
     assert len(stress.rows) == 5
     assert [r[1] for r in stress.rows[1:]] == ["matched", "matched", "unmatched", "unmatched"]
@@ -408,8 +411,9 @@ def _liquidation_stats(m):
 
 def _robustness_pairs(m):
     per_pair = exp.run_robustness_pairs(m, grid=REF_GRID).extra["per_pair"]
-    return [(dataclasses.replace(exp.get_preset(preset), sim=m.sim), per_pair[pair][1])
-            for pair, _, preset in exp.ROBUSTNESS_PAIRS]
+    presets = [exp.get_preset(preset) for _, _, preset in exp.ROBUSTNESS_PAIRS]
+    return [(dataclasses.replace(m, market=p.market, rates=p.rates), per_pair[pair][1])
+            for (pair, _, _), p in zip(exp.ROBUSTNESS_PAIRS, presets)]
 
 
 def _jump_stress(m):

@@ -1,6 +1,7 @@
 """Path engine tests: determinism, distributional oracles, accounting parity."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ammhedge.montecarlo as mc
-from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, RateParams,
-                                    ScenarioError, validate_sim)
+from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, PositionParams,
+                                    RateParams, ScenarioError, SimConfig, validate_sim)
 
 from scalar_oracle import simulate_path
 
@@ -397,6 +398,105 @@ def test_kernel_is_layout_independent(baseline, rule):
     assert c_res["liquidated"].any()
     for name, value in c_res.items():
         assert np.array_equal(value, f_res[name], equal_nan=True), name
+
+
+def _dyadic_paths(seed, n, steps):
+    # PCG64 integer draws pick per-step factors 1 + k/64, k in -6..6, and
+    # np.cumprod multiplies them up: no exp or log, whose SIMD builds can
+    # differ across CPUs, so the paths are the same bits on every platform
+    rng = np.random.Generator(np.random.PCG64(seed))
+    k = rng.integers(-6, 7, size=(2, n, steps))
+    rel = np.ones((2, n, steps + 1))
+    rel[:, :, 1:] = np.cumprod(1.0 + k / 64.0, axis=2)
+    return rel[0], rel[1]
+
+
+# sha256 of every BatchResult field over h in (0.3, 0.6, 0.9), claims off and
+# on, gas off and on, frozen from the kernel as it stood before the lean step
+# loop; any speedup of the kernel must leave each field's bits as they are
+KERNEL_DIGESTS = {
+    "none": "57f8d0932506f19863206b77ede58db9fa94c53cfc15122d2174173f8d4a9fcb",
+    "threshold(10)": "e5f8eb3f5d4436a7bc30fcfd36dbeb520cfb8b02a028ffd955d900227f38b817",
+    "periodic(6)": "00591e9aae2164787802f6aa63c83f892f290ef37445834b5941ce19013363ba",
+}
+
+
+@pytest.mark.parametrize("rule", list(KERNEL_DIGESTS))
+def test_kernel_fields_match_frozen_digest(rule):
+    # the no-rebalance pass scores three (C/V0, penalty) variants at once
+    variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else None
+    rel_a, rel_b = _dyadic_paths(2024, 64, 48)
+    rates = RateParams(r_a=0.05, r_b=0.20, reward_rate=0.6, r_f=0.04)
+    digest, liquidated = hashlib.sha256(), 0
+    for h in (0.3, 0.6, 0.9):
+        for claim_days in (0.0, 2.0):
+            for gas in (0.0, 0.001):
+                pos = PositionParams(v0=1.0, c_over_v0=1.5, h=h, l_max=0.8, horizon_days=24.0)
+                sim = SimConfig(n_paths=64, dt_days=0.5, claim_interval_days=claim_days,
+                                liq_penalty_frac=0.2, borrow_fee_frac=0.003, gas_cost=gas,
+                                rebalance=rule, include_tx_costs=True)
+                batch = mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim,
+                                          variants=variants)
+                liquidated += int(np.sum(batch.liquidated))
+                for f in dataclasses.fields(batch):
+                    v = np.asarray(getattr(batch, f.name))
+                    digest.update(("%s %s %s;" % (f.name, v.dtype.str, v.shape)).encode())
+                    digest.update(np.ascontiguousarray(v).tobytes())
+    assert liquidated > 0
+    assert digest.hexdigest() == KERNEL_DIGESTS[rule]
+
+
+COLLATERALS = st.floats(1e-200, 1e200)
+LTV_CAPS = st.floats(1e-9, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coll=COLLATERALS, l_max=LTV_CAPS)
+def test_breach_level_is_the_least_breaching_debt(coll, l_max):
+    level = mc._breach_level(coll, l_max)
+    assert level / coll >= l_max
+    assert math.nextafter(level, -math.inf) / coll < l_max
+
+
+@settings(max_examples=300, deadline=None)
+@given(coll=COLLATERALS, l_max=LTV_CAPS, ulps=st.integers(-4, 4),
+       ratio=st.floats(0.0, 2.0), anywhere=st.floats(allow_nan=False))
+def test_debt_level_test_equals_the_ltv_test(coll, l_max, ulps, ratio, anywhere):
+    # near the level, around the cap, and at any double: D >= L iff fl(D / C) >= l_max
+    level = mc._breach_level(coll, l_max)
+    near = level
+    for _ in range(abs(ulps)):
+        near = math.nextafter(near, math.copysign(math.inf, ulps))
+    for debt in (near, ratio * l_max * coll, anywhere):
+        assert (debt >= level) == (debt / coll >= l_max), debt
+    debts = np.array([near, ratio * l_max * coll, anywhere])
+    with np.errstate(over="ignore"):  # a quotient past the largest double is inf
+        assert np.array_equal(debts >= level, debts / coll >= l_max)
+
+
+@pytest.mark.parametrize("cv, l_max", [(1.3, 0.75), (1.3, 0.95), (1.4, 0.6), (2.0, 0.8)])
+def test_kernel_breaches_at_the_exact_level(cv, l_max):
+    # no rates, claims or rebalancing: at h = 0.5 a one-step path to 2D on
+    # both legs carries a debt of exactly D. In the first three cases
+    # l_max * C is one ulp off the level, so a D >= l_max * C test would flip
+    level = mc._breach_level(cv, l_max)
+    debts = np.array([level, math.nextafter(level, -math.inf), l_max * cv])
+    rel = np.ones((3, 2))
+    rel[:, 1] = 2.0 * debts
+    pos = PositionParams(v0=1.0, c_over_v0=cv, h=0.5, l_max=l_max, horizon_days=1.0)
+    sim = SimConfig(n_paths=3, claim_interval_days=0.0)
+    batch = mc.simulate_batch(rel, rel, None, RateParams(0.0, 0.0, 0.0, 0.0), pos, sim)
+    assert np.array_equal(batch.liquidated, debts / cv >= l_max)
+    assert list(batch.liquidated[:2]) == [True, False]
+    assert np.array_equal(batch.max_ltv, debts / cv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coll=COLLATERALS, debts=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40))
+def test_max_ltv_is_the_max_debt_over_collateral(coll, debts):
+    debts = np.array(debts)
+    with np.errstate(over="ignore"):  # a quotient past the largest double is inf
+        assert np.max(debts / coll) == np.max(debts) / coll
 
 
 def test_batch_rejects_mismatched_grid(baseline):
