@@ -13,13 +13,12 @@ The package is organized as a pipeline:
 from .analytics import (MomentSet, PnlDecomposition, compute_phi, h_min_variance,
                         h_star, joint_mgf_exponent, pnl_decomposition, pnl_variance,
                         sharpe, variance_components, verify_soc)
-from .config_domain import (BASELINE_VALUES, DAYS_PER_YEAR, DEFAULT_SEED,
-                            SCENARIO_KEYS, JumpParams, MarketParams, PositionParams,
-                            RateParams, Scenario, ScenarioError, SimConfig,
-                            apply_overrides, baseline_scenario, estimate_market_params,
-                            load_scenario, parse_rebalance, parse_scenario,
-                            read_price_csv, scenario_hash, scenario_values, validate,
-                            validate_scenario)
+from .config_domain import (DAYS_PER_YEAR, DEFAULT_SEED, SCENARIO_KEYS, JumpParams,
+                            MarketParams, PositionParams, RateParams, Scenario,
+                            ScenarioError, SimConfig, apply_overrides, baseline_scenario,
+                            estimate_market_params, load_scenario, parse_rebalance,
+                            parse_scenario, read_price_csv, scenario_hash, scenario_values,
+                            validate, validate_scenario)
 from .experiments import (PRESETS, Table, get_preset, reproduce, run_analytic_vs_mc,
                           run_hedge_grid, run_jump_stress, run_liquidation_stats,
                           run_rebalancing_comparison, run_robustness_pairs, run_sensitivity,
@@ -37,7 +36,7 @@ __all__ = [
     "parse_scenario", "load_scenario", "apply_overrides", "parse_rebalance",
     "scenario_values", "scenario_hash", "baseline_scenario",
     "estimate_market_params", "read_price_csv",
-    "BASELINE_VALUES", "SCENARIO_KEYS", "DAYS_PER_YEAR", "DEFAULT_SEED",
+    "SCENARIO_KEYS", "DAYS_PER_YEAR", "DEFAULT_SEED",
     "MomentSet", "PnlDecomposition", "joint_mgf_exponent", "compute_phi",
     "variance_components", "pnl_decomposition", "pnl_variance", "sharpe",
     "h_star", "h_min_variance", "verify_soc",

@@ -163,7 +163,7 @@ def cmd_sweep(args):
     target = experiments.TARGETS.get(args.axis)
     shortcut = target.axis if target is not None else None
     if shortcut and args.values is None:
-        tables = target.run(scn, scn, args.workers)
+        tables = target.run(scn, args.workers)
     else:
         if args.values is None:
             raise ScenarioError("--values is required for a custom sweep axis")
@@ -181,6 +181,11 @@ def cmd_sweep(args):
 
 def cmd_rebalance(args):
     scn, _ = _resolve_scenario(args)
+    # every strategy runs at --h in place of the scenario's position.h
+    errs = validate_scenario(dataclasses.replace(
+        scn, position=dataclasses.replace(scn.position, h=args.h)))
+    if errs:
+        raise ScenarioError("--h %r: %s" % (args.h, "; ".join(errs)))
     tables = [experiments.run_rebalancing_comparison(scn, h=args.h, n_workers=args.workers)]
     _emit(tables, args.out)
     return 0

@@ -1,7 +1,8 @@
 """Parameter records, validation, scenario files and market calibration.
 
 Everything downstream (analytics, first-passage bounds, the simulator) is a
-pure function of these records, so they are all frozen dataclasses.
+pure function of these records, so they are all frozen dataclasses. Their
+field defaults are the SUI/NS baseline calibration every table starts from.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 from datetime import date
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,9 +29,9 @@ class ScenarioError(ValueError):
 class MarketParams:
     """Annualized vols, instantaneous correlation, optional drifts."""
 
-    sigma_a: float
-    sigma_b: float
-    rho: float
+    sigma_a: float = 0.922
+    sigma_b: float = 1.084
+    rho: float = 0.72
     mu_a: float = 0.0
     mu_b: float = 0.0
 
@@ -39,19 +40,19 @@ class MarketParams:
 class RateParams:
     """Annual borrow rates, LP reward-to-value ratio, stablecoin supply rate."""
 
-    r_a: float
-    r_b: float
-    reward_rate: float
-    r_f: float
+    r_a: float = 0.03
+    r_b: float = 0.15
+    reward_rate: float = 0.54
+    r_f: float = 0.04
 
 
 @dataclass(frozen=True)
 class PositionParams:
-    v0: float
-    c_over_v0: float
-    h: float
-    l_max: float
-    horizon_days: float
+    v0: float = 1.0
+    c_over_v0: float = 2.0
+    h: float = 0.60
+    l_max: float = 0.80
+    horizon_days: float = 90.0
     # derived; a field, not a property, as every closed-form evaluation reads it
     horizon_years: float = field(init=False)
 
@@ -70,17 +71,17 @@ class JumpParams:
     equals the plain-GBM calibration.
     """
 
-    lam: float
-    mu_j: float
-    sigma_j: float
-    rho_j: float
+    lam: float = 4.0
+    mu_j: float = -0.05
+    sigma_j: float = 0.15
+    rho_j: float = 0.80
     variance_matched: bool = True
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    n_paths: int
-    dt_days: float = 1.0
+    n_paths: int = 30000
+    dt_days: float = 1.0 / 3.0
     claim_interval_days: float = 14.0
     liq_penalty_frac: float = 0.20
     borrow_fee_frac: float = 0.003
@@ -171,6 +172,8 @@ def validate_sim(sim: SimConfig) -> list:
     errs = []
     if sim.n_paths < 1:
         errs.append("n_paths must be at least 1")
+    if sim.seed < 0:
+        errs.append("seed must be nonnegative")
     if sim.claim_interval_days < 0:
         errs.append("claim_interval_days must be nonnegative")
     if not 0.0 <= sim.liq_penalty_frac <= 1.0:
@@ -220,10 +223,13 @@ def parse_rebalance(desc):
     if m is None:
         raise ScenarioError(
             "unknown rebalance descriptor %r; expected none, threshold(pp) or periodic(days)" % (desc,))
-    value = _parse_number(m.group(2))
+    try:
+        value = _parse_number(m.group(2))
+    except ScenarioError as exc:
+        raise ScenarioError("rebalance parameter in %r: %s" % (desc, exc)) from None
     if value <= 0:
         raise ScenarioError("rebalance parameter must be positive in %r" % (desc,))
-    return (m.group(1), float(value))
+    return (m.group(1), value)
 
 
 # ---------------------------------------------------------------------------
@@ -282,51 +288,21 @@ def read_price_csv(path):
 # scenario files
 #
 # Flat `key = value` text with dotted section prefixes and # comments.
-# Omitted keys fall back to the SUI/NS baseline calibration below, so preset
-# files and --override strings only carry deltas. Unknown keys are hard
+# Omitted keys take the records' field defaults, the SUI/NS baseline, so
+# preset files and --override strings only carry deltas. Unknown keys are hard
 # errors (typo protection); every bad key in a file is reported at once.
 
-BASELINE_VALUES = {
-    "market.sigma_a": 0.922,
-    "market.sigma_b": 1.084,
-    "market.rho": 0.72,
-    "market.mu_a": 0.0,
-    "market.mu_b": 0.0,
-    "rates.r_a": 0.03,
-    "rates.r_b": 0.15,
-    "rates.reward_rate": 0.54,
-    "rates.r_f": 0.04,
-    "position.v0": 1.0,
-    "position.c_over_v0": 2.0,
-    "position.h": 0.60,
-    "position.l_max": 0.80,
-    "position.horizon_days": 90.0,
-    "sim.n_paths": 30000,
-    "sim.dt_days": 1.0 / 3.0,
-    "sim.claim_interval_days": 14.0,
-    "sim.liq_penalty_frac": 0.20,
-    "sim.borrow_fee_frac": 0.003,
-    "sim.gas_cost": 0.0,
-    "sim.rebalance": "none",
-    "sim.seed": DEFAULT_SEED,
-    "sim.include_tx_costs": False,
-}
-
-JUMP_DEFAULTS = {
-    "jump.lambda": 4.0,
-    "jump.mu_j": -0.05,
-    "jump.sigma_j": 0.15,
-    "jump.rho_j": 0.80,
-    "jump.variance_matched": True,
-}
-
-
 def _parse_number(s):
+    """A finite float; fractions such as 1/3 (for dt_days) are allowed."""
     s = str(s).strip()
-    if "/" in s:  # allow fractions like 1/3 for dt_days
-        num, den = s.split("/", 1)
-        return float(num) / float(den)
-    return float(s)
+    num, slash, den = s.partition("/")
+    try:
+        value = float(num) / float(den) if slash else float(s)
+    except (ValueError, ZeroDivisionError):
+        raise ScenarioError("expected a number, got %r" % (s,)) from None
+    if not math.isfinite(value):
+        raise ScenarioError("expected a finite number, got %r" % (s,))
+    return value
 
 
 def _parse_bool(s):
@@ -349,16 +325,15 @@ _TYPE_PARSERS = {"float": _parse_number, "int": int, "bool": _parse_bool, "str":
 
 
 def _schema():
-    """section -> (record, its init keys in field order, dict -> the record's
-    arguments, all its keys, record -> their values, (key, attribute) of each
-    derived field), and key -> parser; built once, at import."""
+    """section -> (record, its keys, record -> their values, (key, attribute) of
+    each init field, of each derived field), and key -> parser; built at import."""
     schema, parsers = {}, {}
     for section, record in _SECTIONS:
         fs = fields(record)
         keys = tuple("%s.%s" % (section, _RENAMED.get((section, f.name), f.name)) for f in fs)
         parsers.update((key, _TYPE_PARSERS[f.type]) for key, f in zip(keys, fs))
-        init = tuple(key for key, f in zip(keys, fs) if f.init)
-        schema[section] = (record, init, itemgetter(*init), keys, attrgetter(*(f.name for f in fs)),
+        schema[section] = (record, keys, attrgetter(*(f.name for f in fs)),
+                           tuple((key, f.name) for key, f in zip(keys, fs) if f.init),
                            tuple((key, f.name) for key, f in zip(keys, fs) if not f.init))
     return schema, parsers
 
@@ -369,15 +344,14 @@ SCENARIO_KEYS = tuple(sorted(_KEY_PARSERS))
 
 
 def _build_scenario(values, name):
+    """Each record from the keys given, its field defaults for the rest."""
     records = {}
-    for section, (record, init, args_of, _, _, derived) in _SCHEMA.items():
-        v = values
-        if section == "jump":
-            # the one optional section: any jump key turns it on, the rest default
-            if values.keys().isdisjoint(init):
-                continue
-            v = {**JUMP_DEFAULTS, **values}
-        records[section] = rec = record(*args_of(v))
+    for section, (record, _, _, init, derived) in _SCHEMA.items():
+        args = {attr: values[key] for key, attr in init if key in values}
+        # the one optional section: any jump key turns it on, the rest default
+        if section == "jump" and not args:
+            continue
+        records[section] = rec = record(**args)
         for key, attr in derived:
             given = values.get(key)
             if given is not None and not math.isclose(given, getattr(rec, attr), rel_tol=1e-9):
@@ -391,7 +365,7 @@ def _build_scenario(values, name):
 def scenario_values(scn: Scenario) -> dict:
     """Flatten a Scenario back into its key->value form, derived keys included."""
     v = {}
-    for section, (_, _, _, keys, values_of, _) in _SCHEMA.items():
+    for section, (_, keys, values_of, _, _) in _SCHEMA.items():
         rec = getattr(scn, section)
         if rec is not None:
             v.update(zip(keys, values_of(rec)))
@@ -434,7 +408,7 @@ def parse_scenario(text, name="custom", base=None):
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         entries.append(("line %d: key %s" % (lineno, key), key, val))
-    return _scenario_from(BASELINE_VALUES if base is None else base, entries, bad, name)
+    return _scenario_from({} if base is None else base, entries, bad, name)
 
 
 def load_scenario(path, base=None):
@@ -466,4 +440,4 @@ def scenario_hash(scn: Scenario) -> str:
 
 
 def baseline_scenario(name="baseline") -> Scenario:
-    return _build_scenario(BASELINE_VALUES, name)
+    return _build_scenario({}, name)

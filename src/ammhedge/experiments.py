@@ -22,8 +22,8 @@ import numpy as np
 
 from . import montecarlo as mc
 from .config_domain import (_KEY_PARSERS, DAYS_PER_YEAR, Scenario, ScenarioError,
-                            apply_overrides, parse_rebalance, parse_scenario, scenario_hash,
-                            validate_scenario)
+                            _parse_number, apply_overrides, parse_rebalance, parse_scenario,
+                            scenario_hash, validate_scenario)
 from .liquidation_fpt import fpt_inputs, liquidation_probability
 
 TABLE4_GRID = (0.0, 0.20, 0.40, 0.50, 0.60, 0.65, 0.70, 0.80, 1.00)
@@ -279,7 +279,7 @@ _UNSWEPT = {
 # sweep axis -> parser of its values: every other scenario key with its own
 # parser, and market.vol_scale, which scales both vols
 SWEEP_AXES = {**{k: p for k, p in _KEY_PARSERS.items() if k not in _UNSWEPT},
-              "market.vol_scale": float}
+              "market.vol_scale": _parse_number}
 
 
 def _apply_axis(scn, axis, value) -> Scenario:
@@ -384,15 +384,14 @@ def run_sensitivity_cv(scn, values=(1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0),
                  formats=["%.1f", "%.0f", "%.2f", "%.1f", "%+.2f", "%.1f"], extra=t.extra)
 
 
-def run_robustness_pairs(base=None, grid=FINE_GRID, n_workers=1) -> Table:
+def run_robustness_pairs(base, grid=FINE_GRID, n_workers=1) -> Table:
     """Optimal hedge ratio across the shipped token-pair presets.
 
-    Each pair keeps its own market and rates; given a base scenario, every
-    pair takes the rest from it: position, jumps and simulation settings.
+    Each pair keeps its own preset's market and rates and takes the rest from
+    base: position, jumps and simulation settings.
     """
-    scenarios = [get_preset(preset) for _, _, preset in ROBUSTNESS_PAIRS]
-    if base is not None:
-        scenarios = [replace(base, market=scn.market, rates=scn.rates) for scn in scenarios]
+    scenarios = [replace(base, market=pair.market, rates=pair.rates)
+                 for pair in (get_preset(preset) for _, _, preset in ROBUSTNESS_PAIRS)]
     rows, per_pair = [], {}
     for (pair, chain, _), scn, stats in zip(ROBUSTNESS_PAIRS, scenarios,
                                             _score(scenarios, grid, n_workers)):
@@ -406,7 +405,7 @@ def run_robustness_pairs(base=None, grid=FINE_GRID, n_workers=1) -> Table:
     return Table(name="robustness_pairs",
                  columns=["Pair", "Chain", "sigma_A", "sigma_B", "rho", "r_A", "r_B",
                           "LP APR", "h**", "SR"],
-                 rows=rows, provenance=_provenance(base or get_preset("baseline"), scenarios),
+                 rows=rows, provenance=_provenance(base, scenarios),
                  formats=[None, None, "%.0f", "%.0f", "%.2f", "%.0f", "%.0f", "%.0f",
                           "%.0f", "%.2f"],
                  extra={"per_pair": per_pair})
@@ -556,8 +555,8 @@ def write_table(table, out_dir) -> list:
 # one-shot reproduction targets
 
 class Target(NamedTuple):
-    """run(base, scn, n_workers) -> Tables, scn being the caller's scenario or None and
-    base it or the target's preset; a sweep shortcut also names the scenario key it varies."""
+    """run(base, n_workers) -> Tables, base being the caller's scenario or the target's
+    preset; a sweep shortcut also names the scenario key it varies."""
 
     aliases: tuple
     run: Callable
@@ -566,7 +565,7 @@ class Target(NamedTuple):
 
 
 def _one(runner):
-    return lambda base, scn, n_workers: [runner(base, n_workers=n_workers)]
+    return lambda base, n_workers: [runner(base, n_workers=n_workers)]
 
 
 # the single list of target names, aliases and sweep shortcuts
@@ -576,17 +575,15 @@ TARGETS = {
     "table5": Target(("analytic_vs_mc",), _one(run_analytic_vs_mc), preset="table5"),
     "liqstats": Target(("liquidation_stats",), _one(run_liquidation_stats)),
     "table8": Target(("rebalancing",), _one(run_rebalancing_comparison)),
-    "jumps": Target(("jump_stress", "jump_comparison"), lambda base, scn, n_workers: list(
+    "jumps": Target(("jump_stress", "jump_comparison"), lambda base, n_workers: list(
         run_jump_stress(base, n_workers=n_workers).values())),
     "apr": Target(("sensitivity_apr",), _one(run_sensitivity_apr), "rates.reward_rate"),
     "vol": Target(("sensitivity_vol",), _one(run_sensitivity_vol), "market.vol_scale"),
     "penalty": Target(("sensitivity_penalty",), _one(run_sensitivity_penalty),
                       "sim.liq_penalty_frac"),
     "cv": Target(("cv_sensitivity",), _one(run_sensitivity_cv), "position.c_over_v0"),
-    # every pair keeps its own preset unless the caller brings a scenario
-    "robustness": Target(("robustness_pairs", "table6"), lambda base, scn, n_workers: [
-        run_robustness_pairs(scn, n_workers=n_workers)]),
-    **{fig: Target((), lambda base, scn, n_workers, fig=fig: [
+    "robustness": Target(("robustness_pairs", "table6"), _one(run_robustness_pairs)),
+    **{fig: Target((), lambda base, n_workers, fig=fig: [
         emit_figure_data(fig, base, n_workers=n_workers)]) for fig in FIGURES},
 }
 
@@ -602,7 +599,7 @@ def reproduce(name, scn=None, out_dir=None, n_workers=1):
     if target is None:
         raise ScenarioError("unknown reproduction target %r; known: %s"
                             % (name, describe_targets()))
-    tables = target.run(scn if scn is not None else get_preset(target.preset), scn, n_workers)
+    tables = target.run(scn if scn is not None else get_preset(target.preset), n_workers)
     if out_dir is not None:
         for t in tables:
             write_table(t, out_dir)

@@ -198,6 +198,33 @@ def test_negative_costs_are_config_errors(capsys):
         assert "%s must be nonnegative" % key.split(".")[1] in err
 
 
+def _no_draws(*args, **kw):
+    raise AssertionError("paths drawn before the scenario was validated")
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--override", "rates.r_a=nan"], "rates.r_a"),
+    (["--override", "market.mu_a=nan"], "market.mu_a"),
+    (["--override", "jump.mu_j=nan"], "jump.mu_j"),
+    (["--override", "jump.lambda=nan"], "jump.lambda"),
+    (["--override", "sim.gas_cost=inf"], "sim.gas_cost"),
+    (["--override", "sim.claim_interval_days=nan"], "sim.claim_interval_days"),
+    (["--override", "sim.dt_days=inf"], "sim.dt_days"),
+    (["--override", "position.horizon_days=inf"], "position.horizon_days"),
+    (["--override", "sim.rebalance=threshold(nan)"], "threshold(nan)"),
+    (["--override", "sim.rebalance=periodic(inf)"], "periodic(inf)"),
+    (["--override", "sim.rebalance=threshold(abc)"], "threshold(abc)"),
+    (["--override", "sim.rebalance=periodic(1/0)"], "periodic(1/0)"),
+    (["--seed", "-1"], "seed must be nonnegative"),
+])
+def test_non_finite_malformed_and_negative_inputs_are_config_errors(capsys, monkeypatch,
+                                                                    argv, names):
+    monkeypatch.setattr(mc, "generate_path_matrix", _no_draws)
+    code, out, err = _run(capsys, ["simulate", "--paths", "50"] + argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("configuration error:") and names in err
+
+
 # ---------------------------------------------------------------------------
 # sweeps, rebalance, jumps, reproduce
 
@@ -220,6 +247,15 @@ def test_sweep_shortcut_axis(capsys):
     assert code == 0
     assert "R/V_0,h**,SR,Remark" in out
     assert "Calibrated value" in out
+
+
+@pytest.mark.parametrize("axis", ["market.vol_scale", "rates.r_b"])
+def test_non_finite_sweep_value_is_config_error(capsys, monkeypatch, axis):
+    monkeypatch.setattr(mc, "generate_path_matrix", _no_draws)
+    code, out, err = _run(capsys, ["sweep", "--axis", axis, "--values", "1,inf",
+                                   "--paths", "200"])
+    assert (code, out) == (1, "")
+    assert "cannot parse --values for %s: expected a finite number" % axis in err
 
 
 @pytest.mark.parametrize("axis, values", [
@@ -279,6 +315,14 @@ def test_rebalance_table(capsys):
     assert "Every 30 days" in out and "Threshold 10pp" in out
 
 
+@pytest.mark.parametrize("h", ["1.5", "-0.5", "nan"])
+def test_rebalance_rejects_an_invalid_h(capsys, monkeypatch, h):
+    monkeypatch.setattr(mc, "generate_path_matrix", _no_draws)
+    code, out, err = _run(capsys, ["rebalance", "--paths", "300", "--h", h])
+    assert (code, out) == (1, "")
+    assert "--h %r" % float(h) in err and "h must lie in [0,1]" in err
+
+
 def test_rebalance_on_jump_paths_is_tagged_mc_jump(capsys):
     code, out, _ = _run(capsys, ["rebalance", "--scenario", "jumps", "--paths", "400"])
     assert code == 0
@@ -335,8 +379,8 @@ def test_every_target_name_dispatches(capsys, monkeypatch, name):
     key = next(n for n, t in TARGETS.items() if name == n or name in t.aliases)
     seen = []
 
-    def run(base, scn, n_workers):
-        seen.append((base, scn, n_workers))
+    def run(base, n_workers):
+        seen.append((base, n_workers))
         return [Table(name="stub", columns=["x"], rows=[[1.0]],
                       provenance={"seed": base.sim.seed, "n_paths": base.sim.n_paths,
                                   "engine": "-", "config": "-"})]
@@ -345,15 +389,15 @@ def test_every_target_name_dispatches(capsys, monkeypatch, name):
     code, out, _ = _run(capsys, ["reproduce", name, "--paths", "200", "--seed", "3",
                                  "--workers", "2"])
     assert code == 0
-    (base, scn, n_workers), = seen
-    assert (base.sim.n_paths, scn.sim.seed, n_workers) == (200, 3, 2) and base is scn
+    (base, n_workers), = seen
+    assert (base.sim.n_paths, base.sim.seed, n_workers) == (200, 3, 2)
     assert out.startswith("# seed=3 n_paths=200 ")
     # with no flags the target runs its own preset: table5 the 50k-path one
     seen.clear()
     assert _run(capsys, ["reproduce", name])[0] == 0
-    (base, scn, n_workers), = seen
+    (base, n_workers), = seen
     preset = "table5" if key == "table5" else "baseline"
-    assert scn is None and scenario_hash(base) == scenario_hash(get_preset(preset))
+    assert scenario_hash(base) == scenario_hash(get_preset(preset))
 
 
 def test_apr_sweep_marks_the_calibrated_rate(capsys):

@@ -76,6 +76,11 @@ def test_event_cadence_must_fit_the_grid(dt_days, changes, error):
     assert cd.validate_sim(cd.SimConfig(n_paths=10, dt_days=dt_days, **changes)) == [error]
 
 
+def test_negative_seed_rejected():
+    assert cd.validate_sim(cd.SimConfig(n_paths=10, seed=-1)) == ["seed must be nonnegative"]
+    assert cd.validate_sim(cd.SimConfig(n_paths=10, seed=0)) == []
+
+
 def test_baseline_cadences_are_valid():
     for dt_days in (1.0 / 3.0, 0.25, 1.0, 2.0):
         for rule in ("none", "threshold(15)", "periodic(14)", "periodic(30)"):
@@ -133,6 +138,9 @@ def test_parse_rebalance():
         cd.parse_rebalance("weekly")
     with pytest.raises(cd.ScenarioError):
         cd.parse_rebalance("threshold(0)")
+    for bad in ("threshold(nan)", "periodic(inf)", "threshold(abc)", "periodic(1/0)"):
+        with pytest.raises(cd.ScenarioError, match="number"):
+            cd.parse_rebalance(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +267,20 @@ def test_override_equals_editing_file(tmp_path):
     assert cd.scenario_hash(from_file) == cd.scenario_hash(overridden)
 
 
+_FLOAT_KEYS = sorted(k for k, p in cd._KEY_PARSERS.items() if p is cd._parse_number)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(_FLOAT_KEYS),
+       text=st.sampled_from(["nan", "inf", "-inf", "NaN", "+Infinity", "1e400", "-1e999",
+                             "1/0", "0/0", "abc", "1/x", "", "inf/2"]))
+def test_non_finite_and_malformed_numbers_are_rejected(key, text):
+    with pytest.raises(cd.ScenarioError, match="override %s: expected a" % key):
+        cd.apply_overrides(cd.baseline_scenario(), ["%s=%s" % (key, text)])
+    with pytest.raises(cd.ScenarioError, match="line 1: key %s: expected a" % key):
+        cd.parse_scenario("%s = %s\n" % (key, text))
+
+
 def test_override_bad_pairs():
     scn = cd.baseline_scenario()
     with pytest.raises(cd.ScenarioError):
@@ -335,14 +357,23 @@ def test_preset_hashes_are_frozen():
     assert {name: cd.scenario_hash(get_preset(name)) for name in PRESETS} == FROZEN_PRESET_HASHES
 
 
+def test_record_defaults_are_the_baseline():
+    from ammhedge.experiments import get_preset
+    scn = cd.Scenario(market=cd.MarketParams(), rates=cd.RateParams(),
+                      position=cd.PositionParams(), sim=cd.SimConfig())
+    assert cd.scenario_hash(scn) == FROZEN_PRESET_HASHES["baseline"]
+    assert cd.JumpParams() == get_preset("jumps").jump
+
+
 def test_scenario_keys_and_types_are_frozen():
     assert cd.SCENARIO_KEYS == tuple(sorted(FROZEN_KEY_TYPES))
     assert len(cd.SCENARIO_KEYS) == 29
     for key, kind in FROZEN_KEY_TYPES.items():
         value = cd._KEY_PARSERS[key]({float: "0.25", int: "7", str: "none", bool: "true"}[kind])
         assert type(value) is kind, key
-    # the defaults table covers every key a record takes, and nothing else
-    derived = {"position.horizon_years"}
-    assert set(cd.BASELINE_VALUES) | set(cd.JUMP_DEFAULTS) == set(FROZEN_KEY_TYPES) - derived
+    # every key a record takes has a default, so any subset of keys builds
+    for _, record in cd._SECTIONS:
+        assert all(f.default is not dataclasses.MISSING for f in dataclasses.fields(record)
+                   if f.init), record
     jumps = cd.parse_scenario("jump.rho_j = 0.3\n")
     assert set(cd.scenario_values(jumps)) == set(FROZEN_KEY_TYPES)

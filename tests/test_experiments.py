@@ -11,7 +11,7 @@ import pytest
 import ammhedge.experiments as exp
 import ammhedge.liquidation_fpt as fpt
 import ammhedge.montecarlo as mc
-from ammhedge.config_domain import (JUMP_DEFAULTS, ScenarioError, apply_overrides, load_scenario,
+from ammhedge.config_domain import (JumpParams, ScenarioError, apply_overrides, load_scenario,
                                     scenario_hash, scenario_values)
 
 from conftest import scaled
@@ -360,9 +360,8 @@ def test_jump_stress_generates_each_scenario_once(tiny, monkeypatch):
 def test_with_jump_fills_the_default_jump_calibration(tiny):
     assert tiny.jump is None
     scn = exp._with_jump(tiny, 0.30, False)
-    values = scenario_values(scn)
-    jumps = {k: values.pop(k) for k in list(values) if k.startswith("jump.")}
-    assert jumps == dict(JUMP_DEFAULTS, **{"jump.rho_j": 0.30, "jump.variance_matched": False})
+    values = {k: v for k, v in scenario_values(scn).items() if not k.startswith("jump.")}
+    assert scn.jump == JumpParams(rho_j=0.30, variance_matched=False)
     assert values == scenario_values(tiny)
 
 

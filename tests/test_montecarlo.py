@@ -484,7 +484,7 @@ def test_kernel_breaches_at_the_exact_level(cv, l_max):
     rel = np.ones((3, 2))
     rel[:, 1] = 2.0 * debts
     pos = PositionParams(v0=1.0, c_over_v0=cv, h=0.5, l_max=l_max, horizon_days=1.0)
-    sim = SimConfig(n_paths=3, claim_interval_days=0.0)
+    sim = SimConfig(n_paths=3, dt_days=1.0, claim_interval_days=0.0)
     batch = mc.simulate_batch(rel, rel, None, RateParams(0.0, 0.0, 0.0, 0.0), pos, sim)
     assert np.array_equal(batch.liquidated, debts / cv >= l_max)
     assert list(batch.liquidated[:2]) == [True, False]
