@@ -33,7 +33,8 @@ def _add_common(p):
                    help="RNG seed (beats %s and the scenario file; default %d)"
                         % (SEED_ENV, DEFAULT_SEED))
     p.add_argument("--paths", type=int, default=None, help="number of Monte Carlo paths")
-    p.add_argument("--workers", type=int, default=1, help="threads for path generation")
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads that draw path blocks ahead of the kernel")
     p.add_argument("--out", default=None, metavar="DIR", help="also write CSVs here")
     tx = p.add_mutually_exclusive_group()
     tx.add_argument("--tx", dest="tx", action="store_true", default=None,
@@ -68,6 +69,15 @@ def _resolve_scenario(args):
     if errs:
         raise ScenarioError("; ".join(errs))
     return scn, name != "baseline" or bool(overrides)
+
+
+def _at_h(scn, h):
+    """scn with the --h flag in place of position.h, held to the same checks."""
+    scn = dataclasses.replace(scn, position=dataclasses.replace(scn.position, h=h))
+    errs = validate_scenario(scn)
+    if errs:
+        raise ScenarioError("--h %r: %s" % (h, "; ".join(errs)))
+    return scn
 
 
 def _emit(tables, out_dir):
@@ -113,11 +123,9 @@ def cmd_analytic(args):
 
 def cmd_fpt(args):
     scn, _ = _resolve_scenario(args)
-    m, pos = scn.market, scn.position
     if args.h is not None:
-        if not 0.0 <= args.h <= 1.0:
-            raise ScenarioError("--h must lie in [0,1]")
-        pos = dataclasses.replace(pos, h=args.h)
+        scn = _at_h(scn, args.h)
+    m, pos = scn.market, scn.position
     st = fpt.sigma_tilde(m, pos.horizon_years)
     inp = fpt.fpt_inputs(pos.h, m, pos)
     prob = fpt.liquidation_probability(pos.h, m, pos)
@@ -135,8 +143,10 @@ def cmd_fpt(args):
 
 def cmd_simulate(args):
     scn, _ = _resolve_scenario(args)
-    rel_a, rel_b = experiments._paths_for(scn, args.workers)
-    batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, scn.position, scn.sim)
+    # every per-path field only for the dump
+    batch, = mc._simulate_blocks(experiments._blocks_for(scn, args.workers),
+                                 [(scn.market, scn.rates, scn.position, scn.sim, None)],
+                                 kept=mc._PER_PATH if args.dump_paths else mc._AGGREGATED)
     if args.dump_paths:
         mc.write_path_dump(batch, args.dump_paths)
     stats = mc.aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)
@@ -181,11 +191,7 @@ def cmd_sweep(args):
 
 def cmd_rebalance(args):
     scn, _ = _resolve_scenario(args)
-    # every strategy runs at --h in place of the scenario's position.h
-    errs = validate_scenario(dataclasses.replace(
-        scn, position=dataclasses.replace(scn.position, h=args.h)))
-    if errs:
-        raise ScenarioError("--h %r: %s" % (args.h, "; ".join(errs)))
+    _at_h(scn, args.h)  # every strategy runs at --h
     tables = [experiments.run_rebalancing_comparison(scn, h=args.h, n_workers=args.workers)]
     _emit(tables, args.out)
     return 0

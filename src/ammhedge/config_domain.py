@@ -106,6 +106,14 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # validation
 
+def _non_finite(section, rec) -> list:
+    """An error for each float field of a section's record that is nan or
+    infinite. The parser refuses such text; this holds records built in code
+    to the same guard, which the range checks below miss: x < 0 is false for nan."""
+    return ["%s must be a finite number" % key for key, attr in _FLOAT_FIELDS[section]
+            if not math.isfinite(getattr(rec, attr))]
+
+
 def validate(market: MarketParams, rates: RateParams, pos: PositionParams) -> list:
     """Collect every violated invariant; an empty list means usable.
 
@@ -137,7 +145,8 @@ def validate(market: MarketParams, rates: RateParams, pos: PositionParams) -> li
             errs.append("initial LTV %.2f ≥ l_max" % ltv0)
     if not pos.horizon_days > 0:
         errs.append("horizon_days must be positive")
-    return errs
+    return (errs + _non_finite("market", market) + _non_finite("rates", rates)
+            + _non_finite("position", pos))
 
 
 def validate_jump(jump: JumpParams, market: MarketParams) -> list:
@@ -153,13 +162,16 @@ def validate_jump(jump: JumpParams, market: MarketParams) -> list:
         for name, sig in (("sigma_a", market.sigma_a), ("sigma_b", market.sigma_b)):
             if sig ** 2 - jump_var <= 0:
                 errs.append("variance matching infeasible: %s^2 <= lambda*(mu_j^2 + sigma_j^2)" % name)
-    return errs
+    return errs + _non_finite("jump", jump)
 
 
 def _whole_steps(span, step):
     """span / step when step cuts span into n >= 1 whole steps, else None; the
     tolerance absorbs the rounding of steps such as 1/3 day."""
-    n = int(round(span / step))
+    ratio = span / step
+    if not math.isfinite(ratio):
+        return None
+    n = int(round(ratio))
     if n < 1 or abs(n * step - span) > 1e-6 * max(1.0, span):
         return None
     return n
@@ -199,7 +211,7 @@ def validate_sim(sim: SimConfig) -> list:
             if days > 0 and _whole_steps(days, max(dt, 1.0)) is None:
                 errs.append((what + " is not a whole number of days divisible by dt_days = %g")
                             % (days, dt))
-    return errs
+    return errs + _non_finite("sim", sim)
 
 
 def validate_scenario(scn: Scenario) -> list:
@@ -340,6 +352,10 @@ def _schema():
 
 _SCHEMA, _KEY_PARSERS = _schema()
 _DERIVED_KEYS = tuple(key for *_, derived in _SCHEMA.values() for key, _ in derived)
+# section -> (key, attribute) of each float field a record is built from
+_FLOAT_FIELDS = {section: tuple((key, attr) for key, attr in init
+                                if _KEY_PARSERS[key] is _parse_number)
+                 for section, (_, _, _, init, _) in _SCHEMA.items()}
 SCENARIO_KEYS = tuple(sorted(_KEY_PARSERS))
 
 

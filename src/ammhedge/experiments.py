@@ -1,9 +1,10 @@
 """Config-driven reproduction of every results table and figure dataset.
 
 Each runner names the scenarios it scores and reads their statistics per
-hedge ratio from _score, the one place that draws, reuses and drops path
-matrices: scenarios that ask for the same paths score on one matrix, so
-comparisons ride on common random numbers, and consecutive scenarios that
+hedge ratio from _score, the one place that draws and streams paths:
+consecutive scenarios that ask for the same paths score on one stream of
+blocks, each block drawn once and read by every kernel pass of the run, so
+comparisons ride on common random numbers; and consecutive scenarios that
 differ only in what the kernel reads after its step loop share one pass per h.
 Each runner returns a Table; write_table() emits two CSVs per table, one at
 display precision and one at full precision, both under a provenance header
@@ -99,8 +100,9 @@ def _path_inputs(scn):
     return scn.market, scn.jump, scn.position.horizon_days, sim.dt_days, sim.n_paths, sim.seed
 
 
-def _paths_for(scn, n_workers=1):
-    return mc.generate_path_matrix(*_path_inputs(scn), n_workers)
+def _blocks_for(scn, n_workers=1):
+    """scn's paths block by block, the blocks of generate_path_matrix."""
+    return mc._path_blocks(*_path_inputs(scn), n_workers)
 
 
 def _pass_key(scn):
@@ -116,27 +118,25 @@ def _pass_key(scn):
 def _score(scenarios, grid, n_workers=1, paths=None) -> list:
     """{h: SummaryStats} over the grid for each scenario, on common random numbers.
 
-    Given paths serve every scenario. Otherwise a scenario draws paths only when
-    it asks for other ones than the last draw, and the old matrix is dropped
-    first, so one matrix is alive at a time. Consecutive scenarios with equal
-    _pass_key share one kernel pass per h.
+    Given paths serve every scenario as one block. Otherwise each run of
+    consecutive scenarios with equal _path_inputs streams its paths once: every
+    block is drawn once and read by all of the run's kernel passes before it is
+    dropped. Consecutive scenarios with equal _pass_key share one kernel pass
+    per h.
     """
-    given, drawn, out = paths is not None, None, []
-    for _, group in groupby(scenarios, key=_pass_key):
-        group = list(group)
-        scn = group[0]
-        inputs = _path_inputs(scn)
-        if not given and inputs != drawn:
-            paths = None  # drop the old matrix before the next draw
-            paths, drawn = _paths_for(scn, n_workers), inputs
-        variants = [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in group]
-        by_h = {}
-        for h in grid:
-            pos = replace(scn.position, h=h)
-            by_h[h] = [mc.aggregate(row, pos.horizon_days, r_f=scn.rates.r_f)
-                       for row in mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates,
-                                                    pos, scn.sim, variants=variants).rows()]
-        out += [{h: by_h[h][k] for h in grid} for k in range(len(group))]
+    out = []
+    for _, run in groupby(scenarios, key=_path_inputs if paths is None else lambda s: 0):
+        groups = [list(g) for _, g in groupby(run, key=_pass_key)]
+        passes = [(g[0].market, g[0].rates, replace(g[0].position, h=h), g[0].sim,
+                   [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in g])
+                  for g in groups for h in grid]
+        blocks = [paths] if paths is not None else _blocks_for(groups[0][0], n_workers)
+        batches = mc._simulate_blocks(blocks, passes)
+        for g in groups:
+            scn = g[0]
+            by_h = {h: [mc.aggregate(row, scn.position.horizon_days, r_f=scn.rates.r_f)
+                        for row in next(batches).rows()] for h in grid}
+            out += [{h: by_h[h][k] for h in grid} for k in range(len(g))]
     return out
 
 
@@ -247,13 +247,12 @@ REBALANCE_STRATEGIES = (
 def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
                                n_workers=1, paths=None) -> Table:
     """Static hedge vs threshold and periodic rebalancing on shared paths."""
-    if paths is None:
-        paths = _paths_for(scn, n_workers)
+    pos = replace(scn.position, h=h)
+    passes = [(scn.market, scn.rates, pos, replace(scn.sim, rebalance=rule), None)
+              for _, rule in strategies]
+    blocks = [paths] if paths is not None else _blocks_for(scn, n_workers)
     rows, stats = [], {}
-    for label, rule in strategies:
-        pos = replace(scn.position, h=h)
-        sim = replace(scn.sim, rebalance=rule)
-        batch = mc.simulate_batch(paths[0], paths[1], scn.market, scn.rates, pos, sim)
+    for (label, _), batch in zip(strategies, mc._simulate_blocks(blocks, passes)):
         st = mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
         stats[label] = st
         gas_paid = scn.sim.gas_cost * float(np.mean(batch.n_rebalances))

@@ -54,24 +54,35 @@ def fpt_inputs(h, market: MarketParams, pos: PositionParams) -> FptInputs:
                      nu=-0.5 * st * st, t_years=pos.horizon_years)
 
 
+def _probability(market: MarketParams, pos: PositionParams):
+    """liquidation_probability(., market, pos) as a function of h alone; the
+    moment-matched vol, s2t and sd, which do not depend on h, are computed once."""
+    st = sigma_tilde(market, pos.horizon_years)
+    s2t = st * st * pos.horizon_years
+    sd = math.sqrt(s2t)
+
+    def prob(h):
+        if h == 0:
+            return 0.0
+        if h < 0:
+            raise ValueError("h must be nonnegative")
+        ltv0 = h / pos.c_over_v0
+        if ltv0 >= pos.l_max:
+            return 1.0
+        b = math.log(pos.l_max / ltv0) if ltv0 > 0 else math.inf
+        return (_norm_cdf((-b - 0.5 * s2t) / sd)
+                + (ltv0 / pos.l_max) * _norm_cdf((-b + 0.5 * s2t) / sd))
+
+    return prob
+
+
 def liquidation_probability(h, market: MarketParams, pos: PositionParams) -> float:
     """P(max LTV over [0,T] reaches l_max) under the matched-GBM approximation.
 
     Monotone increasing in h. h = 0 carries no debt, so 0; an infeasible
     start (LTV0 >= l_max) is trivially 1.
     """
-    if h == 0:
-        return 0.0
-    if h < 0:
-        raise ValueError("h must be nonnegative")
-    fi = fpt_inputs(h, market, pos)
-    if fi.ltv0 >= pos.l_max:
-        return 1.0
-    s2t = fi.sigma_tilde * fi.sigma_tilde * fi.t_years
-    sd = math.sqrt(s2t)
-    b = fi.barrier_log
-    return (_norm_cdf((-b - 0.5 * s2t) / sd)
-            + (fi.ltv0 / pos.l_max) * _norm_cdf((-b + 0.5 * s2t) / sd))
+    return _probability(market, pos)(h)
 
 
 def h_bar(alpha, market: MarketParams, pos: PositionParams, tol=1e-6) -> float:
@@ -82,14 +93,15 @@ def h_bar(alpha, market: MarketParams, pos: PositionParams, tol=1e-6) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
+    prob = _probability(market, pos)
     # keep LTV0 strictly below l_max at the bracket end
     hi = min(1.0, pos.l_max * pos.c_over_v0 * (1.0 - 1e-9))
-    if liquidation_probability(hi, market, pos) <= alpha:
+    if prob(hi) <= alpha:
         return hi
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if liquidation_probability(mid, market, pos) <= alpha:
+        if prob(mid) <= alpha:
             lo = mid
         else:
             hi = mid

@@ -6,13 +6,20 @@ Price generation is blocked for determinism: paths come in fixed blocks of
 8192, block i drawing from SeedSequence(seed, spawn_key=(i,)) for the
 diffusion and spawn_key=(i, 2) for the jump overlay. Full blocks are always
 generated and then sliced, so any n_paths and any worker count yield
-bit-identical paths for the same seed. Path matrices are stored
-column-major (time-major): all paths' prices at one step are contiguous.
+bit-identical paths for the same seed. Path arrays are stored column-major
+(time-major): all paths' prices at one step are contiguous.
+
+The block is also the unit of memory: a run streams its blocks through every
+kernel pass it makes and keeps only per-path outputs, so it holds one block
+of paths (plus those that worker threads draw ahead), never the whole
+(n_paths, steps+1) matrix. The step loop is elementwise per path, so the
+outputs equal those of one pass over the whole matrix, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -26,7 +33,10 @@ BLOCK = 8192
 
 @dataclass
 class BatchResult:
-    """Per-path outcomes of one accounting pass, with ROE on both cost bases."""
+    """Per-path outcomes of one accounting pass, with ROE on both cost bases.
+
+    A streamed pass may keep only some per-path fields; the others are None.
+    """
 
     roe: np.ndarray
     roe_raw: np.ndarray
@@ -41,7 +51,8 @@ class BatchResult:
 
     def rows(self):
         """One BatchResult per row of a pass run with variants."""
-        return [BatchResult(*(getattr(self, f.name)[k] for f in fields(self)[:-1]),
+        per_path = [getattr(self, f.name) for f in fields(self)[:-1]]
+        return [BatchResult(*(None if v is None else v[k] for v in per_path),
                             pi0=float(self.pi0[k]))
                 for k in range(len(self.pi0))]
 
@@ -128,37 +139,72 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx):
     return za, zb
 
 
-def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
-    """All paths as two (n_paths, steps+1) arrays of price relatives.
-
-    The arrays are column-major, so each step's prices across all paths are
-    contiguous: the accounting loop reads one column per step.
-    """
+def _path_steps(horizon_days, dt_days):
     steps = _whole_steps(horizon_days, dt_days)
     if steps is None:
         # a configuration error that only simulation meets: the closed form
         # and the first-passage bound take any horizon
         raise ScenarioError("dt_days = %g does not divide horizon_days = %g"
                             % (dt_days, horizon_days))
-    n_blocks = -(-n_paths // BLOCK)
-    rel_a = np.empty((n_paths, steps + 1), order="F")
-    rel_b = np.empty((n_paths, steps + 1), order="F")
-    rel_a[:, 0] = 1.0
-    rel_b[:, 0] = 1.0
+    return steps
 
-    def fill(bi):
-        lo = bi * BLOCK
-        hi = min(n_paths, lo + BLOCK)
-        a, b = _generate_block(market, jump, steps, dt_days, seed, bi)
-        rel_a[lo:hi, 1:] = a[:hi - lo]
-        rel_b[lo:hi, 1:] = b[:hi - lo]
+
+def _starting_at_one(z, rows):
+    """The first rows of a (BLOCK, steps) block as a (rows, steps+1) column-major
+    array whose first column is 1."""
+    rel = np.empty((rows, z.shape[1] + 1), order="F")
+    rel[:, 0] = 1.0
+    rel[:, 1:] = z[:rows]
+    return rel
+
+
+def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
+    """The paths of generate_path_matrix block by block, in order: two
+    (rows, steps+1) column-major arrays per block of BLOCK paths, the last one
+    cut to n_paths.
+
+    With n_workers > 1, worker threads draw up to n_workers blocks ahead of
+    the consumer, whose own work overlaps theirs: the RNG fills and most
+    array operations of a draw release the GIL.
+    """
+    steps = _path_steps(horizon_days, dt_days)
+    n_blocks = -(-n_paths // BLOCK)
+
+    def draw(bi):
+        za, zb = _generate_block(market, jump, steps, dt_days, seed, bi)
+        rows = min(BLOCK, n_paths - bi * BLOCK)
+        rel_a = _starting_at_one(za, rows)
+        del za  # one draw buffer fewer alive while the second leg is copied
+        return rel_a, _starting_at_one(zb, rows)
 
     if n_workers <= 1 or n_blocks == 1:
         for bi in range(n_blocks):
-            fill(bi)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
+            yield draw(bi)
+        return
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        ahead = deque(pool.submit(draw, bi) for bi in range(min(n_workers, n_blocks)))
+        for bi in range(n_blocks):
+            done = ahead.popleft()
+            if bi + n_workers < n_blocks:
+                ahead.append(pool.submit(draw, bi + n_workers))
+            yield done.result()
+
+
+def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
+    """All paths as two (n_paths, steps+1) arrays of price relatives: the
+    blocks of the path stream, stacked.
+
+    The arrays are column-major, so each step's prices across all paths are
+    contiguous: the accounting loop reads one column per step.
+    """
+    steps = _path_steps(horizon_days, dt_days)
+    rel_a = np.empty((n_paths, steps + 1), order="F")
+    rel_b = np.empty((n_paths, steps + 1), order="F")
+    lo = 0
+    for a, b in _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, n_workers):
+        rel_a[lo:lo + len(a)] = a
+        rel_b[lo:lo + len(b)] = b
+        lo += len(a)
     return rel_a, rel_b
 
 
@@ -224,7 +270,8 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
 
     variants, a sequence of (c_over_v0, liq_penalty_frac) pairs, scores them
     all in this one pass in place of pos.c_over_v0 and sim.liq_penalty_frac:
-    each per-path field then has one row per pair and pi0 one entry per pair.
+    each per-path field then has one row per pair and pi0 one entry per pair;
+    n_rebalances, the same for every pair, is a read-only broadcast view.
     The step loop reads C/V0 only in the breach test, which it runs for each
     distinct C/V0, and the penalty not at all; with a rebalancing rule C/V0
     gates the trigger, so all pairs must share it.
@@ -264,7 +311,8 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     liq = np.zeros((len(cvs), n), dtype=bool)
     liq_day = np.full((len(cvs), n), np.nan)
     max_debt = np.full(n, h * v0)
-    n_reb = np.zeros(n, dtype=np.int64)
+    # without a rule no path rebalances: one zero, broadcast, serves them all
+    n_reb = np.zeros(n if reb_stride else 1, dtype=np.int64)
     n_claims = np.zeros((len(cvs), n), dtype=np.int64)
     xa, xb, debt, tmp = (np.empty(n) for _ in range(4))
     breach = np.empty((len(cvs), n), dtype=bool)
@@ -345,9 +393,38 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     batch = BatchResult(
         roe=roe_tx if sim.include_tx_costs else roe_raw,
         roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq, liq_time_days=liq_day[row],
-        max_ltv=max_debt / coll, n_rebalances=np.tile(n_reb, (len(pairs), 1)),
+        max_ltv=max_debt / coll, n_rebalances=np.broadcast_to(n_reb, (len(pairs), n)),
         n_claims=n_claims, tx_cost_paid=tx, pi0=pi0[:, 0])
     return batch if variants is not None else batch.rows()[0]
+
+
+# per-path fields a streamed pass can keep: every one, or those aggregate
+# reads; roe is not kept apart, as it is one of roe_raw and roe_tx
+_PER_PATH = tuple(f.name for f in fields(BatchResult)[1:-1])
+_AGGREGATED = ("roe_raw", "roe_tx", "liquidated", "max_ltv", "n_rebalances")
+
+
+def _simulate_blocks(blocks, passes, kept=_AGGREGATED):
+    """simulate_batch on paths that arrive block by block, for every pass.
+
+    passes holds (market, rates, pos, sim, variants) tuples. Each block is
+    dropped once every pass has read it, before the next one is drawn, and of
+    each pass only the kept per-path fields stay. Once the last block has run,
+    this yields one BatchResult per pass: the kept fields concatenated over
+    the blocks, roe as sim.include_tx_costs picks it, and None for the rest.
+    """
+    parts, pi0 = [[] for _ in passes], [None] * len(passes)
+    for block in blocks:
+        for i, (*args, variants) in enumerate(passes):
+            batch = simulate_batch(*block, *args, variants=variants)
+            parts[i].append([getattr(batch, name) for name in kept])
+            pi0[i] = batch.pi0
+        del block  # before the next block is drawn
+    for i, (*_, sim, _) in enumerate(passes):
+        joined = dict(zip(kept, (np.concatenate(col, axis=-1) for col in zip(*parts[i]))))
+        parts[i] = None
+        yield BatchResult(roe=joined.get("roe_tx" if sim.include_tx_costs else "roe_raw"),
+                          pi0=pi0[i], **{name: joined.get(name) for name in _PER_PATH})
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +463,12 @@ def aggregate(batch: BatchResult, horizon_days, r_f=0.0) -> SummaryStats:
 
 
 def run_scenario(scn, n_workers=1, paths=None) -> SummaryStats:
-    """Generate paths for a scenario and aggregate one full simulation."""
+    """Stream a scenario's paths through one accounting pass and aggregate it;
+    given paths are one block."""
     pos, sim = scn.position, scn.sim
-    if paths is None:
-        paths = generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
-                                     sim.dt_days, sim.n_paths, sim.seed, n_workers)
-    rel_a, rel_b = paths
-    batch = simulate_batch(rel_a, rel_b, scn.market, scn.rates, pos, sim)
+    blocks = [paths] if paths is not None else _path_blocks(
+        scn.market, scn.jump, pos.horizon_days, sim.dt_days, sim.n_paths, sim.seed, n_workers)
+    batch, = _simulate_blocks(blocks, [(scn.market, scn.rates, pos, sim, None)])
     return aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
 
 

@@ -72,6 +72,12 @@ def test_fpt_rejects_out_of_range_h(capsys):
     assert "configuration error" in err and "[0,1]" in err
 
 
+def test_fpt_h_is_held_to_initial_ltv_feasibility(capsys):
+    code, out, err = _run(capsys, ["fpt", "--h", "0.9", "--override", "position.c_over_v0=1"])
+    assert (code, out) == (1, "")
+    assert "--h 0.9" in err and "initial LTV 0.90" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -219,7 +225,7 @@ def _no_draws(*args, **kw):
 ])
 def test_non_finite_malformed_and_negative_inputs_are_config_errors(capsys, monkeypatch,
                                                                     argv, names):
-    monkeypatch.setattr(mc, "generate_path_matrix", _no_draws)
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
     code, out, err = _run(capsys, ["simulate", "--paths", "50"] + argv)
     assert (code, out) == (1, "")
     assert err.startswith("configuration error:") and names in err
@@ -251,7 +257,7 @@ def test_sweep_shortcut_axis(capsys):
 
 @pytest.mark.parametrize("axis", ["market.vol_scale", "rates.r_b"])
 def test_non_finite_sweep_value_is_config_error(capsys, monkeypatch, axis):
-    monkeypatch.setattr(mc, "generate_path_matrix", _no_draws)
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
     code, out, err = _run(capsys, ["sweep", "--axis", axis, "--values", "1,inf",
                                    "--paths", "200"])
     assert (code, out) == (1, "")
@@ -281,7 +287,7 @@ def test_dead_sweep_axes_are_config_errors(capsys, monkeypatch, axis, values, hi
     def boom(*args, **kw):
         raise AssertionError("paths drawn for an axis that cannot be swept")
 
-    monkeypatch.setattr(mc, "generate_path_matrix", boom)
+    monkeypatch.setattr(mc, "_generate_block", boom)
     code, out, err = _run(capsys, ["sweep", "--axis", axis, "--values", values,
                                    "--paths", "200"])
     assert code == 1 and out == ""
@@ -300,7 +306,7 @@ def test_bad_sweep_value_is_config_error_before_any_draw(capsys, monkeypatch, ax
     def boom(*args, **kw):
         raise AssertionError("paths drawn before the sweep was validated")
 
-    monkeypatch.setattr(mc, "generate_path_matrix", boom)
+    monkeypatch.setattr(mc, "_generate_block", boom)
     code, out, err = _run(capsys, ["sweep", "--axis", axis, "--values", good + "," + bad,
                                    "--paths", "200"])
     assert code == 1
@@ -317,7 +323,7 @@ def test_rebalance_table(capsys):
 
 @pytest.mark.parametrize("h", ["1.5", "-0.5", "nan"])
 def test_rebalance_rejects_an_invalid_h(capsys, monkeypatch, h):
-    monkeypatch.setattr(mc, "generate_path_matrix", _no_draws)
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
     code, out, err = _run(capsys, ["rebalance", "--paths", "300", "--h", h])
     assert (code, out) == (1, "")
     assert "--h %r" % float(h) in err and "h must lie in [0,1]" in err
@@ -448,3 +454,15 @@ def test_calibrate_missing_file_is_config_error(capsys, tmp_path):
     code, _, err = _run(capsys, ["calibrate", str(fa), str(tmp_path / "nope.csv")])
     assert code == 1
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rebalance", "--scenario", "jumps"],
+    ["sweep", "--axis", "cv", "--values", "1.5,3"],
+    ["simulate", "--override", "sim.rebalance=periodic(2)"],
+])
+def test_worker_count_does_not_change_bytes(capsys, argv):
+    # three blocks of paths: worker threads draw blocks ahead of the kernel
+    common = ["--paths", str(2 * mc.BLOCK + 100), "--override", "position.horizon_days=4"]
+    outs = [_run(capsys, argv + common + ["--workers", w]) for w in ("1", "2")]
+    assert outs[0][0] == 0 and outs[0] == outs[1]

@@ -377,3 +377,21 @@ def test_scenario_keys_and_types_are_frozen():
                    if f.init), record
     jumps = cd.parse_scenario("jump.rho_j = 0.3\n")
     assert set(cd.scenario_values(jumps)) == set(FROZEN_KEY_TYPES)
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: cd.validate(cd.MarketParams(), cd.RateParams(r_a=math.nan), cd.PositionParams()),
+     "rates.r_a"),
+    (lambda: cd.validate(cd.MarketParams(mu_b=math.inf), cd.RateParams(), cd.PositionParams()),
+     "market.mu_b"),
+    (lambda: cd.validate_jump(cd.JumpParams(lam=math.nan), cd.MarketParams()), "jump.lambda"),
+    (lambda: cd.validate_jump(cd.JumpParams(mu_j=-math.inf, variance_matched=False),
+                              cd.MarketParams()), "jump.mu_j"),
+    (lambda: cd.validate_sim(cd.SimConfig(dt_days=math.inf)), "sim.dt_days"),
+    (lambda: cd.validate_sim(cd.SimConfig(claim_interval_days=math.inf)),
+     "sim.claim_interval_days"),
+    (lambda: cd.validate_sim(cd.SimConfig(borrow_fee_frac=math.nan)), "sim.borrow_fee_frac"),
+])
+def test_records_built_in_code_meet_the_number_guard(build, key):
+    # the parser refuses nan and inf in text; records built directly must not slip past
+    assert "%s must be a finite number" % key in build()

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import os
+import tracemalloc
 import weakref
 
 import pytest
@@ -168,17 +169,19 @@ def test_sweep_draws_the_paths_each_value_asks_for(tiny, axis, values):
 
 
 def _count_draws(monkeypatch):
-    """Scenarios whose paths get drawn; each draw asserts the previous matrix is dead."""
-    real, drawn, refs = exp._paths_for, [], []
+    """Scenarios whose paths get drawn; each block drawn asserts that every block
+    before it, of this draw or an earlier one, is dead."""
+    real, drawn, refs = exp._blocks_for, [], []
 
     def counted(scn, n_workers=1):
-        assert all(ref() is None for ref in refs)
-        paths = real(scn, n_workers)
-        refs.append(weakref.ref(paths[0]))
         drawn.append(scn)
-        return paths
+        for block in real(scn, n_workers):
+            assert all(ref() is None for ref in refs)
+            refs.append(weakref.ref(block[0]))
+            yield block
+            del block
 
-    monkeypatch.setattr(exp, "_paths_for", counted)
+    monkeypatch.setattr(exp, "_blocks_for", counted)
     return drawn
 
 
@@ -221,10 +224,45 @@ def test_shared_sweep_runs_one_pass_per_h(tiny, monkeypatch, runner, axis, n_val
     monkeypatch.undo()
     per_value = t.extra["per_value"]
     assert len(per_value) == n_values
-    paths = exp._paths_for(month)
+    paths = mc.generate_path_matrix(*exp._path_inputs(month))
     for value, (h_opt, stats) in per_value.items():
         scn = apply_overrides(month, ["%s=%r" % (axis, value)])
         assert [stats] == exp._score([scn], exp.FINE_GRID, paths=paths), value
+
+
+def _two_blocks(baseline, *overrides):
+    # just over one block of paths on a six-day horizon: two blocks stay cheap
+    return apply_overrides(baseline, ["sim.n_paths=%d" % (mc.BLOCK + 100),
+                                      "position.horizon_days=6"] + list(overrides))
+
+
+def test_streamed_score_equals_whole_matrix_passes(baseline):
+    scns = [_two_blocks(baseline, "position.c_over_v0=%s" % cv) for cv in (1.2, 2.0)]
+    scns.append(_two_blocks(baseline, "sim.rebalance=threshold(10)"))
+    grid = (0.6, 0.95)
+    scored = exp._score(scns, grid)
+    for scn, stats in zip(scns, scored):
+        rel_a, rel_b = mc.generate_path_matrix(*exp._path_inputs(scn))
+        for h in grid:
+            pos = dataclasses.replace(scn.position, h=h)
+            batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, pos, scn.sim)
+            assert stats[h] == mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
+    assert scored[0][0.95].p_liq > 0 and scored[2][0.95].avg_rebalances > 0
+
+
+def test_score_never_holds_the_whole_path_matrix(baseline):
+    # four blocks of 90 steps: one block's draw buffers are well under the
+    # whole (n_paths, steps+1) pair, which the scoring path must never build
+    scn = apply_overrides(baseline, ["sim.n_paths=%d" % (4 * mc.BLOCK),
+                                     "position.horizon_days=30"])
+    matrix_pair = 2 * scn.sim.n_paths * (90 + 1) * 8
+    tracemalloc.start()
+    try:
+        exp._score([scn], (0.5, 0.7, 0.9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * matrix_pair, (peak, matrix_pair)
 
 
 def test_rebalancing_cv_sweep_runs_one_pass_per_value(tiny, monkeypatch):
@@ -270,7 +308,7 @@ def test_sweep_values_are_validated_before_any_draw(tiny, monkeypatch):
     def boom(*args, **kw):
         raise AssertionError("paths drawn before the sweep was validated")
 
-    monkeypatch.setattr(mc, "generate_path_matrix", boom)
+    monkeypatch.setattr(mc, "_generate_block", boom)
     with pytest.raises(ScenarioError, match=r"sim\.dt_days = 0\.4: .*dt_days"):
         exp.run_sensitivity(tiny, "sim.dt_days", (0.5, 0.4))
     with pytest.raises(ScenarioError, match="sim.seed"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import ammhedge.analytics as an
 import ammhedge.liquidation_fpt as fpt
-from ammhedge.config_domain import MarketParams, PositionParams
+from ammhedge.config_domain import MarketParams, PositionParams, RateParams
 
 # moment-matched single-factor vol for the baseline market, both horizon conventions
 SIGMA_TILDE_90D = 0.932961565920489
@@ -178,3 +178,46 @@ def test_safe_ratio_brackets_its_root(m, pos, alpha):
     # either the budget never binds below the cap, or one step up breaks it
     assert (hb == pytest.approx(cap, rel=1e-8)
             or fpt.liquidation_probability(hb + tol, m, pos) > alpha)
+
+
+def _old_probability(h, market, pos):
+    # the probability as it stood before h_bar shared one evaluator: every
+    # call rebuilds the h-free terms through fpt_inputs
+    if h == 0:
+        return 0.0
+    fi = fpt.fpt_inputs(h, market, pos)
+    if fi.ltv0 >= pos.l_max:
+        return 1.0
+    s2t = fi.sigma_tilde * fi.sigma_tilde * fi.t_years
+    sd = math.sqrt(s2t)
+    b = fi.barrier_log
+    return (fpt._norm_cdf((-b - 0.5 * s2t) / sd)
+            + (fi.ltv0 / pos.l_max) * fpt._norm_cdf((-b + 0.5 * s2t) / sd))
+
+
+def _old_h_bar(alpha, market, pos, tol=1e-6):
+    hi = min(1.0, pos.l_max * pos.c_over_v0 * (1.0 - 1e-9))
+    if _old_probability(hi, market, pos) <= alpha:
+        return hi
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _old_probability(mid, market, pos) <= alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=_MARKETS, pos=_POSITIONS, alpha=st.floats(0.001, 0.5), h=st.floats(0.0, 1.0),
+       rates=st.builds(RateParams, r_a=st.floats(0.0, 0.3), r_b=st.floats(0.0, 0.3),
+                       reward_rate=st.floats(0.05, 1.5), r_f=st.floats(0.0, 0.1)))
+def test_shared_evaluator_equals_the_old_bisection(m, pos, alpha, h, rates):
+    assert fpt.liquidation_probability(h, m, pos) == _old_probability(h, m, pos)
+    assert fpt.h_bar(alpha, m, pos) == _old_h_bar(alpha, m, pos)
+    try:
+        hs = min(max(an.h_star(m, rates, pos), 0.0), 1.0)
+    except ValueError:
+        return  # no interior optimum for this draw
+    assert fpt.h_double_star(alpha, m, rates, pos) == min(hs, _old_h_bar(alpha, m, pos))

@@ -446,6 +446,49 @@ def test_kernel_fields_match_frozen_digest(rule):
     assert digest.hexdigest() == KERNEL_DIGESTS[rule]
 
 
+@st.composite
+def _contiguous_chunks(draw, n):
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=6, unique=True))
+    edges = [0] + sorted(cuts) + [n]
+    return list(zip(edges, edges[1:]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(chunks=_contiguous_chunks(64), rule=st.sampled_from(list(KERNEL_DIGESTS)),
+       h=st.sampled_from([0.3, 0.6, 0.9]), claim_days=st.sampled_from([0.0, 2.0]),
+       tx=st.booleans())
+def test_streamed_blocks_equal_one_whole_pass(chunks, rule, h, claim_days, tx):
+    # the digest paths cut into contiguous blocks: each pass's per-path fields,
+    # concatenated over the blocks, are the whole pass's bits
+    rel_a, rel_b = _dyadic_paths(2024, 64, 48)
+    rates = RateParams(r_a=0.05, r_b=0.20, reward_rate=0.6, r_f=0.04)
+    pos = PositionParams(v0=1.0, c_over_v0=1.5, h=h, l_max=0.8, horizon_days=24.0)
+    sim = SimConfig(n_paths=64, dt_days=0.5, claim_interval_days=claim_days, gas_cost=0.001,
+                    rebalance=rule, include_tx_costs=tx)
+    variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else None
+    passes = [(None, rates, pos, sim, variants), (None, rates, pos, sim, None)]
+    blocks = [(rel_a[lo:hi], rel_b[lo:hi]) for lo, hi in chunks]
+    streamed = mc._simulate_blocks(blocks, passes, kept=mc._PER_PATH)
+    for (*args, var), got in zip(passes, streamed):
+        want = mc.simulate_batch(rel_a, rel_b, *args, variants=var)
+        for f in dataclasses.fields(want):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name),
+                                  equal_nan=True), f.name
+
+
+def test_streamed_pass_keeps_what_aggregate_reads(baseline):
+    rel_a, rel_b = _volatile_paths(5, 40, 90, baseline.sim.dt_days)
+    pos = dataclasses.replace(baseline.position, horizon_days=30.0)
+    for tx in (False, True):
+        sim = dataclasses.replace(baseline.sim, include_tx_costs=tx)
+        blocks = [(rel_a[:25], rel_b[:25]), (rel_a[25:], rel_b[25:])]
+        got, = mc._simulate_blocks(blocks, [(baseline.market, baseline.rates, pos, sim, None)])
+        want = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim)
+        assert got.roe is (got.roe_tx if tx else got.roe_raw)
+        assert got.liq_time_days is None and got.n_claims is None and got.tx_cost_paid is None
+        assert mc.aggregate(got, 30.0) == mc.aggregate(want, 30.0)
+
+
 COLLATERALS = st.floats(1e-200, 1e200)
 LTV_CAPS = st.floats(1e-9, 1.0, exclude_max=True)
 
