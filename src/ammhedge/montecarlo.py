@@ -4,10 +4,11 @@ liquidation, rebalancing) and summary statistics.
 
 Price generation is blocked for determinism: paths come in fixed blocks of
 8192, block i drawing from SeedSequence(seed, spawn_key=(i,)) for the
-diffusion and spawn_key=(i, 2) for the jump overlay. Full blocks are always
-generated and then sliced, so any n_paths and any worker count yield
-bit-identical paths for the same seed. Path arrays are stored column-major
-(time-major): all paths' prices at one step are contiguous.
+diffusion and spawn_key=(i, 2) for the jump overlay. Every stream is drawn
+at full block size and the rest of the arithmetic is per path, so any n_paths
+and any worker count yield bit-identical paths for the same seed. Path arrays
+are stored column-major (time-major): all paths' prices at one step are
+contiguous.
 
 The block is also the unit of memory: a run streams its blocks through every
 kernel pass it makes and keeps only per-path outputs, so it holds one block
@@ -21,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -29,6 +31,9 @@ from .config_domain import (DAYS_PER_YEAR, MarketParams, PositionParams, RatePar
                             ScenarioError, SimConfig, _whole_steps, parse_rebalance)
 
 BLOCK = 8192
+# state elements (hedge ratios x rows) of one _step_loop call: about what keeps
+# the (H, rows) state of a block in L2; a larger stack runs slower
+_STACK_ELEMENTS = 3 * BLOCK
 
 
 @dataclass
@@ -92,17 +97,21 @@ def _add_jump_leg(z, k, eps, jump, compensator, scratch):
     z += eps
 
 
-def _generate_block(market, jump, steps, dt_days, seed, block_idx):
-    """One full block of price relatives at steps 1..steps, two (BLOCK, steps) arrays.
+def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
+    """The first rows paths of one block: price relatives at steps 1..steps,
+    two (rows, steps) arrays.
 
-    Works in place on the two diffusion draws plus one scratch array, so a
-    block holds at most six block-sized arrays at once (three without jumps).
-    cumsum and exp run on the contiguous draw buffers themselves.
+    Every stream is drawn at full block size, so a path does not depend on
+    rows; the arithmetic then runs on the kept rows only, each row on its
+    own, so they are the bits of the full block's first rows. It works in
+    place on the two diffusion draws plus one scratch array, so a block holds
+    at most six block-sized arrays at once (three without jumps). cumsum and
+    exp run on the contiguous draw buffers themselves.
     """
     dt_y = dt_days / DAYS_PER_YEAR
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
-    za = rng.standard_normal((BLOCK, steps))
-    zb = rng.standard_normal((BLOCK, steps))
+    za = rng.standard_normal((BLOCK, steps))[:rows]
+    zb = rng.standard_normal((BLOCK, steps))[:rows]
     scratch = np.multiply(za, market.rho)
     zb *= math.sqrt(1.0 - market.rho * market.rho)
     zb += scratch  # rho za + sqrt(1 - rho^2) zb
@@ -124,13 +133,13 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx):
         compensator = jump.lam * kappa * dt_y
         lam_idio = jump.lam * (1.0 - jump.rho_j) * dt_y
         # common stream first, then each leg's size noise and idiosyncratic counts
-        kc = rng_j.poisson(jump.lam * jump.rho_j * dt_y, (BLOCK, steps))
-        eps = np.empty_like(za)
+        kc = rng_j.poisson(jump.lam * jump.rho_j * dt_y, (BLOCK, steps))[:rows]
+        eps = np.empty((BLOCK, steps))
         for z in (za, zb):
             rng_j.standard_normal(out=eps)
-            k = rng_j.poisson(lam_idio, (BLOCK, steps))
+            k = rng_j.poisson(lam_idio, (BLOCK, steps))[:rows]
             k += kc
-            _add_jump_leg(z, k, eps, jump, compensator, scratch)
+            _add_jump_leg(z, k, eps[:rows], jump, compensator, scratch)
             del k  # free this leg's counts before the next leg draws its own
 
     for z in (za, zb):
@@ -149,12 +158,12 @@ def _path_steps(horizon_days, dt_days):
     return steps
 
 
-def _starting_at_one(z, rows):
-    """The first rows of a (BLOCK, steps) block as a (rows, steps+1) column-major
-    array whose first column is 1."""
-    rel = np.empty((rows, z.shape[1] + 1), order="F")
+def _starting_at_one(z):
+    """A (rows, steps) block as a (rows, steps+1) column-major array whose
+    first column is 1."""
+    rel = np.empty((z.shape[0], z.shape[1] + 1), order="F")
     rel[:, 0] = 1.0
-    rel[:, 1:] = z[:rows]
+    rel[:, 1:] = z
     return rel
 
 
@@ -171,11 +180,11 @@ def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1
     n_blocks = -(-n_paths // BLOCK)
 
     def draw(bi):
-        za, zb = _generate_block(market, jump, steps, dt_days, seed, bi)
-        rows = min(BLOCK, n_paths - bi * BLOCK)
-        rel_a = _starting_at_one(za, rows)
+        za, zb = _generate_block(market, jump, steps, dt_days, seed, bi,
+                                 min(BLOCK, n_paths - bi * BLOCK))
+        rel_a = _starting_at_one(za)
         del za  # one draw buffer fewer alive while the second leg is copied
-        return rel_a, _starting_at_one(zb, rows)
+        return rel_a, _starting_at_one(zb)
 
     if n_workers <= 1 or n_blocks == 1:
         for bi in range(n_blocks):
@@ -276,12 +285,27 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     distinct C/V0, and the penalty not at all; with a rebalancing rule C/V0
     gates the trigger, so all pairs must share it.
 
+    This is _step_loop run for the one hedge ratio pos.h.
+    """
+    batch, = _step_loop(rel_a, rel_b, rates, pos, sim, (pos.h,), variants)
+    return batch
+
+
+def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
+    """The accounting loop of simulate_batch for every hedge ratio in hs at
+    once, in place of pos.h: one BatchResult per h, each that of simulate_batch.
+
+    The state has one row per h, (H, rows) arrays, and (H, K, rows) for the K
+    distinct C/V0 of the breach test, so each step reads the prices once for
+    all H; every operation is elementwise per (h, path), so each row's bits
+    are those of a pass with that h alone.
+
     The step computes each debt value once, into buffers allocated once.
-    Values every path shares stay Python floats: the pending rewards, and
-    both debts until a rebalance first sets them per path. The breach test
-    fl(D / C) >= l_max is run as D >= _breach_level(C, l_max), the same
-    value for every double D, and max LTV is fl(max_t D_t / C), which equals
-    max_t fl(D_t / C) by the same monotonicity.
+    The pending rewards, shared by every path, stay a Python float; both
+    debts are (H, 1) columns until a rebalance first sets them per path.
+    The breach test fl(D / C) >= l_max is run as D >= _breach_level(C, l_max),
+    the same value for every double D, and max LTV is fl(max_t D_t / C), which
+    equals max_t fl(D_t / C) by the same monotonicity.
     """
     rel_a = np.atleast_2d(np.asarray(rel_a, dtype=float))
     rel_b = np.atleast_2d(np.asarray(rel_b, dtype=float))
@@ -295,31 +319,40 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     if reb_kind != "none" and len(cvs) != 1:
         raise ValueError("a %s pass takes one c_over_v0, got %d" % (sim.rebalance, len(cvs)))
 
-    v0, h = pos.v0, pos.h
-    # one breach state per distinct collateral: rows of (K, n) arrays
+    v0 = pos.v0
+    h = np.array(hs, dtype=float)[:, None]
+    H, K = len(hs), len(cvs)
+    # one breach state per distinct collateral: rows of (K, n) arrays per h
     coll = np.array(cvs)[:, None] * v0
     level = np.array([_breach_level(cv * v0, pos.l_max) for cv in cvs])[:, None]
     r_a, r_b, reward, r_f = rates.r_a, rates.r_b, rates.reward_rate, rates.r_f
     thr = reb_par / 100.0  # threshold parameter arrives in percentage points
 
-    da = db = h * v0 / 2.0  # per-path arrays from the first rebalance on
+    da = db = h * v0 / 2.0  # (H, n) from the first rebalance on
     pending = 0.0
-    res_a = np.zeros(n)
-    res_b = np.zeros(n)
-    cash = np.zeros(n)
-    interest = np.zeros(n)
-    liq = np.zeros((len(cvs), n), dtype=bool)
-    liq_day = np.full((len(cvs), n), np.nan)
-    max_debt = np.full(n, h * v0)
-    # without a rule no path rebalances: one zero, broadcast, serves them all
-    n_reb = np.zeros(n if reb_stride else 1, dtype=np.int64)
-    n_claims = np.zeros((len(cvs), n), dtype=np.int64)
-    xa, xb, debt, tmp = (np.empty(n) for _ in range(4))
-    breach = np.empty((len(cvs), n), dtype=bool)
+    res_a = np.zeros((H, n))
+    res_b = np.zeros((H, n))
+    cash = np.zeros((H, n))
+    interest = np.zeros((H, n))
+    liq = np.zeros((H, K, n), dtype=bool)
+    liq_day = np.full((H, K, n), np.nan)
+    max_debt = np.repeat(h * v0, n, axis=1)
+    # without a rule no path rebalances: one zero per h, broadcast, serves them all
+    n_reb = np.zeros((H, n if reb_stride else 1), dtype=np.int64)
+    n_claims = np.zeros((H, K, n), dtype=np.int64)
+    xa, xb, debt, tmp = (np.empty((H, n)) for _ in range(4))
+    breach = np.empty((H, K, n), dtype=bool)
+    debt_k = debt[:, None, :]  # the debts against each collateral's level
+    # the reserves are all +0.0 until the first claim; the shortcut below
+    # also needs da, db >= 0, which h, v0 >= 0 and price relatives >= 0 give
+    reserves = not (v0 >= 0.0 and (h >= 0.0).all())
 
+    # each step reads one time row of the transposed paths, shaped (1, n) like
+    # a state row: an (n,) column against (H, n) state costs a broadcast
+    steps_a, steps_b = rel_a.T, rel_b.T
     for t in range(1, steps + 1):
-        a = rel_a[:, t]
-        b = rel_b[:, t]
+        a = steps_a[t:t + 1]
+        b = steps_b[t:t + 1]
         np.multiply(da, a, out=xa)
         np.multiply(db, b, out=xb)
         # interest += (xa * r_a + xb * r_b) * dt_y
@@ -337,32 +370,39 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
             vb = np.maximum(xb - res_b, 0.0)
             tot = va + vb
             repay = np.minimum(pending, tot)
-            w = np.divide(va, tot, out=np.full(n, 0.5), where=tot > 0)
+            w = np.divide(va, tot, out=np.full((H, n), 0.5), where=tot > 0)
             res_a += repay * w
             res_b += repay * (1.0 - w)
             cash += pending
             cash -= repay
             pending = 0.0
             n_claims += ~liq
+            reserves = True
 
         # debt = max(xa - res_a, 0) + max(xb - res_b, 0) + interest
-        np.subtract(xa, res_a, out=debt)
-        np.maximum(debt, 0.0, out=debt)
-        np.subtract(xb, res_b, out=tmp)
-        np.maximum(tmp, 0.0, out=tmp)
-        debt += tmp
+        if reserves:
+            np.subtract(xa, res_a, out=debt)
+            np.maximum(debt, 0.0, out=debt)
+            np.subtract(xb, res_b, out=tmp)
+            np.maximum(tmp, 0.0, out=tmp)
+            debt += tmp
+        else:
+            # with res = +0.0 and x >= 0 or nan, max(x - 0.0, 0.0) is x up
+            # to the sign of a zero, which adding interest erases (interest
+            # starts at +0.0, so it is never -0.0): the reserve terms' bits
+            np.add(xa, xb, out=debt)
         debt += interest
         np.maximum(max_debt, debt, out=max_debt)
-        np.greater_equal(debt, level, out=breach)
-        breach &= ~liq
+        np.greater_equal(debt_k, level, out=breach)
+        np.greater(breach, liq, out=breach)  # breach & ~liq, with no temporary
         if breach.any():
-            liq_day[breach] = t * dt_days
+            np.copyto(liq_day, t * dt_days, where=breach)
             liq |= breach
 
         if not reb_stride or t % reb_stride:
             continue
         lp = v0 * np.sqrt(a * b)
-        trig = ~liq[0]
+        trig = ~liq[:, 0]
         if reb_kind == "threshold":
             # trigger on gross per-leg hedge drift; reserves do not leak in
             half = lp / 2.0
@@ -378,24 +418,28 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     a_t = rel_a[:, -1]
     b_t = rel_b[:, -1]
     lp_t = v0 * np.sqrt(a_t * b_t)
-    debt_t = np.maximum(da * a_t - res_a, 0.0) + np.maximum(db * b_t - res_b, 0.0)
-    pi_t = lp_t + pending + cash + coll * (1.0 + r_f * pos.horizon_days / DAYS_PER_YEAR) \
-        - debt_t - interest
-    # the closing lines run once per pair, on its collateral's row
+    coll_t = coll * (1.0 + r_f * pos.horizon_days / DAYS_PER_YEAR)
+    # the closing lines run once per h and pair, on its collateral's row
     row = [cvs.index(cv) for cv, _ in pairs]
-    coll, liq, pi_t, n_claims = coll[row], liq[row], pi_t[row], n_claims[row]
+    coll = coll[row]
     penalty = np.array([pen for _, pen in pairs])[:, None]
-    pi0 = coll + (1.0 - h) * v0
-    pnl_raw = np.where(liq, -penalty * coll, pi_t - pi0)
-    tx = sim.borrow_fee_frac * h * v0 + sim.gas_cost * (n_claims + n_reb)
-    roe_raw = pnl_raw / pi0
-    roe_tx = (pnl_raw - tx) / pi0
-    batch = BatchResult(
-        roe=roe_tx if sim.include_tx_costs else roe_raw,
-        roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq, liq_time_days=liq_day[row],
-        max_ltv=max_debt / coll, n_rebalances=np.broadcast_to(n_reb, (len(pairs), n)),
-        n_claims=n_claims, tx_cost_paid=tx, pi0=pi0[:, 0])
-    return batch if variants is not None else batch.rows()[0]
+    out = []
+    for j, hj in enumerate(hs):
+        debt_t = np.maximum(da[j] * a_t - res_a[j], 0.0) + np.maximum(db[j] * b_t - res_b[j], 0.0)
+        pi_t = (lp_t + pending + cash[j] + coll_t - debt_t - interest[j])[row]
+        liq_j, claims_j = liq[j][row], n_claims[j][row]
+        pi0 = coll + (1.0 - hj) * v0
+        pnl_raw = np.where(liq_j, -penalty * coll, pi_t - pi0)
+        tx = sim.borrow_fee_frac * hj * v0 + sim.gas_cost * (claims_j + n_reb[j])
+        roe_raw = pnl_raw / pi0
+        roe_tx = (pnl_raw - tx) / pi0
+        batch = BatchResult(
+            roe=roe_tx if sim.include_tx_costs else roe_raw,
+            roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq_j, liq_time_days=liq_day[j][row],
+            max_ltv=max_debt[j] / coll, n_rebalances=np.broadcast_to(n_reb[j], (len(pairs), n)),
+            n_claims=claims_j, tx_cost_paid=tx, pi0=pi0[:, 0])
+        out.append(batch if variants is not None else batch.rows()[0])
+    return out
 
 
 # per-path fields a streamed pass can keep: every one, or those aggregate
@@ -407,18 +451,30 @@ _AGGREGATED = ("roe_raw", "roe_tx", "liquidated", "max_ltv", "n_rebalances")
 def _simulate_blocks(blocks, passes, kept=_AGGREGATED):
     """simulate_batch on paths that arrive block by block, for every pass.
 
-    passes holds (market, rates, pos, sim, variants) tuples. Each block is
+    passes holds (market, rates, pos, sim, variants) tuples. Consecutive
+    passes that differ only in pos.h run as one _step_loop call per chunk of
+    at most max(1, _STACK_ELEMENTS // rows) hedge ratios. Each block is
     dropped once every pass has read it, before the next one is drawn, and of
     each pass only the kept per-path fields stay. Once the last block has run,
     this yields one BatchResult per pass: the kept fields concatenated over
     the blocks, roe as sim.include_tx_costs picks it, and None for the rest.
     """
+    def but_h(ip):
+        market, rates, pos, sim, variants = ip[1]
+        return market, rates, replace(pos, h=0.0), sim, variants
+
+    runs = [list(run) for _, run in groupby(enumerate(passes), key=but_h)]
     parts, pi0 = [[] for _ in passes], [None] * len(passes)
     for block in blocks:
-        for i, (*args, variants) in enumerate(passes):
-            batch = simulate_batch(*block, *args, variants=variants)
-            parts[i].append([getattr(batch, name) for name in kept])
-            pi0[i] = batch.pi0
+        size = max(1, _STACK_ELEMENTS // len(block[0]))
+        for run in runs:
+            for lo in range(0, len(run), size):
+                chunk = run[lo:lo + size]
+                _, (_, rates, pos, sim, variants) = chunk[0]
+                hs = [p[2].h for _, p in chunk]
+                for (i, _), batch in zip(chunk, _step_loop(*block, rates, pos, sim, hs, variants)):
+                    parts[i].append([getattr(batch, name) for name in kept])
+                    pi0[i] = batch.pi0
         del block  # before the next block is drawn
     for i, (*_, sim, _) in enumerate(passes):
         joined = dict(zip(kept, (np.concatenate(col, axis=-1) for col in zip(*parts[i]))))

@@ -199,15 +199,28 @@ def test_sweep_reuses_paths_while_their_inputs_hold(tiny, monkeypatch, axis, val
     assert len(drawn) == draws
 
 
-def _count_passes(monkeypatch):
-    real, calls = mc.simulate_batch, []
+def _count_calls(monkeypatch):
+    # the hedge ratios and the variants of each step-loop call
+    real, calls = mc._step_loop, []
 
-    def counted(*args, **kw):
-        calls.append(kw.get("variants"))
-        return real(*args, **kw)
+    def counted(rel_a, rel_b, rates, pos, sim, hs, variants):
+        calls.append((tuple(hs), variants))
+        return real(rel_a, rel_b, rates, pos, sim, hs, variants)
 
-    monkeypatch.setattr(mc, "simulate_batch", counted)
+    monkeypatch.setattr(mc, "_step_loop", counted)
     return calls
+
+
+def _count_passes(monkeypatch):
+    # the variants of each hedge-ratio pass, however the step loop stacks them
+    real, passes = mc._step_loop, []
+
+    def counted(rel_a, rel_b, rates, pos, sim, hs, variants):
+        passes.extend([variants] * len(hs))
+        return real(rel_a, rel_b, rates, pos, sim, hs, variants)
+
+    monkeypatch.setattr(mc, "_step_loop", counted)
+    return passes
 
 
 @pytest.mark.parametrize("runner, axis, n_values", [
@@ -228,6 +241,19 @@ def test_shared_sweep_runs_one_pass_per_h(tiny, monkeypatch, runner, axis, n_val
     for value, (h_opt, stats) in per_value.items():
         scn = apply_overrides(month, ["%s=%r" % (axis, value)])
         assert [stats] == exp._score([scn], exp.FINE_GRID, paths=paths), value
+
+
+def test_score_stacks_hedge_ratios_in_chunks(baseline, monkeypatch):
+    # a 21-h pass over one full block makes one step-loop call per chunk of
+    # _STACK_ELEMENTS // BLOCK hedge ratios, not one call per h
+    week = apply_overrides(baseline, ["sim.n_paths=%d" % mc.BLOCK, "position.horizon_days=6"])
+    calls = _count_calls(monkeypatch)
+    exp._score([week], exp.FINE_GRID)
+    size = max(1, mc._STACK_ELEMENTS // mc.BLOCK)
+    assert 1 < size < 21
+    assert len(calls) == math.ceil(21 / size)
+    assert [h for hs, _ in calls for h in hs] == list(exp.FINE_GRID)
+    assert all(len(hs) == size for hs, _ in calls[:-1])
 
 
 def _two_blocks(baseline, *overrides):

@@ -476,6 +476,41 @@ def test_streamed_blocks_equal_one_whole_pass(chunks, rule, h, claim_days, tx):
                                   equal_nan=True), f.name
 
 
+@st.composite
+def _h_list_in_chunks(draw):
+    hs = draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]) | st.floats(0.0, 1.0),
+                       min_size=1, max_size=8))
+    cuts = draw(st.lists(st.integers(1, len(hs) - 1), max_size=4, unique=True)) \
+        if len(hs) > 1 else []
+    edges = [0] + sorted(cuts) + [len(hs)]
+    return [hs[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunks=_h_list_in_chunks(), rule=st.sampled_from(list(KERNEL_DIGESTS)),
+       claim_days=st.sampled_from([0.0, 2.0]), gas=st.sampled_from([0.0, 0.001]))
+def test_stacked_chunks_equal_per_h_calls(chunks, rule, claim_days, gas):
+    # any split of an h list into chunks: each chunk's step loop gives, for
+    # every h, the fields of simulate_batch at that h alone, nan included
+    rel_a, rel_b = _dyadic_paths(2024, 64, 48)
+    rates = RateParams(r_a=0.05, r_b=0.20, reward_rate=0.6, r_f=0.04)
+    pos = PositionParams(v0=1.0, c_over_v0=1.5, h=0.5, l_max=0.8, horizon_days=24.0)
+    sim = SimConfig(n_paths=64, dt_days=0.5, claim_interval_days=claim_days,
+                    liq_penalty_frac=0.2, borrow_fee_frac=0.003, gas_cost=gas,
+                    rebalance=rule, include_tx_costs=True)
+    variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else None
+    for hs in chunks:
+        stacked = mc._step_loop(rel_a, rel_b, rates, pos, sim, hs, variants)
+        assert len(stacked) == len(hs)
+        for h, got in zip(hs, stacked):
+            want = mc.simulate_batch(rel_a, rel_b, None, rates, dataclasses.replace(pos, h=h),
+                                     sim, variants=variants)
+            for f in dataclasses.fields(want):
+                g, w = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+                assert g.dtype == w.dtype and g.shape == w.shape, f.name
+                assert np.array_equal(g, w, equal_nan=True), f.name
+
+
 def test_streamed_pass_keeps_what_aggregate_reads(baseline):
     rel_a, rel_b = _volatile_paths(5, 40, 90, baseline.sim.dt_days)
     pos = dataclasses.replace(baseline.position, horizon_days=30.0)
