@@ -116,6 +116,13 @@ def _reference_block(market, jump, steps, dt_days, seed, block_idx):
 @pytest.mark.parametrize("jump", [
     None,
     JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=True),
+    JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.3, variance_matched=False),
+    # one stream at intensity 0: no common, then no idiosyncratic counts
+    JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.0, variance_matched=False),
+    JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=1.0, variance_matched=False),
+    JumpParams(lam=30.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=False),
+    # mu_J = -sigma_J^2 / 2: the compensator is 0
+    JumpParams(lam=4.0, mu_j=-0.125, sigma_j=0.5, rho_j=0.8, variance_matched=False),
 ])
 def test_path_matrix_matches_out_of_place_reference(baseline, jump):
     # production grid (270 steps), a partial second block, one and two workers
@@ -127,6 +134,32 @@ def test_path_matrix_matches_out_of_place_reference(baseline, jump):
     for workers in (1, 2):
         a, b = mc.generate_path_matrix(m, jump, 90.0, 1.0 / 3.0, n, seed=17, n_workers=workers)
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), workers
+
+
+_INTENSITIES = st.one_of(st.just(0.0), st.floats(0.0, 0.3, exclude_min=True),
+                         st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
+                         st.floats(10.0, 30.0))
+
+
+@pytest.mark.parametrize("chunk, decode_lam", [
+    (mc._UNIFORM_CHUNK, mc._DECODE_LAM),
+    # counts carried across many chunks, decoded over numpy's whole
+    # multiplication range (0 < lam < 10)
+    (16, 10.0),
+])
+@settings(max_examples=100, deadline=None)
+@given(lam=_INTENSITIES, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2000))
+def test_poisson_sparse_is_rng_poisson(chunk, decode_lam, lam, seed, n):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_UNIFORM_CHUNK", chunk)
+        mp.setattr(mc, "_DECODE_LAM", decode_lam)
+        idx, counts = mc._poisson_sparse(rng, lam, n)
+    assert np.all(np.diff(idx) > 0) and np.all(counts > 0)
+    dense = np.zeros(n, dtype=np.int64)
+    dense[idx] = counts
+    assert np.array_equal(dense, ref.poisson(lam, n))
+    assert rng.random() == ref.random()  # the same uniforms were drawn
 
 
 def test_path_matrix_is_column_major(baseline):
