@@ -29,13 +29,17 @@ def _add_common(p):
                         % ", ".join(sorted(experiments.PRESETS)))
     p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                    help="override one scenario key; repeatable")
+    p.add_argument("--out", default=None, metavar="DIR", help="also write CSVs here")
+
+
+def _add_monte_carlo(p):
+    _add_common(p)
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (beats %s and the scenario file; default %d)"
                         % (SEED_ENV, DEFAULT_SEED))
     p.add_argument("--paths", type=int, default=None, help="number of Monte Carlo paths")
     p.add_argument("--workers", type=int, default=1,
                    help="threads that draw path blocks ahead of the kernel")
-    p.add_argument("--out", default=None, metavar="DIR", help="also write CSVs here")
     tx = p.add_mutually_exclusive_group()
     tx.add_argument("--tx", dest="tx", action="store_true", default=None,
                     help="include transaction costs in the headline ROE")
@@ -45,7 +49,9 @@ def _add_common(p):
 
 def _resolve_scenario(args):
     """The scenario the flags ask for, and whether any flag asked for one: a preset
-    or file other than the baseline, --override, --paths, --tx, --seed or SEED_ENV."""
+    or file other than the baseline, --override, --paths, --tx, --seed or SEED_ENV;
+    the last four only where the subcommand simulates, and where it does not,
+    the closed form takes no drift and no jumps."""
     name = args.scenario
     if name in experiments.PRESETS and not os.path.exists(name):
         scn = experiments.get_preset(name)
@@ -54,18 +60,27 @@ def _resolve_scenario(args):
     else:
         raise ScenarioError("no preset or scenario file named %r; presets: %s"
                             % (name, ", ".join(sorted(experiments.PRESETS))))
-    overrides = list(args.override)
-    if args.paths is not None:
-        overrides.append("sim.n_paths=%d" % args.paths)
-    if args.tx is not None:
-        overrides.append("sim.include_tx_costs=%s" % args.tx)
-    if args.seed is not None:
-        overrides.append("sim.seed=%d" % args.seed)
-    elif os.environ.get(SEED_ENV):
-        overrides.append("sim.seed=%s" % os.environ[SEED_ENV].strip())
+    overrides, simulates = list(args.override), "paths" in args
+    if simulates:
+        if args.workers < 1:
+            raise ScenarioError("--workers %d: need at least one" % args.workers)
+        if args.paths is not None:
+            overrides.append("sim.n_paths=%d" % args.paths)
+        if args.tx is not None:
+            overrides.append("sim.include_tx_costs=%s" % args.tx)
+        if args.seed is not None:
+            overrides.append("sim.seed=%d" % args.seed)
+        elif os.environ.get(SEED_ENV):
+            overrides.append("sim.seed=%s" % os.environ[SEED_ENV].strip())
     if overrides:
         scn = apply_overrides(scn, overrides)
     errs = validate_scenario(scn)
+    if not simulates:
+        lam = scn.jump.lam if scn.jump is not None else 0.0
+        errs += ["%s = %r: the closed form and the first-passage bound take zero drift and "
+                 "no jumps; simulate models them" % (key, value) for key, value in
+                 (("market.mu_a", scn.market.mu_a), ("market.mu_b", scn.market.mu_b),
+                  ("jump.lambda", lam)) if value != 0.0]
     if errs:
         raise ScenarioError("; ".join(errs))
     return scn, name != "baseline" or bool(overrides)
@@ -125,6 +140,8 @@ def cmd_fpt(args):
     scn, _ = _resolve_scenario(args)
     if args.h is not None:
         scn = _at_h(scn, args.h)
+    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
+        raise ScenarioError("--alpha %r: must lie in (0,1)" % args.alpha)
     m, pos = scn.market, scn.position
     st = fpt.sigma_tilde(m, pos.horizon_years)
     inp = fpt.fpt_inputs(pos.h, m, pos)
@@ -144,9 +161,9 @@ def cmd_fpt(args):
 def cmd_simulate(args):
     scn, _ = _resolve_scenario(args)
     # every per-path field only for the dump
-    batch, = mc._simulate_blocks(experiments._blocks_for(scn, args.workers),
-                                 [(scn.market, scn.rates, scn.position, scn.sim, None)],
-                                 kept=mc._PER_PATH if args.dump_paths else mc._AGGREGATED)
+    (_, batches), = mc._stream_passes([scn], (scn.position.h,), args.workers,
+                                      mc._PER_PATH if args.dump_paths else mc._AGGREGATED)
+    batch, = next(batches).rows()
     if args.dump_paths:
         mc.write_path_dump(batch, args.dump_paths)
     stats = mc.aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)
@@ -259,13 +276,13 @@ def build_parser():
     p.set_defaults(func=cmd_fpt)
 
     p = sub.add_parser("simulate", help="one Monte Carlo run, summary statistics")
-    _add_common(p)
+    _add_monte_carlo(p)
     p.add_argument("--dump-paths", default=None, metavar="FILE",
                    help="write a per-path CSV (path_id, roe, liquidated, ...)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="sensitivity sweep with per-value re-optimization")
-    _add_common(p)
+    _add_monte_carlo(p)
     p.add_argument("--axis", required=True,
                    help="%s, or any scenario key but position.h and position.horizon_years "
                         "(market.vol_scale scales both vols)"
@@ -274,12 +291,12 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rebalance", help="compare rebalancing strategies on shared paths")
-    _add_common(p)
+    _add_monte_carlo(p)
     p.add_argument("--h", type=float, default=0.60, help="hedge ratio (default 0.60)")
     p.set_defaults(func=cmd_rebalance)
 
     p = sub.add_parser("jumps", help="jump-diffusion stress tables")
-    _add_common(p)
+    _add_monte_carlo(p)
     p.set_defaults(func=cmd_jumps)
 
     p = sub.add_parser("calibrate", help="estimate vols and correlation from price CSVs")
@@ -288,7 +305,7 @@ def build_parser():
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("reproduce", help="rebuild one results table or figure dataset")
-    _add_common(p)
+    _add_monte_carlo(p)
     p.add_argument("name", help="target name or alias: " + experiments.describe_targets())
     p.set_defaults(func=cmd_reproduce)
     return ap

@@ -1,14 +1,14 @@
 """Config-driven reproduction of every results table and figure dataset.
 
-Each runner names the scenarios it scores and reads their statistics per
-hedge ratio from _score, the one place that draws and streams paths:
-consecutive scenarios that ask for the same paths score on one stream of
-blocks, each block drawn once and read by every kernel pass of the run, so
-comparisons ride on common random numbers; and consecutive scenarios that
-differ only in what the kernel reads after its step loop share one pass per h.
-Each runner returns a Table; write_table() emits two CSVs per table, one at
-display precision and one at full precision, both under a provenance header
-(the seeds, path counts and engines the rows used, and a config hash).
+Each runner names the scenarios it scores, and montecarlo._stream_passes, the
+one place that draws paths and runs kernel passes, streams them (mostly
+through _score, which aggregates each pass per h): consecutive scenarios that
+ask for the same paths read one stream of blocks, so comparisons ride on
+common random numbers, and those that differ only in what the kernel reads
+after its step loop share one pass per h. Each runner returns a Table;
+write_table() emits two CSVs per table, one at display precision and one at
+full precision, both under a provenance header (the seeds, path counts and
+engines the rows used, and a config hash).
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import montecarlo as mc
 from .config_domain import (_KEY_PARSERS, DAYS_PER_YEAR, Scenario, ScenarioError,
-                            _parse_number, apply_overrides, parse_rebalance, parse_scenario,
+                            _parse_number, apply_overrides, parse_scenario,
                             scenario_hash, validate_scenario)
 from .liquidation_fpt import fpt_inputs, liquidation_probability
 
@@ -78,65 +77,28 @@ class Table:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _provenance(scn, used=(), paths=None):
+def _provenance(scn, used=()):
     """scn's config hash, with the seeds, path counts and engines of the scenarios
-    the rows used (scn itself by default), joined by "|" where they differ;
-    given paths set the path count."""
+    the rows used (scn itself by default), joined by "|" where they differ."""
     used = used or (scn,)
-    counts = [s.sim.n_paths for s in used] if paths is None else [paths[0].shape[0]]
     engines = ["mc_jump" if s.jump is not None and s.jump.lam > 0 else "mc_gbm" for s in used]
     prov = {"config": scenario_hash(scn)}
-    for key, vals in (("seed", [s.sim.seed for s in used]), ("n_paths", counts),
-                      ("engine", engines)):
+    for key, vals in (("seed", [s.sim.seed for s in used]),
+                      ("n_paths", [s.sim.n_paths for s in used]), ("engine", engines)):
         vals = list(dict.fromkeys(vals))
         # "|", not ",": the header sits above a CSV
         prov[key] = vals[0] if len(vals) == 1 else "|".join(map(str, vals))
     return prov
 
 
-def _path_inputs(scn):
-    """The generate_path_matrix arguments a scenario fixes; equal inputs, equal paths."""
-    sim = scn.sim
-    return scn.market, scn.jump, scn.position.horizon_days, sim.dt_days, sim.n_paths, sim.seed
-
-
-def _blocks_for(scn, n_workers=1):
-    """scn's paths block by block, the blocks of generate_path_matrix."""
-    return mc._path_blocks(*_path_inputs(scn), n_workers)
-
-
-def _pass_key(scn):
-    """What one kernel pass reads of a scenario in its step loop; scenarios with
-    equal keys share a pass. The penalty is read only after the loop, and so is
-    C/V0 without rebalancing, apart from the breach test the kernel runs per C/V0."""
-    pos, sim = scn.position, replace(scn.sim, liq_penalty_frac=0.0)
-    if parse_rebalance(sim.rebalance)[0] == "none":
-        pos = replace(pos, c_over_v0=1.0)
-    return scn.market, scn.jump, scn.rates, pos, sim
-
-
-def _score(scenarios, grid, n_workers=1, paths=None) -> list:
-    """{h: SummaryStats} over the grid for each scenario, on common random numbers.
-
-    Given paths serve every scenario as one block. Otherwise each run of
-    consecutive scenarios with equal _path_inputs streams its paths once: every
-    block is drawn once and read by all of the run's kernel passes before it is
-    dropped. Consecutive scenarios with equal _pass_key share one kernel pass
-    per h.
-    """
+def _score(scenarios, grid, n_workers=1) -> list:
+    """{h: SummaryStats} over the grid for each scenario, on common random numbers:
+    the passes of mc._stream_passes, each aggregated as it is joined."""
     out = []
-    for _, run in groupby(scenarios, key=_path_inputs if paths is None else lambda s: 0):
-        groups = [list(g) for _, g in groupby(run, key=_pass_key)]
-        passes = [(g[0].market, g[0].rates, replace(g[0].position, h=h), g[0].sim,
-                   [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in g])
-                  for g in groups for h in grid]
-        blocks = [paths] if paths is not None else _blocks_for(groups[0][0], n_workers)
-        batches = mc._simulate_blocks(blocks, passes)
-        for g in groups:
-            scn = g[0]
-            by_h = {h: [mc.aggregate(row, scn.position.horizon_days, r_f=scn.rates.r_f)
-                        for row in next(batches).rows()] for h in grid}
-            out += [{h: by_h[h][k] for h in grid} for k in range(len(g))]
+    for group, batches in mc._stream_passes(scenarios, grid, n_workers):
+        hd, r_f = group[0].position.horizon_days, group[0].rates.r_f
+        per_h = [[mc.aggregate(row, hd, r_f=r_f) for row in batch.rows()] for batch in batches]
+        out += [{h: stats[k] for h, stats in zip(grid, per_h)} for k in range(len(group))]
     return out
 
 
@@ -168,9 +130,9 @@ def _sr_se(st, horizon_days):
 # ---------------------------------------------------------------------------
 # table runners
 
-def run_hedge_grid(scn, grid=TABLE4_GRID, n_workers=1, paths=None) -> Table:
+def run_hedge_grid(scn, grid=TABLE4_GRID, n_workers=1) -> Table:
     """Summary statistics by hedge ratio on shared paths."""
-    stats, = _score([scn], grid, n_workers, paths)
+    stats, = _score([scn], grid, n_workers)
     rows = []
     for h in grid:
         st = stats[h]
@@ -183,7 +145,7 @@ def run_hedge_grid(scn, grid=TABLE4_GRID, n_workers=1, paths=None) -> Table:
         columns=["h (%)", "E[ROE]", "Std", "SR (raw)", "SR (+tx)", "P(loss)", "P(liq)",
                  "5% VaR", "se(E[ROE])", "se(P(loss))", "se(P(liq))"],
         rows=rows,
-        provenance=_provenance(scn, paths=paths),
+        provenance=_provenance(scn),
         formats=["%.0f", "%+.2f", "%.1f", "%.3f", "%.3f", "%.1f", "%.1f", "%+.1f",
                  "%.3f", "%.2f", "%.2f"],
         extra={"stats": stats, "grid": grid})
@@ -193,9 +155,9 @@ def _no_claims(scn) -> Scenario:
     return replace(scn, sim=replace(scn.sim, claim_interval_days=0.0))
 
 
-def run_analytic_vs_mc(scn, grid=TABLE5_GRID, n_workers=1, paths=None) -> Table:
+def run_analytic_vs_mc(scn, grid=TABLE5_GRID, n_workers=1) -> Table:
     """First-passage approximation against MC liquidation frequency."""
-    no_claims, claims = _score([_no_claims(scn), scn], grid, n_workers, paths)
+    no_claims, claims = _score([_no_claims(scn), scn], grid, n_workers)
     rows = []
     for h in grid:
         fi = fpt_inputs(h, scn.market, scn.position)
@@ -210,14 +172,14 @@ def run_analytic_vs_mc(scn, grid=TABLE5_GRID, n_workers=1, paths=None) -> Table:
         columns=["h (%)", "LTV_0", "b", "Analytical", "MC (no claims)", "MC (claims)",
                  "se(no claims)", "se(claims)"],
         rows=rows,
-        provenance=_provenance(scn, paths=paths),
+        provenance=_provenance(scn),
         formats=["%.0f", "%.1f", "%.3f", "%.2f", "%.2f", "%.2f", "%.3f", "%.3f"],
         extra={"no_claims": no_claims, "claims": claims, "grid": grid})
 
 
-def run_liquidation_stats(scn, h=1.0, n_workers=1, paths=None) -> Table:
+def run_liquidation_stats(scn, h=1.0, n_workers=1) -> Table:
     """Liquidation outcome statistics with and without reward claims."""
-    no_claims, claims = _score([_no_claims(scn), scn], (h,), n_workers, paths)
+    no_claims, claims = _score([_no_claims(scn), scn], (h,), n_workers)
     st_no, st_cl = no_claims[h], claims[h]
     rows = [
         ["Liquidation probability", st_no.p_liq * 100.0, st_cl.p_liq * 100.0],
@@ -229,7 +191,7 @@ def run_liquidation_stats(scn, h=1.0, n_workers=1, paths=None) -> Table:
         name="liquidation_stats",
         columns=["Metric", "No claims", "Claim/14d"],
         rows=rows,
-        provenance=_provenance(scn, paths=paths),
+        provenance=_provenance(scn),
         formats=[None, "%.1f", "%.1f"],
         extra={"no_claims": st_no, "claims": st_cl, "h": h})
 
@@ -245,14 +207,14 @@ REBALANCE_STRATEGIES = (
 
 
 def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
-                               n_workers=1, paths=None) -> Table:
+                               n_workers=1) -> Table:
     """Static hedge vs threshold and periodic rebalancing on shared paths."""
     pos = replace(scn.position, h=h)
-    passes = [(scn.market, scn.rates, pos, replace(scn.sim, rebalance=rule), None)
-              for _, rule in strategies]
-    blocks = [paths] if paths is not None else _blocks_for(scn, n_workers)
+    scenarios = [replace(scn, position=pos, sim=replace(scn.sim, rebalance=rule))
+                 for _, rule in strategies]
     rows, stats = [], {}
-    for (label, _), batch in zip(strategies, mc._simulate_blocks(blocks, passes)):
+    for (label, _), (_, batches) in zip(strategies, mc._stream_passes(scenarios, (h,), n_workers)):
+        batch, = next(batches).rows()
         st = mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
         stats[label] = st
         gas_paid = scn.sim.gas_cost * float(np.mean(batch.n_rebalances))
@@ -262,7 +224,7 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
         name="rebalancing",
         columns=["Strategy", "E[ROE]", "Std", "SR", "P(liq)", "Avg rebal.", "Cost", "se(SR)"],
         rows=rows,
-        provenance=_provenance(scn, paths=paths),
+        provenance=_provenance(scn),
         formats=[None, "%+.2f", "%.2f", "%.3f", "%.1f", "%.1f", "%.2f", "%.3f"],
         extra={"stats": stats, "h": h})
 
@@ -470,7 +432,7 @@ FIG4_RBS = (0.05, 0.10, 0.15, 0.20, 0.30)
 
 
 def _by_h(*fields):
-    """Figure rows of SummaryStats fields per h, on one shared path matrix."""
+    """Figure rows of SummaryStats fields per h, on one stream of paths."""
     def build(scn, grid, n_workers):
         stats, = _score([scn], grid, n_workers)
         return [[h] + [getattr(stats[h], f) for f in fields] for h in grid], {"stats": stats}

@@ -522,39 +522,62 @@ _PER_PATH = tuple(f.name for f in fields(BatchResult)[1:-1])
 _AGGREGATED = ("roe_raw", "roe_tx", "liquidated", "max_ltv", "n_rebalances")
 
 
-def _simulate_blocks(blocks, passes, kept=_AGGREGATED):
-    """simulate_batch on paths that arrive block by block, for every pass.
+def _path_inputs(scn):
+    """The _path_blocks arguments a scenario fixes; equal inputs, equal paths."""
+    sim = scn.sim
+    return scn.market, scn.jump, scn.position.horizon_days, sim.dt_days, sim.n_paths, sim.seed
 
-    passes holds (market, rates, pos, sim, variants) tuples. Consecutive
-    passes that differ only in pos.h run as one _step_loop call per chunk of
-    at most max(1, _STACK_ELEMENTS // rows) hedge ratios. Each block is
-    dropped once every pass has read it, before the next one is drawn, and of
-    each pass only the kept per-path fields stay. Once the last block has run,
-    this yields one BatchResult per pass: the kept fields concatenated over
-    the blocks, roe as sim.include_tx_costs picks it, and None for the rest.
+
+def _pass_key(scn):
+    """What one kernel pass reads of a scenario in its step loop; scenarios with
+    equal keys share a pass. The penalty is read only after the loop, and so is
+    C/V0 without rebalancing, apart from the breach test the kernel runs per C/V0."""
+    pos, sim = scn.position, replace(scn.sim, liq_penalty_frac=0.0)
+    if parse_rebalance(sim.rebalance)[0] == "none":
+        pos = replace(pos, c_over_v0=1.0)
+    return scn.market, scn.jump, scn.rates, pos, sim
+
+
+def _stream_passes(scenarios, grid, n_workers=1, kept=_AGGREGATED):
+    """simulate_batch for every scenario at every h of grid, on streamed paths.
+
+    Consecutive scenarios with equal _path_inputs form a run: each of its
+    blocks is drawn once, read by all of the run's kernel passes and dropped
+    before the next is drawn. Consecutive scenarios of a run with equal
+    _pass_key form a group, one variant each of one pass per h; a group's grid
+    runs in chunks of max(1, _STACK_ELEMENTS // rows) hedge ratios. After a
+    run's last block, this yields (group, batches) for each of its groups:
+    batches gives per h a BatchResult with one row per scenario, joined over
+    the blocks as it is read, whose per-path fields not kept are None.
     """
-    def but_h(ip):
-        market, rates, pos, sim, variants = ip[1]
-        return market, rates, replace(pos, h=0.0), sim, variants
+    for _, run in groupby(scenarios, key=_path_inputs):
+        groups = [list(g) for _, g in groupby(run, key=_pass_key)]
+        # per group and h, the kept fields and pi0 of each block
+        parts = [[[] for _ in grid] for _ in groups]
+        for block in _path_blocks(*_path_inputs(groups[0][0]), n_workers):
+            size = max(1, _STACK_ELEMENTS // len(block[0]))
+            for group, group_parts in zip(groups, parts):
+                scn = group[0]
+                variants = [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in group]
+                for lo in range(0, len(grid), size):
+                    # unnamed, so that only the kept fields outlive the loop
+                    for part, batch in zip(group_parts[lo:], _step_loop(
+                            *block, scn.rates, scn.position, scn.sim, grid[lo:lo + size], variants)):
+                        part.append([getattr(batch, name) for name in kept + ("pi0",)])
+            del block  # before the next block is drawn
+        for group, group_parts in zip(groups, parts):
+            yield group, _joined(group_parts, kept, group[0].sim.include_tx_costs)
 
-    runs = [list(run) for _, run in groupby(enumerate(passes), key=but_h)]
-    parts, pi0 = [[] for _ in passes], [None] * len(passes)
-    for block in blocks:
-        size = max(1, _STACK_ELEMENTS // len(block[0]))
-        for run in runs:
-            for lo in range(0, len(run), size):
-                chunk = run[lo:lo + size]
-                _, (_, rates, pos, sim, variants) = chunk[0]
-                hs = [p[2].h for _, p in chunk]
-                for (i, _), batch in zip(chunk, _step_loop(*block, rates, pos, sim, hs, variants)):
-                    parts[i].append([getattr(batch, name) for name in kept])
-                    pi0[i] = batch.pi0
-        del block  # before the next block is drawn
-    for i, (*_, sim, _) in enumerate(passes):
-        joined = dict(zip(kept, (np.concatenate(col, axis=-1) for col in zip(*parts[i]))))
+
+def _joined(parts, kept, include_tx_costs):
+    """A BatchResult per entry of parts, joined over its blocks, dropped once joined."""
+    for i in range(len(parts)):
+        *cols, pi0 = zip(*parts[i])
         parts[i] = None
-        yield BatchResult(roe=joined.get("roe_tx" if sim.include_tx_costs else "roe_raw"),
-                          pi0=pi0[i], **{name: joined.get(name) for name in _PER_PATH})
+        joined = dict(zip(kept, (np.concatenate(col, axis=-1) for col in cols)))
+        del cols
+        yield BatchResult(roe=joined.get("roe_tx" if include_tx_costs else "roe_raw"),
+                          pi0=pi0[-1], **{name: joined.get(name) for name in _PER_PATH})
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +616,11 @@ def aggregate(batch: BatchResult, horizon_days, r_f=0.0) -> SummaryStats:
         n_paths=int(roe.shape[0]))
 
 
-def run_scenario(scn, n_workers=1, paths=None) -> SummaryStats:
-    """Stream a scenario's paths through one accounting pass and aggregate it;
-    given paths are one block."""
-    pos, sim = scn.position, scn.sim
-    blocks = [paths] if paths is not None else _path_blocks(
-        scn.market, scn.jump, pos.horizon_days, sim.dt_days, sim.n_paths, sim.seed, n_workers)
-    batch, = _simulate_blocks(blocks, [(scn.market, scn.rates, pos, sim, None)])
-    return aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
+def run_scenario(scn, n_workers=1) -> SummaryStats:
+    """Stream a scenario's paths through one accounting pass and aggregate it."""
+    (_, batches), = _stream_passes([scn], (scn.position.h,), n_workers)
+    batch, = next(batches).rows()
+    return aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)
 
 
 def write_path_dump(batch: BatchResult, path):

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from ammhedge import get_preset, generate_path_matrix
+from ammhedge import get_preset
 
 
 def scaled(scn, n_paths):
@@ -13,15 +13,3 @@ def scaled(scn, n_paths):
 def baseline():
     return get_preset("baseline")
 
-
-@pytest.fixture(scope="session")
-def small_scn(baseline):
-    # 4000 paths is enough for smoke-level statistics and keeps the suite fast
-    return scaled(baseline, 4000)
-
-
-@pytest.fixture(scope="session")
-def small_paths(small_scn):
-    pos, sim = small_scn.position, small_scn.sim
-    return generate_path_matrix(small_scn.market, None, pos.horizon_days,
-                                sim.dt_days, sim.n_paths, sim.seed)

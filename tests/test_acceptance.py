@@ -3,8 +3,8 @@
 One test per claim, so a -v run reads as a pass/fail checklist. Reference
 values are frozen for the baseline calibration (sigma_A = 92.2%,
 sigma_B = 108.4%, rho = 0.72, reward APR 54%, 2x collateral, 90 days).
-The heavy fixtures are shared: one 30k-path baseline matrix drives the
-hedge-grid, liquidation and rebalancing checks.
+The runners stream their own 30k baseline paths; the engine property suite
+reads the same paths as one shared matrix.
 """
 
 import math
@@ -17,6 +17,8 @@ import ammhedge.experiments as exp
 import ammhedge.liquidation_fpt as fpt
 import ammhedge.montecarlo as mc
 from ammhedge.config_domain import DAYS_PER_YEAR
+
+from conftest import scaled
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +119,8 @@ def test_mc_liquidation_agrees_with_analytic_bound():
                 "h=%.2f: claim benefit %.4fpp vs 2se %.4fpp" % (h, d * 100, 2e2 * se_d)
 
 
-def test_hedge_grid_headline_statistics(base_scn, base_paths):
-    t = exp.run_hedge_grid(base_scn, paths=base_paths)
+def test_hedge_grid_headline_statistics(base_scn):
+    t = exp.run_hedge_grid(base_scn)
     stats = t.extra["stats"]
     assert abs(stats[0.60].sr_raw - 0.931) <= 0.05
     assert abs(stats[0.65].sr_raw - 0.951) <= 0.05
@@ -130,8 +132,8 @@ def test_hedge_grid_headline_statistics(base_scn, base_paths):
     assert stats[0.80].var5_pp <= stats[0.70].var5_pp - 10.0
 
 
-def test_full_hedge_liquidation_outcomes(base_scn, base_paths):
-    t = exp.run_liquidation_stats(base_scn, paths=base_paths)
+def test_full_hedge_liquidation_outcomes(base_scn):
+    t = exp.run_liquidation_stats(base_scn)
     st_no, st_cl = t.extra["no_claims"], t.extra["claims"]
     assert abs(st_no.p_liq * 100.0 - 23.0) <= 1.0
     assert abs(st_cl.p_liq * 100.0 - 19.2) <= 1.0
@@ -152,8 +154,8 @@ def test_jump_stress_optimum_and_sharpe_windows(base_scn):
     assert 0.75 <= sr_unmatched <= 0.89
 
 
-def test_rebalancing_improves_sharpe_in_order(base_scn, base_paths):
-    t = exp.run_rebalancing_comparison(base_scn, paths=base_paths)
+def test_rebalancing_improves_sharpe_in_order(base_scn):
+    t = exp.run_rebalancing_comparison(base_scn)
     stats = t.extra["stats"]
     order = ["No rebalance", "Threshold 20pp", "Threshold 15pp", "Threshold 10pp"]
     hd = base_scn.position.horizon_days
@@ -196,9 +198,8 @@ def test_engine_property_suite(base_scn, base_paths):
     # liquidation risk grows with the hedge ratio, analytically and in MC
     probs = [fpt.liquidation_probability(h, m, pos) for h in (0.2, 0.4, 0.6, 0.8, 1.0)]
     assert all(b > a for a, b in zip(probs, probs[1:]))
-    sub = (rel_a[:4000], rel_b[:4000])
     hs = (0.4, 0.6, 0.8, 1.0)
-    stats, = exp._score([base_scn], hs, paths=sub)
+    stats, = exp._score([scaled(base_scn, 4000)], hs)  # the first 4000 of these paths
     mc_liq = [stats[h].p_liq for h in hs]
     assert all(b >= a for a, b in zip(mc_liq, mc_liq[1:]))
 

@@ -78,6 +78,41 @@ def test_fpt_h_is_held_to_initial_ltv_feasibility(capsys):
     assert "--h 0.9" in err and "initial LTV 0.90" in err
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1", "nan"])
+def test_fpt_rejects_an_alpha_outside_the_unit_interval(capsys, alpha):
+    code, out, err = _run(capsys, ["fpt", "--h", "0.6", "--alpha", alpha])
+    assert (code, out) == (1, "")
+    assert err.startswith("configuration error:") and "--alpha %r" % float(alpha) in err
+
+
+@pytest.mark.parametrize("command", ["analytic", "fpt"])
+@pytest.mark.parametrize("argv, key", [
+    (["--override", "market.mu_a=0.5"], "market.mu_a"),
+    (["--override", "market.mu_b=-0.1"], "market.mu_b"),
+    (["--scenario", "jumps"], "jump.lambda"),
+    (["--scenario", "jumps", "--override", "jump.variance_matched=false"], "jump.lambda"),
+    (["--override", "jump.rho_j=0.3"], "jump.lambda"),
+])
+def test_closed_form_rejects_drift_and_jumps(capsys, command, argv, key):
+    # neither the closed form nor the first-passage bound models them
+    code, out, err = _run(capsys, [command] + argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("configuration error: %s = " % key)
+
+
+@pytest.mark.parametrize("command", ["analytic", "fpt"])
+def test_closed_form_takes_no_monte_carlo_flags(capsys, monkeypatch, command):
+    for flags in (["--paths", "5"], ["--seed", "9"], ["--workers", "7"], ["--tx"], ["--no-tx"]):
+        with pytest.raises(SystemExit) as exc:
+            main([command] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
+    # nor does the seed variable change the output, analytic's config hash included
+    plain = _run(capsys, [command])
+    monkeypatch.setenv(SEED_ENV, "9")
+    assert plain[0] == 0 and _run(capsys, [command]) == plain
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -229,6 +264,16 @@ def test_non_finite_malformed_and_negative_inputs_are_config_errors(capsys, monk
     code, out, err = _run(capsys, ["simulate", "--paths", "50"] + argv)
     assert (code, out) == (1, "")
     assert err.startswith("configuration error:") and names in err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "cv"], ["rebalance"],
+                                     ["jumps"], ["reproduce", "table4"]])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_are_config_errors(capsys, monkeypatch, command, workers):
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
+    code, out, err = _run(capsys, command + ["--paths", "100", "--workers", workers])
+    assert (code, out) == (1, "")
+    assert err.startswith("configuration error: --workers %s" % workers)
 
 
 # ---------------------------------------------------------------------------

@@ -69,13 +69,6 @@ def test_hedge_grid_jump_engine_tag():
     assert t.provenance["engine"] == "mc_jump"
 
 
-def test_hedge_grid_uses_caller_paths(tiny):
-    paths = mc.generate_path_matrix(tiny.market, None, tiny.position.horizon_days,
-                                    tiny.sim.dt_days, 250, seed=tiny.sim.seed)
-    t = exp.run_hedge_grid(tiny, grid=(0.6,), paths=paths)
-    assert t.provenance["n_paths"] == 250
-
-
 def test_analytic_vs_mc_columns(tiny):
     t = exp.run_analytic_vs_mc(tiny, grid=(0.4, 0.8))
     assert t.columns[:6] == ["h (%)", "LTV_0", "b", "Analytical", "MC (no claims)",
@@ -169,19 +162,19 @@ def test_sweep_draws_the_paths_each_value_asks_for(tiny, axis, values):
 
 
 def _count_draws(monkeypatch):
-    """Scenarios whose paths get drawn; each block drawn asserts that every block
-    before it, of this draw or an earlier one, is dead."""
-    real, drawn, refs = exp._blocks_for, [], []
+    """The path inputs of each stream of blocks drawn; each block drawn asserts
+    that every block before it, of this stream or an earlier one, is dead."""
+    real, drawn, refs = mc._path_blocks, [], []
 
-    def counted(scn, n_workers=1):
-        drawn.append(scn)
-        for block in real(scn, n_workers):
+    def counted(*inputs):
+        drawn.append(inputs)
+        for block in real(*inputs):
             assert all(ref() is None for ref in refs)
             refs.append(weakref.ref(block[0]))
             yield block
             del block
 
-    monkeypatch.setattr(exp, "_blocks_for", counted)
+    monkeypatch.setattr(mc, "_path_blocks", counted)
     return drawn
 
 
@@ -237,10 +230,9 @@ def test_shared_sweep_runs_one_pass_per_h(tiny, monkeypatch, runner, axis, n_val
     monkeypatch.undo()
     per_value = t.extra["per_value"]
     assert len(per_value) == n_values
-    paths = mc.generate_path_matrix(*exp._path_inputs(month))
     for value, (h_opt, stats) in per_value.items():
         scn = apply_overrides(month, ["%s=%r" % (axis, value)])
-        assert [stats] == exp._score([scn], exp.FINE_GRID, paths=paths), value
+        assert [stats] == exp._score([scn], exp.FINE_GRID), value
 
 
 def test_score_stacks_hedge_ratios_in_chunks(baseline, monkeypatch):
@@ -268,7 +260,7 @@ def test_streamed_score_equals_whole_matrix_passes(baseline):
     grid = (0.6, 0.95)
     scored = exp._score(scns, grid)
     for scn, stats in zip(scns, scored):
-        rel_a, rel_b = mc.generate_path_matrix(*exp._path_inputs(scn))
+        rel_a, rel_b = mc.generate_path_matrix(*mc._path_inputs(scn))
         for h in grid:
             pos = dataclasses.replace(scn.position, h=h)
             batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, pos, scn.sim)
@@ -307,7 +299,7 @@ def test_rebalancing_cv_sweep_runs_one_pass_per_value(tiny, monkeypatch):
 def test_pass_groups_follow_the_step_loop_inputs(tiny):
     def groups(axis, values, base=tiny):
         scns = [exp._apply_axis(base, axis, v) for v in values]
-        return [len(list(g)) for _, g in itertools.groupby(scns, key=exp._pass_key)]
+        return [len(list(g)) for _, g in itertools.groupby(scns, key=mc._pass_key)]
 
     assert groups("position.c_over_v0", (1.5, 2.0, 3.0)) == [3]
     assert groups("sim.liq_penalty_frac", (0.1, 0.2)) == [2]
@@ -413,7 +405,7 @@ def test_jump_stress_generates_each_scenario_once(tiny, monkeypatch):
                                                                    horizon_days=30.0))
     out = exp.run_jump_stress(month, grid=(0.3, 0.65), fine_grid=(0.6, 0.65))
     # GBM plus the four stress scenarios; the matched 0.80 one feeds the comparison
-    made = [scn.jump for scn in drawn]
+    made = [jump for _, jump, *_ in drawn]
     assert len(made) == 5 and len(set(made)) == 5
     comp, per_scn = out["jump_comparison"], out["jump_stress"].extra["per_scenario"]
     matched = per_scn[(0.80, True)][1]
@@ -485,6 +477,17 @@ def _jump_stress(m):
              stats) for key, (_, stats) in out["jump_stress"].extra["per_scenario"].items()]
 
 
+def _rebalancing(m):
+    # every rule at h = 0.8, each against a plain pass with that rule
+    stats = exp.run_rebalancing_comparison(m, h=0.8).extra["stats"]
+    return [(apply_overrides(m, ["sim.rebalance=%s" % rule]), {0.8: stats[label]})
+            for label, rule in exp.REBALANCE_STRATEGIES]
+
+
+def _run_scenario(m):
+    return [(m, {m.position.h: mc.run_scenario(m)})]
+
+
 def _figure(m):
     return [(m, exp.emit_figure_data("fig2", m, grid=REF_GRID).extra["stats"])]
 
@@ -498,10 +501,11 @@ def _sweep(axis, values):
 
 @pytest.mark.parametrize("runner, draws", [
     (_hedge_grid, 1), (_analytic_vs_mc, 1), (_liquidation_stats, 1), (_robustness_pairs, 4),
-    (_jump_stress, 5), (_figure, 1), (_sweep("position.c_over_v0", (1.5, 3.0)), 1),
-    (_sweep("sim.liq_penalty_frac", (0.1, 0.3)), 1), (_sweep("market.rho", (0.3, 0.6)), 2),
+    (_jump_stress, 5), (_rebalancing, 1), (_run_scenario, 1), (_figure, 1),
+    (_sweep("position.c_over_v0", (1.5, 3.0)), 1), (_sweep("sim.liq_penalty_frac", (0.1, 0.3)), 1),
+    (_sweep("market.rho", (0.3, 0.6)), 2),
 ], ids=["hedge_grid", "analytic_vs_mc", "liquidation_stats", "robustness_pairs", "jump_stress",
-        "figure", "sweep_cv", "sweep_penalty", "sweep_rho"])
+        "rebalancing", "run_scenario", "figure", "sweep_cv", "sweep_penalty", "sweep_rho"])
 def test_runner_stats_equal_a_naive_reference(tiny, monkeypatch, runner, draws):
     # each runner also drops its old matrix before the next draw
     drawn = _count_draws(monkeypatch)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import ammhedge.montecarlo as mc
 from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, PositionParams,
-                                    RateParams, ScenarioError, SimConfig, validate_sim)
+                                    RateParams, Scenario, ScenarioError, SimConfig, validate_sim)
 
 from scalar_oracle import simulate_path
 
@@ -486,6 +487,16 @@ def _contiguous_chunks(draw, n):
     return list(zip(edges, edges[1:]))
 
 
+def _serving(blocks):
+    """mc._path_blocks patched to stream the given blocks, whatever it is asked for."""
+    return mock.patch.object(mc, "_path_blocks", lambda *inputs: iter(blocks))
+
+
+def _assert_fields_equal(got, want):
+    for f in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name), equal_nan=True), f.name
+
+
 @settings(max_examples=30, deadline=None)
 @given(chunks=_contiguous_chunks(64), rule=st.sampled_from(list(KERNEL_DIGESTS)),
        h=st.sampled_from([0.3, 0.6, 0.9]), claim_days=st.sampled_from([0.0, 2.0]),
@@ -498,15 +509,22 @@ def test_streamed_blocks_equal_one_whole_pass(chunks, rule, h, claim_days, tx):
     pos = PositionParams(v0=1.0, c_over_v0=1.5, h=h, l_max=0.8, horizon_days=24.0)
     sim = SimConfig(n_paths=64, dt_days=0.5, claim_interval_days=claim_days, gas_cost=0.001,
                     rebalance=rule, include_tx_costs=tx)
-    variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else None
-    passes = [(None, rates, pos, sim, variants), (None, rates, pos, sim, None)]
+    variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else []
+    # one scenario per variant, then the plain one: all share one pass
+    scenarios = [Scenario(MarketParams(), rates, dataclasses.replace(pos, c_over_v0=cv),
+                          dataclasses.replace(sim, liq_penalty_frac=pen))
+                 for cv, pen in variants] + [Scenario(MarketParams(), rates, pos, sim)]
     blocks = [(rel_a[lo:hi], rel_b[lo:hi]) for lo, hi in chunks]
-    streamed = mc._simulate_blocks(blocks, passes, kept=mc._PER_PATH)
-    for (*args, var), got in zip(passes, streamed):
-        want = mc.simulate_batch(rel_a, rel_b, *args, variants=var)
-        for f in dataclasses.fields(want):
-            assert np.array_equal(getattr(got, f.name), getattr(want, f.name),
-                                  equal_nan=True), f.name
+    with _serving(blocks):
+        (group, batches), = mc._stream_passes(scenarios, (h,), kept=mc._PER_PATH)
+    got, = batches
+    assert group == scenarios
+    _assert_fields_equal(got, mc.simulate_batch(
+        rel_a, rel_b, None, rates, pos, sim,
+        variants=[(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in scenarios]))
+    for scn, row in zip(scenarios, got.rows()):
+        _assert_fields_equal(row, mc.simulate_batch(rel_a, rel_b, None, rates, scn.position,
+                                                    scn.sim))
 
 
 @st.composite
@@ -550,11 +568,14 @@ def test_streamed_pass_keeps_what_aggregate_reads(baseline):
     for tx in (False, True):
         sim = dataclasses.replace(baseline.sim, include_tx_costs=tx)
         blocks = [(rel_a[:25], rel_b[:25]), (rel_a[25:], rel_b[25:])]
-        got, = mc._simulate_blocks(blocks, [(baseline.market, baseline.rates, pos, sim, None)])
+        with _serving(blocks):
+            (_, batches), = mc._stream_passes(
+                [dataclasses.replace(baseline, position=pos, sim=sim)], (pos.h,))
+        got, = batches
         want = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim)
         assert got.roe is (got.roe_tx if tx else got.roe_raw)
         assert got.liq_time_days is None and got.n_claims is None and got.tx_cost_paid is None
-        assert mc.aggregate(got, 30.0) == mc.aggregate(want, 30.0)
+        assert mc.aggregate(got.rows()[0], 30.0) == mc.aggregate(want, 30.0)
 
 
 COLLATERALS = st.floats(1e-200, 1e200)
@@ -702,12 +723,6 @@ def test_aggregate_degenerate_samples(baseline):
                                baseline.position, baseline.sim)
     agg2 = mc.aggregate(batch2, 90.0)
     assert agg2.std_pp == 0.0 and math.isnan(agg2.sr_raw)
-
-
-def test_run_scenario_accepts_prebuilt_paths(small_scn, small_paths):
-    direct = mc.run_scenario(small_scn, paths=small_paths)
-    regenerated = mc.run_scenario(small_scn)
-    assert direct == regenerated
 
 
 def test_write_path_dump_roundtrip(tmp_path, baseline):
