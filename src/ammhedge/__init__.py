@@ -10,9 +10,9 @@ The package is organized as a pipeline:
 - cli: the `ammhedge` command
 """
 
-from .analytics import (MomentSet, PnlDecomposition, compute_phi, h_min_variance,
-                        h_star, joint_mgf_exponent, pnl_decomposition, pnl_variance,
-                        sharpe, variance_components, verify_soc)
+from .analytics import (compute_phi, h_min_variance, h_star, joint_mgf_exponent,
+                        pnl_decomposition, pnl_variance, sharpe, variance_components,
+                        verify_soc)
 from .config_domain import (DAYS_PER_YEAR, DEFAULT_SEED, SCENARIO_KEYS, JumpParams,
                             MarketParams, PositionParams, RateParams, Scenario,
                             ScenarioError, SimConfig, apply_overrides, baseline_scenario,
@@ -23,8 +23,8 @@ from .experiments import (PRESETS, Table, get_preset, reproduce, run_analytic_vs
                           run_hedge_grid, run_jump_stress, run_liquidation_stats,
                           run_rebalancing_comparison, run_robustness_pairs, run_sensitivity,
                           write_table)
-from .liquidation_fpt import (FptInputs, fpt_inputs, h_bar, h_double_star,
-                              liquidation_probability, sigma_tilde)
+from .liquidation_fpt import (fpt_inputs, h_bar, h_double_star, liquidation_probability,
+                              sigma_tilde)
 from .montecarlo import (BatchResult, SummaryStats, aggregate, generate_path_matrix,
                          run_scenario, simulate_batch, write_path_dump)
 
@@ -37,10 +37,10 @@ __all__ = [
     "scenario_values", "scenario_hash", "baseline_scenario",
     "estimate_market_params", "read_price_csv",
     "SCENARIO_KEYS", "DAYS_PER_YEAR", "DEFAULT_SEED",
-    "MomentSet", "PnlDecomposition", "joint_mgf_exponent", "compute_phi",
+    "joint_mgf_exponent", "compute_phi",
     "variance_components", "pnl_decomposition", "pnl_variance", "sharpe",
     "h_star", "h_min_variance", "verify_soc",
-    "FptInputs", "sigma_tilde", "fpt_inputs", "liquidation_probability",
+    "sigma_tilde", "fpt_inputs", "liquidation_probability",
     "h_bar", "h_double_star",
     "BatchResult", "SummaryStats", "generate_path_matrix", "simulate_batch", "aggregate",
     "run_scenario", "write_path_dump",

@@ -146,13 +146,15 @@ def cmd_fpt(args):
     st = fpt.sigma_tilde(m, pos.horizon_years)
     inp = fpt.fpt_inputs(pos.h, m, pos)
     prob = fpt.liquidation_probability(pos.h, m, pos)
+    if args.alpha is not None:
+        # both before the first line, so that a failure prints nothing
+        hb = fpt.h_bar(args.alpha, m, pos)
+        hdd = fpt.h_double_star(args.alpha, m, scn.rates, pos)
     print("sigma_tilde  = %.6f" % st)
     print("LTV_0        = %.4f" % inp.ltv0)
     print("barrier b    = %.6f" % inp.barrier_log)
     print("P(liq, %.0fd) = %.2f%%" % (pos.horizon_days, prob * 100.0))
     if args.alpha is not None:
-        hb = fpt.h_bar(args.alpha, m, pos)
-        hdd = fpt.h_double_star(args.alpha, m, scn.rates, pos)
         print("h_bar(%.4f) = %.4f" % (args.alpha, hb))
         print("h**          = %.4f" % hdd)
     return 0
@@ -163,7 +165,7 @@ def cmd_simulate(args):
     # every per-path field only for the dump
     (_, batches), = mc._stream_passes([scn], (scn.position.h,), args.workers,
                                       mc._PER_PATH if args.dump_paths else mc._AGGREGATED)
-    batch, = next(batches).rows()
+    batch = next(batches)
     if args.dump_paths:
         mc.write_path_dump(batch, args.dump_paths)
     stats = mc.aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)

@@ -427,12 +427,12 @@ def parse_scenario(text, name="custom", base=None):
     return _scenario_from({} if base is None else base, entries, bad, name)
 
 
-def load_scenario(path, base=None):
+def load_scenario(path):
     with open(path) as fh:
         text = fh.read()
     stem = str(path).rsplit("/", 1)[-1]
     stem = stem.rsplit(".", 1)[0]
-    return parse_scenario(text, name=stem, base=base)
+    return parse_scenario(text, name=stem)
 
 
 def apply_overrides(scn: Scenario, pairs) -> Scenario:

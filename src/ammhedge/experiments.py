@@ -94,12 +94,9 @@ def _provenance(scn, used=()):
 def _score(scenarios, grid, n_workers=1) -> list:
     """{h: SummaryStats} over the grid for each scenario, on common random numbers:
     the passes of mc._stream_passes, each aggregated as it is joined."""
-    out = []
-    for group, batches in mc._stream_passes(scenarios, grid, n_workers):
-        hd, r_f = group[0].position.horizon_days, group[0].rates.r_f
-        per_h = [[mc.aggregate(row, hd, r_f=r_f) for row in batch.rows()] for batch in batches]
-        out += [{h: stats[k] for h, stats in zip(grid, per_h)} for k in range(len(group))]
-    return out
+    return [{h: mc.aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)
+             for h, batch in zip(grid, batches)}
+            for scn, batches in mc._stream_passes(scenarios, grid, n_workers)]
 
 
 def argmax_h(grid, stats_by_h, key=lambda s: s.sr_raw):
@@ -214,7 +211,7 @@ def run_rebalancing_comparison(scn, h=0.60, strategies=REBALANCE_STRATEGIES,
                  for _, rule in strategies]
     rows, stats = [], {}
     for (label, _), (_, batches) in zip(strategies, mc._stream_passes(scenarios, (h,), n_workers)):
-        batch, = next(batches).rows()
+        batch = next(batches)
         st = mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
         stats[label] = st
         gas_paid = scn.sim.gas_cost * float(np.mean(batch.n_rebalances))
@@ -271,6 +268,11 @@ def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
     scenarios = [_apply_axis(base, axis, value) for value in values]
     for value, scn in zip(values, scenarios):
         errs = validate_scenario(replace(scn, position=replace(scn.position, h=0.0)))
+        if not errs:
+            try:
+                mc._path_steps(scn.position.horizon_days, scn.sim.dt_days)
+            except ScenarioError as exc:
+                errs = [str(exc)]
         if errs:
             raise ScenarioError("sweep value %s = %r: %s" % (axis, value, "; ".join(errs)))
     rows, per_value = [], {}

@@ -55,13 +55,6 @@ class BatchResult:
     tx_cost_paid: np.ndarray
     pi0: float
 
-    def rows(self):
-        """One BatchResult per row of a pass run with variants."""
-        per_path = [getattr(self, f.name) for f in fields(self)[:-1]]
-        return [BatchResult(*(None if v is None else v[k] for v in per_path),
-                            pi0=float(self.pi0[k]))
-                for k in range(len(self.pi0))]
-
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -342,7 +335,7 @@ def _breach_level(coll, l_max):
 
 
 def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
-                   pos: PositionParams, sim: SimConfig, *, variants=None) -> BatchResult:
+                   pos: PositionParams, sim: SimConfig) -> BatchResult:
     """Run the accounting loop over a matrix of paths.
 
     LTV is checked on every grid step. Reward claims and periodic rebalances
@@ -351,28 +344,27 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     running (so max-LTV diagnostics cover the full horizon) but can no longer
     rebalance, and its P&L is overridden with the flat penalty loss.
 
-    variants, a sequence of (c_over_v0, liq_penalty_frac) pairs, scores them
-    all in this one pass in place of pos.c_over_v0 and sim.liq_penalty_frac:
-    each per-path field then has one row per pair and pi0 one entry per pair;
-    n_rebalances, the same for every pair, is a read-only broadcast view.
-    The step loop reads C/V0 only in the breach test, which it runs for each
-    distinct C/V0, and the penalty not at all; with a rebalancing rule C/V0
-    gates the trigger, so all pairs must share it.
-
-    This is _step_loop run for the one hedge ratio pos.h.
+    This is _step_loop run for the one hedge ratio pos.h and the one variant
+    (pos.c_over_v0, sim.liq_penalty_frac).
     """
-    batch, = _step_loop(rel_a, rel_b, rates, pos, sim, (pos.h,), variants)
+    (batch,), = _step_loop(rel_a, rel_b, rates, pos, sim, (pos.h,),
+                           ((pos.c_over_v0, sim.liq_penalty_frac),))
     return batch
 
 
 def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
-    """The accounting loop of simulate_batch for every hedge ratio in hs at
-    once, in place of pos.h: one BatchResult per h, each that of simulate_batch.
+    """The accounting loop of simulate_batch for every hedge ratio in hs and
+    every (c_over_v0, liq_penalty_frac) pair in variants at once: per h, one
+    BatchResult per pair, each that of simulate_batch with that h and pair.
 
-    The state has one row per h, (H, rows) arrays, and (H, K, rows) for the K
-    distinct C/V0 of the breach test, so each step reads the prices once for
-    all H; every operation is elementwise per (h, path), so each row's bits
-    are those of a pass with that h alone.
+    The loop reads C/V0 only in the breach test, which it runs for each
+    distinct C/V0, and the penalty not at all; with a rebalancing rule C/V0
+    gates the trigger, so all pairs must share it. The state has one row per
+    h, (H, rows) arrays, and (H, K, rows) for the K distinct C/V0, so each
+    step reads the prices once for all H; every operation is elementwise per
+    (h, path), so each row's bits are those of a pass with that h alone. Each
+    (h, pair) is closed on its own row; n_rebalances, the same for every
+    pair, is a read-only broadcast view.
 
     The step computes each debt value once, into buffers allocated once.
     The pending rewards, shared by every path, stay a Python float; both
@@ -388,8 +380,7 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
     dt_days, claim_stride, reb_kind, reb_par, reb_stride = _grid_strides(pos, sim, steps)
     dt_y = dt_days / DAYS_PER_YEAR
 
-    pairs = ((pos.c_over_v0, sim.liq_penalty_frac),) if variants is None else tuple(variants)
-    cvs = tuple(dict.fromkeys(cv for cv, _ in pairs))
+    cvs = tuple(dict.fromkeys(cv for cv, _ in variants))
     if reb_kind != "none" and len(cvs) != 1:
         raise ValueError("a %s pass takes one c_over_v0, got %d" % (sim.rebalance, len(cvs)))
 
@@ -397,7 +388,6 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
     h = np.array(hs, dtype=float)[:, None]
     H, K = len(hs), len(cvs)
     # one breach state per distinct collateral: rows of (K, n) arrays per h
-    coll = np.array(cvs)[:, None] * v0
     level = np.array([_breach_level(cv * v0, pos.l_max) for cv in cvs])[:, None]
     r_a, r_b, reward, r_f = rates.r_a, rates.r_b, rates.reward_rate, rates.r_f
     thr = reb_par / 100.0  # threshold parameter arrives in percentage points
@@ -492,27 +482,25 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
     a_t = rel_a[:, -1]
     b_t = rel_b[:, -1]
     lp_t = v0 * np.sqrt(a_t * b_t)
-    coll_t = coll * (1.0 + r_f * pos.horizon_days / DAYS_PER_YEAR)
-    # the closing lines run once per h and pair, on its collateral's row
-    row = [cvs.index(cv) for cv, _ in pairs]
-    coll = coll[row]
-    penalty = np.array([pen for _, pen in pairs])[:, None]
+    grow = 1.0 + r_f * pos.horizon_days / DAYS_PER_YEAR
     out = []
     for j, hj in enumerate(hs):
         debt_t = np.maximum(da[j] * a_t - res_a[j], 0.0) + np.maximum(db[j] * b_t - res_b[j], 0.0)
-        pi_t = (lp_t + pending + cash[j] + coll_t - debt_t - interest[j])[row]
-        liq_j, claims_j = liq[j][row], n_claims[j][row]
-        pi0 = coll + (1.0 - hj) * v0
-        pnl_raw = np.where(liq_j, -penalty * coll, pi_t - pi0)
-        tx = sim.borrow_fee_frac * hj * v0 + sim.gas_cost * (claims_j + n_reb[j])
-        roe_raw = pnl_raw / pi0
-        roe_tx = (pnl_raw - tx) / pi0
-        batch = BatchResult(
-            roe=roe_tx if sim.include_tx_costs else roe_raw,
-            roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq_j, liq_time_days=liq_day[j][row],
-            max_ltv=max_debt[j] / coll, n_rebalances=np.broadcast_to(n_reb[j], (len(pairs), n)),
-            n_claims=claims_j, tx_cost_paid=tx, pi0=pi0[:, 0])
-        out.append(batch if variants is not None else batch.rows()[0])
+        batches = []
+        for cv, pen in variants:
+            k, coll = cvs.index(cv), cv * v0
+            pi_t = lp_t + pending + cash[j] + coll * grow - debt_t - interest[j]
+            pi0 = float(coll + (1.0 - hj) * v0)
+            pnl_raw = np.where(liq[j, k], -pen * coll, pi_t - pi0)
+            tx = sim.borrow_fee_frac * hj * v0 + sim.gas_cost * (n_claims[j, k] + n_reb[j])
+            roe_raw = pnl_raw / pi0
+            roe_tx = (pnl_raw - tx) / pi0
+            batches.append(BatchResult(
+                roe=roe_tx if sim.include_tx_costs else roe_raw,
+                roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq[j, k], liq_time_days=liq_day[j, k],
+                max_ltv=max_debt[j] / coll, n_rebalances=np.broadcast_to(n_reb[j], (n,)),
+                n_claims=n_claims[j, k], tx_cost_paid=tx, pi0=pi0))
+        out.append(batches)
     return out
 
 
@@ -539,34 +527,37 @@ def _pass_key(scn):
 
 
 def _stream_passes(scenarios, grid, n_workers=1, kept=_AGGREGATED):
-    """simulate_batch for every scenario at every h of grid, on streamed paths.
+    """simulate_batch for every scenario at every h of grid, on streamed paths:
+    yields (scenario, batches) for each scenario, in order, where batches
+    gives one BatchResult per h, joined over the blocks as it is read, whose
+    per-path fields not kept are None.
 
     Consecutive scenarios with equal _path_inputs form a run: each of its
     blocks is drawn once, read by all of the run's kernel passes and dropped
     before the next is drawn. Consecutive scenarios of a run with equal
     _pass_key form a group, one variant each of one pass per h; a group's grid
-    runs in chunks of max(1, _STACK_ELEMENTS // rows) hedge ratios. After a
-    run's last block, this yields (group, batches) for each of its groups:
-    batches gives per h a BatchResult with one row per scenario, joined over
-    the blocks as it is read, whose per-path fields not kept are None.
+    runs in chunks of max(1, _STACK_ELEMENTS // rows) hedge ratios. A run's
+    scenarios are yielded after its last block.
     """
     for _, run in groupby(scenarios, key=_path_inputs):
-        groups = [list(g) for _, g in groupby(run, key=_pass_key)]
-        # per group and h, the kept fields and pi0 of each block
-        parts = [[[] for _ in grid] for _ in groups]
-        for block in _path_blocks(*_path_inputs(groups[0][0]), n_workers):
+        # each scenario with, per h, the kept fields and pi0 of each block
+        run = [(scn, [[] for _ in grid]) for scn in run]
+        groups = [list(g) for _, g in groupby(run, key=lambda item: _pass_key(item[0]))]
+        for block in _path_blocks(*_path_inputs(run[0][0]), n_workers):
             size = max(1, _STACK_ELEMENTS // len(block[0]))
-            for group, group_parts in zip(groups, parts):
-                scn = group[0]
-                variants = [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in group]
+            for group in groups:
+                scn = group[0][0]
+                variants = [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s, _ in group]
                 for lo in range(0, len(grid), size):
                     # unnamed, so that only the kept fields outlive the loop
-                    for part, batch in zip(group_parts[lo:], _step_loop(
-                            *block, scn.rates, scn.position, scn.sim, grid[lo:lo + size], variants)):
-                        part.append([getattr(batch, name) for name in kept + ("pi0",)])
+                    for i, batches in enumerate(_step_loop(
+                            *block, scn.rates, scn.position, scn.sim, grid[lo:lo + size],
+                            variants), lo):
+                        for (_, parts), batch in zip(group, batches):
+                            parts[i].append([getattr(batch, name) for name in kept + ("pi0",)])
             del block  # before the next block is drawn
-        for group, group_parts in zip(groups, parts):
-            yield group, _joined(group_parts, kept, group[0].sim.include_tx_costs)
+        for scn, parts in run:
+            yield scn, _joined(parts, kept, scn.sim.include_tx_costs)
 
 
 def _joined(parts, kept, include_tx_costs):
@@ -619,8 +610,7 @@ def aggregate(batch: BatchResult, horizon_days, r_f=0.0) -> SummaryStats:
 def run_scenario(scn, n_workers=1) -> SummaryStats:
     """Stream a scenario's paths through one accounting pass and aggregate it."""
     (_, batches), = _stream_passes([scn], (scn.position.h,), n_workers)
-    batch, = next(batches).rows()
-    return aggregate(batch, scn.position.horizon_days, r_f=scn.rates.r_f)
+    return aggregate(next(batches), scn.position.horizon_days, r_f=scn.rates.r_f)
 
 
 def write_path_dump(batch: BatchResult, path):

@@ -85,6 +85,15 @@ def test_fpt_rejects_an_alpha_outside_the_unit_interval(capsys, alpha):
     assert err.startswith("configuration error:") and "--alpha %r" % float(alpha) in err
 
 
+def test_fpt_prints_nothing_when_h_double_star_is_undefined(capsys):
+    # without rewards or a risk-free rate the expected P&L at h = 0 is
+    # negative, so h** has no Sharpe optimum: a runtime error, and no half table
+    code, out, err = _run(capsys, ["fpt", "--alpha", "0.05", "--override", "rates.reward_rate=0",
+                                   "--override", "rates.r_f=0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mu0 = ")
+
+
 @pytest.mark.parametrize("command", ["analytic", "fpt"])
 @pytest.mark.parametrize("argv, key", [
     (["--override", "market.mu_a=0.5"], "market.mu_a"),
@@ -357,6 +366,21 @@ def test_bad_sweep_value_is_config_error_before_any_draw(capsys, monkeypatch, ax
     assert code == 1
     assert out == ""
     assert "%s = %r" % (axis, float(bad)) in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--axis", "position.horizon_days", "--values", "90,90.5"], "position.horizon_days = 90.5"),
+    (["--axis", "sim.dt_days", "--values", "0.5,1/3", "--override", "position.horizon_days=90.5"],
+     "sim.dt_days = %r" % (1 / 3)),
+])
+def test_sweep_checks_each_path_grid_before_any_draw(capsys, monkeypatch, argv, named):
+    # the good value comes first: its paths must not be drawn before the bad
+    # value's grid is rejected, and the error names the swept key and value
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
+    code, out, err = _run(capsys, ["sweep", "--paths", "200"] + argv)
+    assert (code, out) == (1, "")
+    assert "sweep value %s: dt_days = " % named in err
+    assert "does not divide horizon_days = 90.5" in err
 
 
 def test_rebalance_table(capsys):

@@ -2,19 +2,21 @@
 
 The demos are parsed, never run. A name imported from the package itself must
 be in `ammhedge.__all__` or be one of its modules, so shrinking the public API
-cannot break a demo unnoticed.
+cannot break a demo unnoticed. The README's count of that API is checked too.
 """
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 
 import pytest
 
 import ammhedge
 
-DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO_DIR = os.path.join(ROOT, "demos")
 DEMOS = sorted(f for f in os.listdir(DEMO_DIR) if f.endswith(".py"))
 
 
@@ -52,3 +54,9 @@ def test_demo_imports_exist(demo):
                 and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)):
             missing.append("%s.%s" % (node.value.id, node.attr))
     assert not missing, "%s uses names ammhedge does not export: %s" % (demo, missing)
+
+
+def test_readme_counts_the_public_api():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        counts = re.findall(r"`ammhedge\.__all__` \((\d+) names\)", fh.read())
+    assert counts == [str(len(ammhedge.__all__))]

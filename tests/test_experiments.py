@@ -106,6 +106,16 @@ def test_rebalancing_comparison_rows(tiny):
     assert set(t.extra["stats"]) == set(labels)
 
 
+def test_rebalancing_comparison_takes_repeated_rules(tiny):
+    # strategies with the same rule share one pass: each still gets its row
+    t = exp.run_rebalancing_comparison(scaled(tiny, 200), strategies=(
+        ("A", "none"), ("B", "none"), ("C", "periodic(14)"), ("D", "periodic(14)")))
+    a, b, c, d = t.rows
+    assert [a[0], b[0], c[0], d[0]] == ["A", "B", "C", "D"]
+    assert a[1:] == b[1:] and c[1:] == d[1:] and a[1:] != c[1:]
+    assert t.extra["stats"]["A"] == t.extra["stats"]["B"]
+
+
 def test_sharpe_se_uses_the_horizon():
     st = _dummy_stats(1.2)
     at_90 = math.sqrt((1.0 + 0.5 * (1.2 / math.sqrt(365.0 / 90.0)) ** 2)) * math.sqrt(365.0 / 90.0)

@@ -374,9 +374,9 @@ def test_kernel_matches_scalar_oracle(baseline, h, cv, seed, dt_days, claim_days
 
 
 def _assert_variants_match_single_passes(rel_a, rel_b, market, rates, pos, sim, variants):
-    shared = mc.simulate_batch(rel_a, rel_b, market, rates, pos, sim, variants=variants)
-    assert len(shared.pi0) == len(variants)
-    for (cv, pen), row in zip(variants, shared.rows()):
+    shared, = mc._step_loop(rel_a, rel_b, rates, pos, sim, (pos.h,), variants)
+    assert len(shared) == len(variants)
+    for (cv, pen), row in zip(variants, shared):
         alone = mc.simulate_batch(rel_a, rel_b, market, rates,
                                   dataclasses.replace(pos, c_over_v0=cv),
                                   dataclasses.replace(sim, liq_penalty_frac=pen))
@@ -412,11 +412,11 @@ def test_rebalancing_pass_shares_only_the_penalty(baseline, rule):
     rel_a, rel_b = _volatile_paths(3, 200, 270, sim.dt_days)
     shared = _assert_variants_match_single_passes(
         rel_a, rel_b, baseline.market, baseline.rates, pos, sim, [(1.8, 0.1), (1.8, 0.3)])
-    assert shared.liquidated.any() and shared.n_rebalances.any()
+    assert any(row.liquidated.any() for row in shared)
+    assert any(row.n_rebalances.any() for row in shared)
     # C/V0 gates the trigger: a rebalancing pass cannot share it
     with pytest.raises(ValueError, match="one c_over_v0"):
-        mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim,
-                          variants=[(1.8, 0.1), (3.0, 0.1)])
+        mc._step_loop(rel_a, rel_b, baseline.rates, pos, sim, (pos.h,), [(1.8, 0.1), (3.0, 0.1)])
 
 
 @pytest.mark.parametrize("rule", ["none", "threshold(15)", "periodic(14)"])
@@ -469,12 +469,18 @@ def test_kernel_fields_match_frozen_digest(rule):
                 sim = SimConfig(n_paths=64, dt_days=0.5, claim_interval_days=claim_days,
                                 liq_penalty_frac=0.2, borrow_fee_frac=0.003, gas_cost=gas,
                                 rebalance=rule, include_tx_costs=True)
-                batch = mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim,
-                                          variants=variants)
-                liquidated += int(np.sum(batch.liquidated))
-                for f in dataclasses.fields(batch):
-                    v = np.asarray(getattr(batch, f.name))
-                    digest.update(("%s %s %s;" % (f.name, v.dtype.str, v.shape)).encode())
+                if variants:
+                    rows, = mc._step_loop(rel_a, rel_b, rates, pos, sim, (h,), variants)
+                    # the variants stacked into the (3, 64) rows and (3,) pi0
+                    # that the digest was frozen on
+                    batch = {f.name: np.stack([getattr(row, f.name) for row in rows])
+                             for f in dataclasses.fields(mc.BatchResult)}
+                else:
+                    batch = vars(mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim))
+                liquidated += int(np.sum(batch["liquidated"]))
+                for name, value in batch.items():
+                    v = np.asarray(value)
+                    digest.update(("%s %s %s;" % (name, v.dtype.str, v.shape)).encode())
                     digest.update(np.ascontiguousarray(v).tobytes())
     assert liquidated > 0
     assert digest.hexdigest() == KERNEL_DIGESTS[rule]
@@ -516,14 +522,14 @@ def test_streamed_blocks_equal_one_whole_pass(chunks, rule, h, claim_days, tx):
                  for cv, pen in variants] + [Scenario(MarketParams(), rates, pos, sim)]
     blocks = [(rel_a[lo:hi], rel_b[lo:hi]) for lo, hi in chunks]
     with _serving(blocks):
-        (group, batches), = mc._stream_passes(scenarios, (h,), kept=mc._PER_PATH)
-    got, = batches
-    assert group == scenarios
-    _assert_fields_equal(got, mc.simulate_batch(
-        rel_a, rel_b, None, rates, pos, sim,
-        variants=[(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in scenarios]))
-    for scn, row in zip(scenarios, got.rows()):
-        _assert_fields_equal(row, mc.simulate_batch(rel_a, rel_b, None, rates, scn.position,
+        streamed = list(mc._stream_passes(scenarios, (h,), kept=mc._PER_PATH))
+    assert [scn for scn, _ in streamed] == scenarios
+    shared, = mc._step_loop(rel_a, rel_b, rates, pos, sim, (h,),
+                            [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in scenarios])
+    for (scn, batches), row in zip(streamed, shared):
+        got, = batches
+        _assert_fields_equal(got, row)
+        _assert_fields_equal(got, mc.simulate_batch(rel_a, rel_b, None, rates, scn.position,
                                                     scn.sim))
 
 
@@ -549,17 +555,20 @@ def test_stacked_chunks_equal_per_h_calls(chunks, rule, claim_days, gas):
     sim = SimConfig(n_paths=64, dt_days=0.5, claim_interval_days=claim_days,
                     liq_penalty_frac=0.2, borrow_fee_frac=0.003, gas_cost=gas,
                     rebalance=rule, include_tx_costs=True)
-    variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else None
+    variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else \
+        [(pos.c_over_v0, sim.liq_penalty_frac)]
     for hs in chunks:
         stacked = mc._step_loop(rel_a, rel_b, rates, pos, sim, hs, variants)
         assert len(stacked) == len(hs)
-        for h, got in zip(hs, stacked):
-            want = mc.simulate_batch(rel_a, rel_b, None, rates, dataclasses.replace(pos, h=h),
-                                     sim, variants=variants)
-            for f in dataclasses.fields(want):
-                g, w = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
-                assert g.dtype == w.dtype and g.shape == w.shape, f.name
-                assert np.array_equal(g, w, equal_nan=True), f.name
+        for h, got_rows in zip(hs, stacked):
+            want_rows, = mc._step_loop(rel_a, rel_b, rates, dataclasses.replace(pos, h=h), sim,
+                                       (h,), variants)
+            assert len(got_rows) == len(want_rows) == len(variants)
+            for got, want in zip(got_rows, want_rows):
+                for f in dataclasses.fields(want):
+                    g, w = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+                    assert g.dtype == w.dtype and g.shape == w.shape, f.name
+                    assert np.array_equal(g, w, equal_nan=True), f.name
 
 
 def test_streamed_pass_keeps_what_aggregate_reads(baseline):
@@ -575,7 +584,7 @@ def test_streamed_pass_keeps_what_aggregate_reads(baseline):
         want = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim)
         assert got.roe is (got.roe_tx if tx else got.roe_raw)
         assert got.liq_time_days is None and got.n_claims is None and got.tx_cost_paid is None
-        assert mc.aggregate(got.rows()[0], 30.0) == mc.aggregate(want, 30.0)
+        assert mc.aggregate(got, 30.0) == mc.aggregate(want, 30.0)
 
 
 COLLATERALS = st.floats(1e-200, 1e200)
