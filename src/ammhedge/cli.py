@@ -162,9 +162,7 @@ def cmd_fpt(args):
 
 def cmd_simulate(args):
     scn, _ = _resolve_scenario(args)
-    # every per-path field only for the dump
-    (_, batches), = mc._stream_passes([scn], (scn.position.h,), args.workers,
-                                      mc._PER_PATH if args.dump_paths else mc._AGGREGATED)
+    (_, batches), = mc._stream_passes([scn], (scn.position.h,), args.workers)
     batch = next(batches)
     if args.dump_paths:
         mc.write_path_dump(batch, args.dump_paths)
@@ -189,21 +187,18 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     scn, _ = _resolve_scenario(args)
-    target = experiments.TARGETS.get(args.axis)
-    shortcut = target.axis if target is not None else None
-    if shortcut and args.values is None:
-        tables = target.run(scn, args.workers)
-    else:
-        if args.values is None:
-            raise ScenarioError("--values is required for a custom sweep axis")
-        axis = shortcut or args.axis
-        # text passes an unknown axis on to run_sensitivity, which reports it
-        parse = experiments.SWEEP_AXES.get(axis, str)
-        try:
-            values = tuple(parse(v.strip()) for v in args.values.split(","))
-        except (ValueError, ScenarioError) as exc:
-            raise ScenarioError("cannot parse --values for %s: %s" % (axis, exc)) from None
-        tables = [experiments.run_sensitivity(scn, axis, values, n_workers=args.workers)]
+    if args.values is None:
+        raise ScenarioError("--values is required; the built-in sweeps are `reproduce %s`"
+                            % "|".join(n for n, t in experiments.TARGETS.items() if t.axis))
+    # a shortcut sweeps the scenario key it names
+    axis = getattr(experiments.TARGETS.get(args.axis), "axis", None) or args.axis
+    # text passes an unknown axis on to run_sensitivity, which reports it
+    parse = experiments.SWEEP_AXES.get(axis, str)
+    try:
+        values = tuple(parse(v.strip()) for v in args.values.split(","))
+    except (ValueError, ScenarioError) as exc:
+        raise ScenarioError("cannot parse --values for %s: %s" % (axis, exc)) from None
+    tables = [experiments.run_sensitivity(scn, axis, values, n_workers=args.workers)]
     _emit(tables, args.out)
     return 0
 
@@ -212,13 +207,6 @@ def cmd_rebalance(args):
     scn, _ = _resolve_scenario(args)
     _at_h(scn, args.h)  # every strategy runs at --h
     tables = [experiments.run_rebalancing_comparison(scn, h=args.h, n_workers=args.workers)]
-    _emit(tables, args.out)
-    return 0
-
-
-def cmd_jumps(args):
-    scn, _ = _resolve_scenario(args)
-    tables = list(experiments.run_jump_stress(scn, n_workers=args.workers).values())
     _emit(tables, args.out)
     return 0
 
@@ -289,17 +277,13 @@ def build_parser():
                    help="%s, or any scenario key but position.h and position.horizon_years "
                         "(market.vol_scale scales both vols)"
                         % " | ".join(n for n, t in experiments.TARGETS.items() if t.axis))
-    p.add_argument("--values", default=None, help="comma-separated axis values")
+    p.add_argument("--values", default=None, help="comma-separated axis values (required)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rebalance", help="compare rebalancing strategies on shared paths")
     _add_monte_carlo(p)
     p.add_argument("--h", type=float, default=0.60, help="hedge ratio (default 0.60)")
     p.set_defaults(func=cmd_rebalance)
-
-    p = sub.add_parser("jumps", help="jump-diffusion stress tables")
-    _add_monte_carlo(p)
-    p.set_defaults(func=cmd_jumps)
 
     p = sub.add_parser("calibrate", help="estimate vols and correlation from price CSVs")
     p.add_argument("prices_a", help="CSV with header date,price for token A")

@@ -12,18 +12,19 @@ same seed. Path arrays are stored column-major (time-major): all paths'
 prices at one step are contiguous.
 
 The block is also the unit of memory: a run streams its blocks through every
-kernel pass it makes and keeps only per-path outputs, so it holds one block
-of paths (plus those that worker threads draw ahead), never the whole
-(n_paths, steps+1) matrix. The step loop is elementwise per path, so the
-outputs equal those of one pass over the whole matrix, bit for bit.
+kernel pass it makes and keeps only the step loop's per-path state for each
+h, so it holds one block of paths (plus those that worker threads draw
+ahead), never the whole (n_paths, steps+1) matrix. The step loop is
+elementwise per path, so the outputs equal those of one pass over the whole
+matrix, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -39,10 +40,7 @@ _STACK_ELEMENTS = 3 * BLOCK
 
 @dataclass
 class BatchResult:
-    """Per-path outcomes of one accounting pass, with ROE on both cost bases.
-
-    A streamed pass may keep only some per-path fields; the others are None.
-    """
+    """Per-path outcomes of one accounting pass, with ROE on both cost bases."""
 
     roe: np.ndarray
     roe_raw: np.ndarray
@@ -344,27 +342,32 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     running (so max-LTV diagnostics cover the full horizon) but can no longer
     rebalance, and its P&L is overridden with the flat penalty loss.
 
-    This is _step_loop run for the one hedge ratio pos.h and the one variant
-    (pos.c_over_v0, sim.liq_penalty_frac).
+    This is _step_loop run for the one hedge ratio pos.h and the one C/V0
+    pos.c_over_v0, then _close.
     """
-    (batch,), = _step_loop(rel_a, rel_b, rates, pos, sim, (pos.h,),
-                           ((pos.c_over_v0, sim.liq_penalty_frac),))
-    return batch
+    state, = _step_loop(rel_a, rel_b, rates, pos, sim, (pos.h,), (pos.c_over_v0,))
+    return _close(state, 0, np.shape(rel_a)[-1] - 1, pos.h, rates, pos, sim)
 
 
-def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
+# what the step loop leaves of one h for its variants to close, per path:
+# s = (lp_T + pending) + cash, the terminal debt, the interest, the max debt,
+# n_reb (a (1,) zero without a rule) and, as (K, rows), each C/V0 level's
+# first breach step, steps + 1 where there is none
+_LoopState = namedtuple("_LoopState", "s debt_t interest max_debt n_reb step")
+
+
+def _step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs):
     """The accounting loop of simulate_batch for every hedge ratio in hs and
-    every (c_over_v0, liq_penalty_frac) pair in variants at once: per h, one
-    BatchResult per pair, each that of simulate_batch with that h and pair.
+    every C/V0 level in cvs at once: one _LoopState per h, which _close turns
+    into the BatchResult of any (C/V0, penalty) variant at that h.
 
-    The loop reads C/V0 only in the breach test, which it runs for each
-    distinct C/V0, and the penalty not at all; with a rebalancing rule C/V0
-    gates the trigger, so all pairs must share it. The state has one row per
-    h, (H, rows) arrays, and (H, K, rows) for the K distinct C/V0, so each
-    step reads the prices once for all H; every operation is elementwise per
-    (h, path), so each row's bits are those of a pass with that h alone. Each
-    (h, pair) is closed on its own row; n_rebalances, the same for every
-    pair, is a read-only broadcast view.
+    The loop reads C/V0 only in the breach test, which it runs for each level,
+    and the penalty not at all; with a rebalancing rule C/V0 gates the
+    trigger, so cvs must hold one level. The state has one row per h, (H, rows)
+    arrays, and (H, K, rows) for the K levels, so each step reads the prices
+    once for all H; every operation is elementwise per (h, path), so each
+    row's bits are those of a pass with that h alone. The breach step takes
+    the least unsigned type that holds steps + 1, however fine the grid.
 
     The step computes each debt value once, into buffers allocated once.
     The pending rewards, shared by every path, stay a Python float; both
@@ -379,15 +382,13 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
     steps = m - 1
     dt_days, claim_stride, reb_kind, reb_par, reb_stride = _grid_strides(pos, sim, steps)
     dt_y = dt_days / DAYS_PER_YEAR
-
-    cvs = tuple(dict.fromkeys(cv for cv, _ in variants))
     if reb_kind != "none" and len(cvs) != 1:
         raise ValueError("a %s pass takes one c_over_v0, got %d" % (sim.rebalance, len(cvs)))
 
     v0 = pos.v0
     h = np.array(hs, dtype=float)[:, None]
     H, K = len(hs), len(cvs)
-    # one breach state per distinct collateral: rows of (K, n) arrays per h
+    # one breach state per collateral level: rows of (K, n) arrays per h
     level = np.array([_breach_level(cv * v0, pos.l_max) for cv in cvs])[:, None]
     r_a, r_b, reward, r_f = rates.r_a, rates.r_b, rates.reward_rate, rates.r_f
     thr = reb_par / 100.0  # threshold parameter arrives in percentage points
@@ -399,11 +400,10 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
     cash = np.zeros((H, n))
     interest = np.zeros((H, n))
     liq = np.zeros((H, K, n), dtype=bool)
-    liq_day = np.full((H, K, n), np.nan)
+    step = np.full((H, K, n), steps + 1, dtype=np.min_scalar_type(steps + 1))
     max_debt = np.repeat(h * v0, n, axis=1)
     # without a rule no path rebalances: one zero per h, broadcast, serves them all
     n_reb = np.zeros((H, n if reb_stride else 1), dtype=np.int64)
-    n_claims = np.zeros((H, K, n), dtype=np.int64)
     xa, xb, debt, tmp = (np.empty((H, n)) for _ in range(4))
     breach = np.empty((H, K, n), dtype=bool)
     debt_k = debt[:, None, :]  # the debts against each collateral's level
@@ -440,7 +440,6 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
             cash += pending
             cash -= repay
             pending = 0.0
-            n_claims += ~liq
             reserves = True
 
         # debt = max(xa - res_a, 0) + max(xb - res_b, 0) + interest
@@ -460,7 +459,7 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
         np.greater_equal(debt_k, level, out=breach)
         np.greater(breach, liq, out=breach)  # breach & ~liq, with no temporary
         if breach.any():
-            np.copyto(liq_day, t * dt_days, where=breach)
+            np.copyto(step, t, where=breach)
             liq |= breach
 
         if not reb_stride or t % reb_stride:
@@ -481,33 +480,34 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, variants):
 
     a_t = rel_a[:, -1]
     b_t = rel_b[:, -1]
-    lp_t = v0 * np.sqrt(a_t * b_t)
-    grow = 1.0 + r_f * pos.horizon_days / DAYS_PER_YEAR
-    out = []
-    for j, hj in enumerate(hs):
-        debt_t = np.maximum(da[j] * a_t - res_a[j], 0.0) + np.maximum(db[j] * b_t - res_b[j], 0.0)
-        batches = []
-        for cv, pen in variants:
-            k, coll = cvs.index(cv), cv * v0
-            pi_t = lp_t + pending + cash[j] + coll * grow - debt_t - interest[j]
-            pi0 = float(coll + (1.0 - hj) * v0)
-            pnl_raw = np.where(liq[j, k], -pen * coll, pi_t - pi0)
-            tx = sim.borrow_fee_frac * hj * v0 + sim.gas_cost * (n_claims[j, k] + n_reb[j])
-            roe_raw = pnl_raw / pi0
-            roe_tx = (pnl_raw - tx) / pi0
-            batches.append(BatchResult(
-                roe=roe_tx if sim.include_tx_costs else roe_raw,
-                roe_raw=roe_raw, roe_tx=roe_tx, liquidated=liq[j, k], liq_time_days=liq_day[j, k],
-                max_ltv=max_debt[j] / coll, n_rebalances=np.broadcast_to(n_reb[j], (n,)),
-                n_claims=n_claims[j, k], tx_cost_paid=tx, pi0=pi0))
-        out.append(batches)
-    return out
+    s = v0 * np.sqrt(a_t * b_t) + pending + cash
+    debt_t = np.maximum(da * a_t - res_a, 0.0) + np.maximum(db * b_t - res_b, 0.0)
+    return [_LoopState(*row) for row in zip(s, debt_t, interest, max_debt, n_reb, step)]
 
 
-# per-path fields a streamed pass can keep: every one, or those aggregate
-# reads; roe is not kept apart, as it is one of roe_raw and roe_tx
-_PER_PATH = tuple(f.name for f in fields(BatchResult)[1:-1])
-_AGGREGATED = ("roe_raw", "roe_tx", "liquidated", "max_ltv", "n_rebalances")
+def _close(state, k, steps, h, rates, pos, sim) -> BatchResult:
+    """The BatchResult at h of the variant (pos.c_over_v0, sim.liq_penalty_frac)
+    from h's _LoopState on a grid of steps steps, k indexing pos.c_over_v0 among
+    the loop's C/V0 levels: the kernel's operations in the kernel's order, so
+    the kernel's bits. A step claims before it tests the breach."""
+    dt_days, claim_stride, *_ = _grid_strides(pos, sim, steps)
+    step = state.step[k]
+    v0, coll = pos.v0, pos.c_over_v0 * pos.v0
+    liquidated = step <= steps
+    # a stride of 0 claims never, as does one past the horizon
+    n_claims = np.minimum(step, steps, dtype=np.int64) // (claim_stride or steps + 1)
+    grow = 1.0 + rates.r_f * pos.horizon_days / DAYS_PER_YEAR
+    pi_t = state.s + coll * grow - state.debt_t - state.interest
+    pi0 = float(coll + (1.0 - h) * v0)
+    pnl_raw = np.where(liquidated, -sim.liq_penalty_frac * coll, pi_t - pi0)
+    tx = sim.borrow_fee_frac * h * v0 + sim.gas_cost * (n_claims + state.n_reb)
+    roe_raw = pnl_raw / pi0
+    roe_tx = (pnl_raw - tx) / pi0
+    return BatchResult(
+        roe=roe_tx if sim.include_tx_costs else roe_raw, roe_raw=roe_raw, roe_tx=roe_tx,
+        liquidated=liquidated, liq_time_days=np.where(liquidated, step * dt_days, np.nan),
+        max_ltv=state.max_debt / coll, n_rebalances=np.broadcast_to(state.n_reb, step.shape),
+        n_claims=n_claims, tx_cost_paid=tx, pi0=pi0)
 
 
 def _path_inputs(scn):
@@ -526,49 +526,49 @@ def _pass_key(scn):
     return scn.market, scn.jump, scn.rates, pos, sim
 
 
-def _stream_passes(scenarios, grid, n_workers=1, kept=_AGGREGATED):
+def _stream_passes(scenarios, grid, n_workers=1):
     """simulate_batch for every scenario at every h of grid, on streamed paths:
     yields (scenario, batches) for each scenario, in order, where batches
-    gives one BatchResult per h, joined over the blocks as it is read, whose
-    per-path fields not kept are None.
+    gives one BatchResult per h, closed as it is read.
 
     Consecutive scenarios with equal _path_inputs form a run: each of its
     blocks is drawn once, read by all of the run's kernel passes and dropped
     before the next is drawn. Consecutive scenarios of a run with equal
-    _pass_key form a group, one variant each of one pass per h; a group's grid
-    runs in chunks of max(1, _STACK_ELEMENTS // rows) hedge ratios. A run's
-    scenarios are yielded after its last block.
+    _pass_key form a group, whose step loop runs once per h over the group's
+    distinct C/V0 levels, in chunks of max(1, _STACK_ELEMENTS // rows) hedge
+    ratios. Only the loop states are kept, per group, h and block, so memory
+    grows with h, not with the variants. A run's scenarios are yielded after
+    its last block, each closed from its group's states joined over the blocks.
     """
     for _, run in groupby(scenarios, key=_path_inputs):
-        # each scenario with, per h, the kept fields and pi0 of each block
-        run = [(scn, [[] for _ in grid]) for scn in run]
-        groups = [list(g) for _, g in groupby(run, key=lambda item: _pass_key(item[0]))]
-        for block in _path_blocks(*_path_inputs(run[0][0]), n_workers):
+        groups = [list(g) for _, g in groupby(run, key=_pass_key)]
+        levels = [tuple(dict.fromkeys(s.position.c_over_v0 for s in g)) for g in groups]
+        # per group and h, the loop state of each block
+        states = [[[] for _ in grid] for _ in groups]
+        for block in _path_blocks(*_path_inputs(groups[0][0]), n_workers):
             size = max(1, _STACK_ELEMENTS // len(block[0]))
-            for group in groups:
-                scn = group[0][0]
-                variants = [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s, _ in group]
+            for group, cvs, parts in zip(groups, levels, states):
+                scn = group[0]
                 for lo in range(0, len(grid), size):
-                    # unnamed, so that only the kept fields outlive the loop
-                    for i, batches in enumerate(_step_loop(
-                            *block, scn.rates, scn.position, scn.sim, grid[lo:lo + size],
-                            variants), lo):
-                        for (_, parts), batch in zip(group, batches):
-                            parts[i].append([getattr(batch, name) for name in kept + ("pi0",)])
+                    for part, state in zip(parts[lo:lo + size], _step_loop(
+                            *block, scn.rates, scn.position, scn.sim, grid[lo:lo + size], cvs)):
+                        part.append(state)
             del block  # before the next block is drawn
-        for scn, parts in run:
-            yield scn, _joined(parts, kept, scn.sim.include_tx_costs)
+        for group, cvs, parts in zip(groups, levels, states):
+            rule = parse_rebalance(group[0].sim.rebalance)[0] != "none"
+            for i, blocks in enumerate(parts):
+                joined = _LoopState(*(np.concatenate(col, axis=-1) for col in zip(*blocks)))
+                # without a rule every block's n_reb is the same (1,) zero
+                parts[i] = joined if rule else joined._replace(n_reb=blocks[0].n_reb)
+            for scn in group:
+                yield scn, _closes(parts, grid, cvs.index(scn.position.c_over_v0), scn)
 
 
-def _joined(parts, kept, include_tx_costs):
-    """A BatchResult per entry of parts, joined over its blocks, dropped once joined."""
-    for i in range(len(parts)):
-        *cols, pi0 = zip(*parts[i])
-        parts[i] = None
-        joined = dict(zip(kept, (np.concatenate(col, axis=-1) for col in cols)))
-        del cols
-        yield BatchResult(roe=joined.get("roe_tx" if include_tx_costs else "roe_raw"),
-                          pi0=pi0[-1], **{name: joined.get(name) for name in _PER_PATH})
+def _closes(states, grid, k, scn):
+    """scn's BatchResult at each h of grid, closed from the loop states as read."""
+    steps = _path_steps(scn.position.horizon_days, scn.sim.dt_days)
+    return (_close(state, k, steps, h, scn.rates, scn.position, scn.sim)
+            for h, state in zip(grid, states))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """End-to-end command line tests run in process through main()."""
 
+import argparse
 import datetime
+import os
+import re
+import shlex
 
 import numpy as np
 import pytest
 
 import ammhedge.montecarlo as mc
-from ammhedge.cli import SEED_ENV, main
+from ammhedge.cli import SEED_ENV, build_parser, main
 from ammhedge.config_domain import scenario_hash
 from ammhedge.experiments import PRESETS, TARGETS, Table, get_preset
 
@@ -276,7 +280,7 @@ def test_non_finite_malformed_and_negative_inputs_are_config_errors(capsys, monk
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--axis", "cv"], ["rebalance"],
-                                     ["jumps"], ["reproduce", "table4"]])
+                                     ["reproduce", "jumps"], ["reproduce", "table4"]])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_are_config_errors(capsys, monkeypatch, command, workers):
     monkeypatch.setattr(mc, "_generate_block", _no_draws)
@@ -286,7 +290,7 @@ def test_workers_below_one_are_config_errors(capsys, monkeypatch, command, worke
 
 
 # ---------------------------------------------------------------------------
-# sweeps, rebalance, jumps, reproduce
+# sweeps, rebalance, reproduce
 
 def test_sweep_custom_axis(capsys):
     code, out, _ = _run(capsys, ["sweep", "--axis", "rates.r_b",
@@ -302,11 +306,21 @@ def test_sweep_custom_axis_requires_values(capsys):
     assert "--values is required" in err
 
 
-def test_sweep_shortcut_axis(capsys):
-    code, out, _ = _run(capsys, ["sweep", "--axis", "apr", "--paths", "200"])
+def test_sweep_shortcut_axis(capsys, monkeypatch):
+    # the built-in sweep is a reproduce target; sweep takes its shortcut only
+    # with --values, as the name of the key it varies
+    code, out, _ = _run(capsys, ["reproduce", "apr", "--paths", "200"])
     assert code == 0
     assert "R/V_0,h**,SR,Remark" in out
     assert "Calibrated value" in out
+    code, out, _ = _run(capsys, ["sweep", "--axis", "apr", "--values", "0.3,0.5",
+                                 "--paths", "200"])
+    assert code == 0
+    assert out.splitlines()[1].startswith("rates.reward_rate,h**,SR")
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
+    code, out, err = _run(capsys, ["sweep", "--axis", "apr", "--paths", "200"])
+    assert (code, out) == (1, "")
+    assert "--values is required" in err and "reproduce apr|vol|penalty|cv" in err
 
 
 @pytest.mark.parametrize("axis", ["market.vol_scale", "rates.r_b"])
@@ -405,7 +419,7 @@ def test_rebalance_on_jump_paths_is_tagged_mc_jump(capsys):
 
 
 def test_jumps_tables(capsys):
-    code, out, _ = _run(capsys, ["jumps", "--paths", "200"])
+    code, out, _ = _run(capsys, ["reproduce", "jumps", "--paths", "200"])
     assert code == 0
     assert "SR (GBM)" in out and "rho_J" in out
     assert "unmatched" in out
@@ -535,3 +549,23 @@ def test_worker_count_does_not_change_bytes(capsys, argv):
     common = ["--paths", str(2 * mc.BLOCK + 100), "--override", "position.horizon_days=4"]
     outs = [_run(capsys, argv + common + ["--workers", w]) for w in ("1", "2")]
     assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# README
+
+def test_readme_usage_names_only_real_subcommands():
+    # every `ammhedge ...` line of the README's shell blocks names a subcommand
+    # of the parser and parses as written
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines() if line.startswith("ammhedge ")]
+    parser = build_parser()
+    commands, = (a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    assert {argv[1] for argv in lines} >= {"analytic", "simulate", "sweep", "reproduce"}
+    for argv in lines:
+        assert argv[1] in commands, argv
+        parser.parse_args(argv[1:])

@@ -6,7 +6,9 @@ import math
 import os
 import tracemalloc
 import weakref
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import ammhedge.experiments as exp
@@ -203,24 +205,24 @@ def test_sweep_reuses_paths_while_their_inputs_hold(tiny, monkeypatch, axis, val
 
 
 def _count_calls(monkeypatch):
-    # the hedge ratios and the variants of each step-loop call
+    # the hedge ratios and the C/V0 levels of each step-loop call
     real, calls = mc._step_loop, []
 
-    def counted(rel_a, rel_b, rates, pos, sim, hs, variants):
-        calls.append((tuple(hs), variants))
-        return real(rel_a, rel_b, rates, pos, sim, hs, variants)
+    def counted(rel_a, rel_b, rates, pos, sim, hs, cvs):
+        calls.append((tuple(hs), cvs))
+        return real(rel_a, rel_b, rates, pos, sim, hs, cvs)
 
     monkeypatch.setattr(mc, "_step_loop", counted)
     return calls
 
 
 def _count_passes(monkeypatch):
-    # the variants of each hedge-ratio pass, however the step loop stacks them
+    # the C/V0 levels of each hedge-ratio pass, however the step loop stacks them
     real, passes = mc._step_loop, []
 
-    def counted(rel_a, rel_b, rates, pos, sim, hs, variants):
-        passes.extend([variants] * len(hs))
-        return real(rel_a, rel_b, rates, pos, sim, hs, variants)
+    def counted(rel_a, rel_b, rates, pos, sim, hs, cvs):
+        passes.extend([cvs] * len(hs))
+        return real(rel_a, rel_b, rates, pos, sim, hs, cvs)
 
     monkeypatch.setattr(mc, "_step_loop", counted)
     return passes
@@ -235,7 +237,9 @@ def test_shared_sweep_runs_one_pass_per_h(tiny, monkeypatch, runner, axis, n_val
     calls = _count_passes(monkeypatch)
     t = runner(month)
     assert len(calls) == len(exp.FINE_GRID) == 21
-    assert all(len(variants) == n_values for variants in calls)
+    # the loop runs over the distinct C/V0 levels: a penalty sweep has one
+    levels = n_values if axis == "position.c_over_v0" else 1
+    assert all(len(cvs) == levels for cvs in calls)
     # each value's statistics are those of its own single-value passes
     monkeypatch.undo()
     per_value = t.extra["per_value"]
@@ -291,6 +295,30 @@ def test_score_never_holds_the_whole_path_matrix(baseline):
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * matrix_pair, (peak, matrix_pair)
+
+
+def test_kept_memory_grows_with_h_not_with_variants(baseline):
+    # 1 and then 8 C/V0 scenarios over FINE_GRID on the same 2,000 paths, drawn
+    # beforehand: the 7 more levels keep one breach step per h and path each;
+    # the slack is the step loop's two bool flags per level for one h-chunk
+    base = apply_overrides(baseline, ["sim.n_paths=2000"])
+    paths = mc.generate_path_matrix(*mc._path_inputs(base))
+    cvs = (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0)
+
+    def peak(values):
+        scns = [exp._apply_axis(base, "position.c_over_v0", cv) for cv in values]
+        with mock.patch.object(mc, "_path_blocks", lambda *inputs: iter([paths])):
+            tracemalloc.start()
+            try:
+                exp._score(scns, exp.FINE_GRID)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    itemsize = np.min_scalar_type(paths[0].shape[1]).itemsize  # steps + 1
+    slack = 7 * 2 * mc._STACK_ELEMENTS + (64 << 10)
+    extra = peak(cvs) - peak(cvs[:1])
+    assert extra <= 21 * 7 * 2000 * itemsize + slack, extra
 
 
 def test_rebalancing_cv_sweep_runs_one_pass_per_value(tiny, monkeypatch):

@@ -373,8 +373,40 @@ def test_kernel_matches_scalar_oracle(baseline, h, cv, seed, dt_days, claim_days
     _assert_kernel_matches_oracle(rel_a, rel_b, rates, pos, sim)
 
 
+@pytest.mark.parametrize("steps, dtype", [(254, np.uint8), (255, np.uint16)])
+@pytest.mark.parametrize("breach", [True, False])
+@pytest.mark.parametrize("rule", ["none", "periodic(1)"])
+def test_breach_step_type_holds_never_past_the_last_step(baseline, steps, dtype, breach, rule):
+    # one flat day-step path, whose prices jump fivefold at the last step or never
+    # move: steps + 1, the mark of no breach, is 255 in a uint8 at 254 steps
+    # and 256 in a uint16 at 255; daily claims count up to the last step
+    pos = dataclasses.replace(baseline.position, horizon_days=float(steps))
+    sim = dataclasses.replace(baseline.sim, dt_days=1.0, claim_interval_days=1.0,
+                              rebalance=rule, gas_cost=0.001, include_tx_costs=True)
+    rel_a, rel_b = np.ones((1, steps + 1)), np.ones((1, steps + 1))
+    if breach:
+        rel_a[0, -1] = rel_b[0, -1] = 5.0
+    state, = mc._step_loop(rel_a, rel_b, baseline.rates, pos, sim, (pos.h,), (pos.c_over_v0,))
+    assert state.step.dtype == dtype
+    batch = mc.simulate_batch(rel_a, rel_b, None, baseline.rates, pos, sim)
+    assert batch.liquidated[0] == breach
+    assert batch.n_claims[0] == steps
+    _assert_kernel_matches_oracle(rel_a, rel_b, baseline.rates, pos, sim)
+
+
+def _loop_and_close(rel_a, rel_b, rates, pos, sim, hs, variants):
+    """Per h of hs, the BatchResult of each (C/V0, penalty) variant, closed from
+    one step loop over the variants' distinct C/V0 levels."""
+    cvs = tuple(dict.fromkeys(cv for cv, _ in variants))
+    steps = np.shape(rel_a)[-1] - 1
+    return [[mc._close(state, cvs.index(cv), steps, h, rates,
+                       dataclasses.replace(pos, c_over_v0=cv),
+                       dataclasses.replace(sim, liq_penalty_frac=pen)) for cv, pen in variants]
+            for h, state in zip(hs, mc._step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs))]
+
+
 def _assert_variants_match_single_passes(rel_a, rel_b, market, rates, pos, sim, variants):
-    shared, = mc._step_loop(rel_a, rel_b, rates, pos, sim, (pos.h,), variants)
+    shared, = _loop_and_close(rel_a, rel_b, rates, pos, sim, (pos.h,), variants)
     assert len(shared) == len(variants)
     for (cv, pen), row in zip(variants, shared):
         alone = mc.simulate_batch(rel_a, rel_b, market, rates,
@@ -416,7 +448,7 @@ def test_rebalancing_pass_shares_only_the_penalty(baseline, rule):
     assert any(row.n_rebalances.any() for row in shared)
     # C/V0 gates the trigger: a rebalancing pass cannot share it
     with pytest.raises(ValueError, match="one c_over_v0"):
-        mc._step_loop(rel_a, rel_b, baseline.rates, pos, sim, (pos.h,), [(1.8, 0.1), (3.0, 0.1)])
+        mc._step_loop(rel_a, rel_b, baseline.rates, pos, sim, (pos.h,), (1.8, 3.0))
 
 
 @pytest.mark.parametrize("rule", ["none", "threshold(15)", "periodic(14)"])
@@ -457,7 +489,8 @@ KERNEL_DIGESTS = {
 
 @pytest.mark.parametrize("rule", list(KERNEL_DIGESTS))
 def test_kernel_fields_match_frozen_digest(rule):
-    # the no-rebalance pass scores three (C/V0, penalty) variants at once
+    # the no-rebalance pass closes three (C/V0, penalty) variants from one loop
+    # over the C/V0 levels (1.5, 2.5)
     variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else None
     rel_a, rel_b = _dyadic_paths(2024, 64, 48)
     rates = RateParams(r_a=0.05, r_b=0.20, reward_rate=0.6, r_f=0.04)
@@ -470,7 +503,7 @@ def test_kernel_fields_match_frozen_digest(rule):
                                 liq_penalty_frac=0.2, borrow_fee_frac=0.003, gas_cost=gas,
                                 rebalance=rule, include_tx_costs=True)
                 if variants:
-                    rows, = mc._step_loop(rel_a, rel_b, rates, pos, sim, (h,), variants)
+                    rows, = _loop_and_close(rel_a, rel_b, rates, pos, sim, (h,), variants)
                     # the variants stacked into the (3, 64) rows and (3,) pi0
                     # that the digest was frozen on
                     batch = {f.name: np.stack([getattr(row, f.name) for row in rows])
@@ -522,10 +555,10 @@ def test_streamed_blocks_equal_one_whole_pass(chunks, rule, h, claim_days, tx):
                  for cv, pen in variants] + [Scenario(MarketParams(), rates, pos, sim)]
     blocks = [(rel_a[lo:hi], rel_b[lo:hi]) for lo, hi in chunks]
     with _serving(blocks):
-        streamed = list(mc._stream_passes(scenarios, (h,), kept=mc._PER_PATH))
+        streamed = list(mc._stream_passes(scenarios, (h,)))
     assert [scn for scn, _ in streamed] == scenarios
-    shared, = mc._step_loop(rel_a, rel_b, rates, pos, sim, (h,),
-                            [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in scenarios])
+    shared, = _loop_and_close(rel_a, rel_b, rates, pos, sim, (h,),
+                              [(s.position.c_over_v0, s.sim.liq_penalty_frac) for s in scenarios])
     for (scn, batches), row in zip(streamed, shared):
         got, = batches
         _assert_fields_equal(got, row)
@@ -558,11 +591,11 @@ def test_stacked_chunks_equal_per_h_calls(chunks, rule, claim_days, gas):
     variants = [(1.5, 0.2), (2.5, 0.1), (1.5, 0.4)] if rule == "none" else \
         [(pos.c_over_v0, sim.liq_penalty_frac)]
     for hs in chunks:
-        stacked = mc._step_loop(rel_a, rel_b, rates, pos, sim, hs, variants)
+        stacked = _loop_and_close(rel_a, rel_b, rates, pos, sim, hs, variants)
         assert len(stacked) == len(hs)
         for h, got_rows in zip(hs, stacked):
-            want_rows, = mc._step_loop(rel_a, rel_b, rates, dataclasses.replace(pos, h=h), sim,
-                                       (h,), variants)
+            want_rows, = _loop_and_close(rel_a, rel_b, rates, dataclasses.replace(pos, h=h), sim,
+                                         (h,), variants)
             assert len(got_rows) == len(want_rows) == len(variants)
             for got, want in zip(got_rows, want_rows):
                 for f in dataclasses.fields(want):
@@ -583,7 +616,7 @@ def test_streamed_pass_keeps_what_aggregate_reads(baseline):
         got, = batches
         want = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim)
         assert got.roe is (got.roe_tx if tx else got.roe_raw)
-        assert got.liq_time_days is None and got.n_claims is None and got.tx_cost_paid is None
+        _assert_fields_equal(got, want)
         assert mc.aggregate(got, 30.0) == mc.aggregate(want, 30.0)
 
 
