@@ -5,14 +5,22 @@ the hedged short leg is worth h * V0 * (pA + pB)/2. Every moment needed for
 the mean/variance of terminal P&L has a closed form, which makes the Sharpe
 ratio an explicit function of the hedge ratio h and its maximizer a ratio of
 two linear forms.
+
+h_star is cached per calibration: the records are frozen, so equal records
+give the same value, and a caller that asks again (h_double_star for each
+risk budget) gets the first evaluation back, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .config_domain import MarketParams, PositionParams, RateParams
+
+# calibrations kept by the h_star and h_bar caches, least recently used first out
+_CALIBRATION_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,14 @@ def h_star(market: MarketParams, rates: RateParams, pos: PositionParams) -> floa
 
     Returned unclamped; values outside [0,1] are the caller's problem. Raises
     when mu0 <= 0 (the position is not profitable even unhedged, so the
-    first-order condition has no admissible root).
+    first-order condition has no admissible root). The value is cached per
+    (market, rates, pos); a raise is not, so it repeats on every call.
     """
+    return _h_star(market, rates, pos)
+
+
+@functools.lru_cache(maxsize=_CALIBRATION_CACHE)
+def _h_star(market, rates, pos):
     m = variance_components(market, pos.horizon_years)
     d = pnl_decomposition(market, rates, pos)
     if d.mu0 <= 0.0:

@@ -4,14 +4,22 @@ The LTV numerator is h V0 (pA + pB)/2, a sum of two correlated lognormals.
 We match its first two moments with a single lognormal, which turns the
 barrier-crossing question into a textbook GBM first-passage problem with
 drift nu = -sigma_tilde^2 / 2 and a reflection-style closed form.
+
+h_bar(alpha) bisects that probability to tol, which must be finite and
+positive; the loop also ends once no double lies strictly between the
+brackets, so any such tol terminates. Like analytics.h_star, h_bar is cached
+per calibration (alpha, market, pos, tol), so h_double_star after h_bar, or
+after h_star, reuses those evaluations and returns the same bits as a fresh
+one. Errors are raised afresh on every call, never cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .analytics import h_star
+from .analytics import _CALIBRATION_CACHE, h_star
 from .config_domain import MarketParams, PositionParams, RateParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -60,18 +68,23 @@ def _probability(market: MarketParams, pos: PositionParams):
     st = sigma_tilde(market, pos.horizon_years)
     s2t = st * st * pos.horizon_years
     sd = math.sqrt(s2t)
+    half_s2t = 0.5 * s2t
+    l_max, c_over_v0 = pos.l_max, pos.c_over_v0
+    erfc, log = math.erfc, math.log
 
     def prob(h):
         if h == 0:
             return 0.0
         if h < 0:
             raise ValueError("h must be nonnegative")
-        ltv0 = h / pos.c_over_v0
-        if ltv0 >= pos.l_max:
+        ltv0 = h / c_over_v0
+        if ltv0 >= l_max:
             return 1.0
-        b = math.log(pos.l_max / ltv0) if ltv0 > 0 else math.inf
-        return (_norm_cdf((-b - 0.5 * s2t) / sd)
-                + (ltv0 / pos.l_max) * _norm_cdf((-b + 0.5 * s2t) / sd))
+        b = log(l_max / ltv0) if ltv0 > 0 else math.inf
+        # the two _norm_cdf calls inlined as 0.5 erfc(-x / sqrt 2); negating
+        # x = (-b -/+ s2t/2) / sd is exact, so (b +/- s2t/2) / sd has its bits
+        return (0.5 * erfc((b + half_s2t) / sd / _SQRT2)
+                + (ltv0 / l_max) * (0.5 * erfc((b - half_s2t) / sd / _SQRT2)))
 
     return prob
 
@@ -88,11 +101,19 @@ def liquidation_probability(h, market: MarketParams, pos: PositionParams) -> flo
 def h_bar(alpha, market: MarketParams, pos: PositionParams, tol=1e-6) -> float:
     """Largest h in (0, min(1, l_max * C/V0)] with liquidation probability <= alpha.
 
-    Bisection on the monotone probability; returns the upper bracket when the
-    constraint does not bind there.
+    Bisection on the monotone probability to a bracket of width tol (finite
+    and positive); returns the upper bracket when the constraint does not
+    bind there. Cached per (alpha, market, pos, tol).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
+    return _h_bar(alpha, market, pos, tol)
+
+
+@functools.lru_cache(maxsize=_CALIBRATION_CACHE)
+def _h_bar(alpha, market, pos, tol):
     prob = _probability(market, pos)
     # keep LTV0 strictly below l_max at the bracket end
     hi = min(1.0, pos.l_max * pos.c_over_v0 * (1.0 - 1e-9))
@@ -101,6 +122,8 @@ def h_bar(alpha, market: MarketParams, pos: PositionParams, tol=1e-6) -> float:
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles: a tol below their gap
         if prob(mid) <= alpha:
             lo = mid
         else:
@@ -109,6 +132,7 @@ def h_bar(alpha, market: MarketParams, pos: PositionParams, tol=1e-6) -> float:
 
 
 def h_double_star(alpha, market: MarketParams, rates: RateParams, pos: PositionParams) -> float:
-    """Constrained optimum: min of the clamped Sharpe maximizer and h_bar(alpha)."""
+    """Constrained optimum: min of the clamped Sharpe maximizer and h_bar(alpha),
+    both taken from the calibration caches when asked for before."""
     hs = min(max(h_star(market, rates, pos), 0.0), 1.0)
     return min(hs, h_bar(alpha, market, pos))

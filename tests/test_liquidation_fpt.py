@@ -221,3 +221,107 @@ def test_shared_evaluator_equals_the_old_bisection(m, pos, alpha, h, rates):
     except ValueError:
         return  # no interior optimum for this draw
     assert fpt.h_double_star(alpha, m, rates, pos) == min(hs, _old_h_bar(alpha, m, pos))
+
+
+# ---------------------------------------------------------------------------
+# the tolerance contract and the calibration caches
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_safe_ratio_rejects_a_tolerance_that_is_not_finite_and_positive(baseline, tol):
+    with pytest.raises(ValueError, match="tol"):
+        fpt.h_bar(0.05, baseline.market, baseline.position, tol=tol)
+
+
+def _count_evaluations(monkeypatch, limit=math.inf):
+    """Record every probability evaluation in the returned list, failing past
+    limit, and empty the h_bar cache so that the next call bisects."""
+    evals = []
+    real = fpt._probability
+
+    def counting(market, pos):
+        prob = real(market, pos)
+
+        def counted(h):
+            evals.append(h)
+            assert len(evals) < limit, "the bisection does not stop"
+            return prob(h)
+        return counted
+
+    monkeypatch.setattr(fpt, "_probability", counting)
+    fpt._h_bar.cache_clear()
+    return evals
+
+
+def test_safe_ratio_below_the_gap_of_adjacent_doubles_terminates(baseline, monkeypatch):
+    # a tol under the ulp of the root used to spin forever; the bisection now
+    # stops when no double lies strictly between its brackets, some 55 halvings
+    # from [0, 1], so a run past 200 evaluations is a failure, not a hang
+    m, pos = baseline.market, baseline.position
+    evals = _count_evaluations(monkeypatch, limit=200)
+    hb = fpt.h_bar(0.05, m, pos, tol=1e-300)
+    assert evals
+    assert hb == pytest.approx(0.7048, abs=5e-4)
+    assert fpt.liquidation_probability(math.nextafter(hb, 0.0), m, pos) <= 0.05
+    assert fpt.liquidation_probability(math.nextafter(hb, 1.0), m, pos) > 0.05
+
+
+def _twin(rec):
+    """An equal record that is another object, every float zero of its
+    fields carrying the other sign."""
+    flip = {f.name: -v for f in dataclasses.fields(rec)
+            if f.init and isinstance(v := getattr(rec, f.name), float) and v == 0.0}
+    return dataclasses.replace(rec, **flip)
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.builds(MarketParams, sigma_a=st.floats(0.05, 2.0), sigma_b=st.floats(0.05, 2.0),
+                   rho=st.one_of(_SIGNED_ZERO, st.floats(-0.95, 0.95))),
+       pos=_POSITIONS, alpha=st.floats(0.001, 0.5),
+       rates=st.builds(RateParams, r_a=st.one_of(_SIGNED_ZERO, st.floats(0.0, 0.3)),
+                       r_b=st.one_of(_SIGNED_ZERO, st.floats(0.0, 0.3)),
+                       reward_rate=st.floats(0.05, 1.5),
+                       r_f=st.one_of(_SIGNED_ZERO, st.floats(0.0, 0.1))),
+       tol=st.sampled_from([1e-6, 1e-9, 1e-3]), by_keyword=st.booleans())
+def test_cached_sizing_equals_a_fresh_evaluation(m, pos, alpha, rates, tol, by_keyword):
+    # the twins hit the entries the originals made; a fresh evaluation of the
+    # twins must give the same bits
+    tm, tr, tp = _twin(m), _twin(rates), _twin(pos)
+    assert (tm, tr, tp) == (m, rates, pos) and tm is not m and tp is not pos
+    hb = fpt.h_bar(alpha, m, pos, tol=tol) if by_keyword else fpt.h_bar(alpha, m, pos, tol)
+    fresh_hb = fpt._h_bar.__wrapped__(alpha, tm, tp, tol)
+    assert hb.hex() == fresh_hb.hex() == fpt.h_bar(alpha, tm, tp, tol).hex()
+    try:
+        hs = an.h_star(m, rates, pos)
+    except ValueError:
+        # a raise is not cached: the twins raise again
+        with pytest.raises(ValueError):
+            an.h_star(tm, tr, tp)
+        return
+    fresh_hs = an._h_star.__wrapped__(tm, tr, tp)
+    assert hs.hex() == fresh_hs.hex() == an.h_star(tm, tr, tp).hex()
+    # h_double_star bisects at the default tolerance
+    want = min(min(max(fresh_hs, 0.0), 1.0), fpt._h_bar.__wrapped__(alpha, tm, tp, 1e-6))
+    assert fpt.h_double_star(alpha, tm, tr, tp).hex() == want.hex()
+
+
+def test_constrained_optimum_after_safe_ratio_evaluates_no_probability(baseline, monkeypatch):
+    m, r, pos = baseline.market, baseline.rates, baseline.position
+    evals = _count_evaluations(monkeypatch)
+    hb = fpt.h_bar(0.05, m, pos)
+    assert len(evals) > 20  # the cold call bisects
+    evals.clear()
+    assert fpt.h_double_star(0.05, m, r, pos) == min(min(max(an.h_star(m, r, pos), 0.0), 1.0), hb)
+    assert evals == []
+
+
+def test_a_raise_is_not_cached():
+    # no reward and no supply rate: mu0 < 0, so h* is undefined on every call
+    rates = RateParams(reward_rate=0.0, r_f=0.0)
+    kept = an._h_star.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mu0"):
+            an.h_star(MarketParams(), rates, PositionParams())
+    assert an._h_star.cache_info().currsize == kept

@@ -137,6 +137,18 @@ def test_path_matrix_matches_out_of_place_reference(baseline, jump):
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), workers
 
 
+def test_dense_jump_merge_matches_out_of_place_reference(baseline):
+    # lam = 2000 per year: most kept entries carry a count, so both legs take
+    # the dense merge, in a full block and a cut one
+    m = baseline.market
+    jump = JumpParams(lam=2000.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=False)
+    n = mc.BLOCK + 777
+    blocks = [_reference_block(m, jump, 30, 1.0 / 3.0, 17, bi) for bi in range(2)]
+    a, b = mc.generate_path_matrix(m, jump, 10.0, 1.0 / 3.0, n, seed=17)
+    assert np.array_equal(a, np.vstack([blk[0] for blk in blocks])[:n])
+    assert np.array_equal(b, np.vstack([blk[1] for blk in blocks])[:n])
+
+
 _INTENSITIES = st.one_of(st.just(0.0), st.floats(0.0, 0.3, exclude_min=True),
                          st.floats(0.0, 10.0, exclude_min=True, exclude_max=True),
                          st.floats(10.0, 30.0))
