@@ -7,12 +7,10 @@ field defaults are the SUI/NS baseline calibration every table starts from.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import re
 from dataclasses import dataclass, field, fields
-from datetime import date
 from operator import attrgetter
 
 import numpy as np
@@ -277,6 +275,9 @@ def read_price_csv(path):
 
     Returns (dates, prices) as parallel lists.
     """
+    import csv  # imported here: of all commands only calibrate reads price files
+    from datetime import date
+
     dates, prices = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -6,10 +6,11 @@ Price generation is blocked for determinism: paths come in fixed blocks of
 8192, block i drawing from SeedSequence(seed, spawn_key=(i,)) for the
 diffusion and spawn_key=(i, 2) for the jump overlay, whose Poisson counts
 are decoded from the uniforms numpy's sampler draws (_poisson_sparse). Every
-stream is drawn at full block size and the rest of the arithmetic is per
+stream is drawn as for the full block and the rest of the arithmetic is per
 path, so any n_paths and any worker count yield bit-identical paths for the
 same seed. Path arrays are stored column-major (time-major): all paths'
-prices at one step are contiguous.
+prices at one step are contiguous. A block is drawn in chunks of rows
+straight into those arrays, so its memory follows the rows it keeps.
 
 The block is also the unit of memory: a run streams its blocks through every
 kernel pass it makes and keeps only the step loop's per-path state for each
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import deque, namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import groupby
 
@@ -84,6 +84,13 @@ _DECODE_LAM = 0.25
 # bincount over the kept entries above that (rows 400 to 8192 at 30 and 270
 # steps on a 2-vCPU host: the two cross at 0.19 to 0.27 of them)
 _DENSE_MERGE = 4
+# elements (rows x steps) of each of _generate_block's three chunk buffers
+# (4 MiB). Each chunk is copied into the column-major outputs as one run of
+# rows per step, and longer runs copy faster: with a worker thread drawing
+# beside the step loop, 2^17 and 2^18 ran slower than the whole-block draw
+# they replaced, 2^19 as fast (20 alternated pairs of the threaded jump
+# rebalancing command on a 2-vCPU host)
+_DRAW_ELEMENTS = 1 << 19
 
 
 def _poisson_sparse(rng, lam, n):
@@ -154,43 +161,53 @@ def _kept(sparse, kept):
     return sparse[0][:cut], sparse[1][:cut]
 
 
-def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
-    """The first rows paths of one block: price relatives at steps 1..steps,
-    two (rows, steps) arrays.
+def _normals(rng, n, buf):
+    """Draw n standard normals through buf, only to advance rng."""
+    while n > 0:
+        m = min(n, len(buf))
+        rng.standard_normal(out=buf[:m])
+        n -= m
 
-    Every stream is drawn at full block size, so a path does not depend on
-    rows; the arithmetic then runs on the kept rows only, each row on its
-    own, so they are the bits of the full block's first rows. It works in
-    place on the two diffusion draws plus one scratch array, which a full
-    block reuses for the jump-size noise, so a block holds three block-sized
-    arrays at once, with jumps or without (a cut block with jumps draws its
-    noise into a fourth). cumsum and exp run on the contiguous draw buffers
-    themselves.
+
+def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
+    """The first rows paths of one block: two (rows, steps+1) column-major
+    arrays of price relatives whose first column is 1.
+
+    Every stream is drawn as for the full block, so a path does not depend on
+    rows: numpy's Generator fills a draw in sequence, so drawing a stream in
+    pieces gives the bits of one call, and the draws of the block's other
+    paths are made, through a chunk buffer, only where a later draw on the
+    same stream follows them. The arithmetic runs on the kept rows only, each
+    row on its own, in chunks of max(1, _DRAW_ELEMENTS // steps) rows (at
+    most BLOCK), so a block holds its two outputs plus three chunk buffers,
+    with jumps or without, and its memory follows rows, not BLOCK.
+
+    The jump stream has its own generator, so it is drawn first: each leg's
+    jump-size noise goes into leg b's output memory, read as a flat array,
+    and only its entries where a count falls are kept. Then leg a's normals
+    go chunk by chunk into leg a's output, and each chunk of leg b's normals
+    is correlated with them, scaled, overlaid, summed and exponentiated with
+    leg a's chunk and written over both outputs.
 
     The jump counts come as their nonzero entries from _poisson_sparse, which
     reads them off the uniforms of numpy's Poisson sampler, so the jumps are
     added only where they fall; the paths are the bits of the dense overlay.
     """
     dt_y = dt_days / DAYS_PER_YEAR
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
-    za = rng.standard_normal((BLOCK, steps))[:rows]
-    zb = rng.standard_normal((BLOCK, steps))[:rows]
-    scratch = np.multiply(za, market.rho)
-    zb *= math.sqrt(1.0 - market.rho * market.rho)
-    zb += scratch  # rho za + sqrt(1 - rho^2) zb
+    rel_a = np.empty((rows, steps + 1), order="F")
+    rel_b = np.empty((rows, steps + 1), order="F")
+    chunk = min(BLOCK, max(1, _DRAW_ELEMENTS // steps))
+    # three arrays: one (3, chunk * steps) array raised the cv sweep's peak RSS by 6 MB
+    buf_a, buf_b, scratch = (np.empty(chunk * steps) for _ in range(3))
 
     sd_a, sd_b = market.sigma_a, market.sigma_b
-    jumps = jump is not None and jump.lam > 0
-    if jumps and jump.variance_matched:
-        # shrink diffusion so total annualized variance matches plain GBM
-        jump_var = jump.lam * (jump.mu_j ** 2 + jump.sigma_j ** 2)
-        sd_a = math.sqrt(sd_a * sd_a - jump_var)
-        sd_b = math.sqrt(sd_b * sd_b - jump_var)
-    for z, sd, mu in ((za, sd_a, market.mu_a), (zb, sd_b, market.mu_b)):
-        z *= sd * math.sqrt(dt_y)
-        z += (mu - 0.5 * sd * sd) * dt_y
-
-    if jumps:
+    overlays = (None, None)  # per leg: the flat indices of its jumps, and their terms
+    if jump is not None and jump.lam > 0:
+        if jump.variance_matched:
+            # shrink diffusion so total annualized variance matches plain GBM
+            jump_var = jump.lam * (jump.mu_j ** 2 + jump.sigma_j ** 2)
+            sd_a = math.sqrt(sd_a * sd_a - jump_var)
+            sd_b = math.sqrt(sd_b * sd_b - jump_var)
         rng_j = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx, 2)))
         kappa = math.exp(jump.mu_j + 0.5 * jump.sigma_j ** 2) - 1.0
         compensator = jump.lam * kappa * dt_y
@@ -199,9 +216,11 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
         # common stream first, then each leg's size noise and idiosyncratic
         # counts; the noise is drawn whole, as the later draws start after it
         common = _kept(_poisson_sparse(rng_j, jump.lam * jump.rho_j * dt_y, n), kept)
-        eps = scratch if rows == BLOCK else np.empty((BLOCK, steps))
-        for z in (za, zb):
+        eps = rel_b.ravel(order="F")[:kept]  # a view: its column of ones comes last
+        overlays = []
+        for _ in range(2):
             rng_j.standard_normal(out=eps)
+            _normals(rng_j, n - kept, scratch)
             idio = _kept(_poisson_sparse(rng_j, lam_idio, n), kept)
             at = np.concatenate((common[0], idio[0]))
             counts = np.concatenate((common[1], idio[1]))
@@ -212,7 +231,6 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
             else:
                 idx, leg = np.unique(at, return_inverse=True)
                 k = np.bincount(leg, weights=counts)
-            z_old, e = z.take(idx), eps.take(idx)
             # the dense z += (k mu_J + (sqrt(k) sigma_J) eps) - compensator, the
             # sum of k iid normal jump sizes less the compensator. Where k = 0
             # its term (0 mu_J + (0 sigma_J) eps) - c is -c, and x + (-c) is
@@ -220,13 +238,41 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
             # share, which can change only the sign of a zero z: every later
             # sum is then the same nonzero number or a zero, and exp(-0.0) is
             # exp(+0.0), so the paths are the same bits
-            z -= compensator
-            np.put(z, idx, z_old + ((k * jump.mu_j + (np.sqrt(k) * jump.sigma_j) * e) - compensator))
+            overlays.append((idx, (k * jump.mu_j + (np.sqrt(k) * jump.sigma_j) * eps.take(idx))
+                             - compensator))
 
-    for z in (za, zb):
-        np.cumsum(z, axis=1, out=z)
-        np.exp(z, out=z)
-    return za, zb
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
+    for r0 in range(0, rows, chunk):
+        z = buf_a[:min(chunk, rows - r0) * steps].reshape(-1, steps)
+        rng.standard_normal(out=z)
+        rel_a[r0:r0 + len(z), 1:] = z
+    _normals(rng, (BLOCK - rows) * steps, buf_a)
+    rho_b = math.sqrt(1.0 - market.rho * market.rho)
+    for r0 in range(0, rows, chunk):
+        r1 = min(rows, r0 + chunk)
+        za, zb, zc = (buf[:(r1 - r0) * steps].reshape(-1, steps) for buf in (buf_a, buf_b, scratch))
+        rng.standard_normal(out=zb)
+        za[...] = rel_a[r0:r1, 1:]
+        np.multiply(za, market.rho, out=zc)
+        zb *= rho_b
+        zb += zc  # rho za + sqrt(1 - rho^2) zb
+        for z, rel, sd, mu, overlay in ((za, rel_a, sd_a, market.mu_a, overlays[0]),
+                                        (zb, rel_b, sd_b, market.mu_b, overlays[1])):
+            z *= sd * math.sqrt(dt_y)
+            z += (mu - 0.5 * sd * sd) * dt_y
+            if overlay is not None:
+                idx, term = overlay
+                lo, hi = np.searchsorted(idx, (r0 * steps, r1 * steps))
+                at = idx[lo:hi] - r0 * steps
+                z_old = z.take(at)
+                z -= compensator
+                np.put(z, at, z_old + term[lo:hi])
+            np.cumsum(z, axis=1, out=z)
+            np.exp(z, out=z)
+            rel[r0:r1, 1:] = z
+    rel_a[:, 0] = 1.0
+    rel_b[:, 0] = 1.0
+    return rel_a, rel_b
 
 
 def _path_steps(horizon_days, dt_days):
@@ -239,19 +285,10 @@ def _path_steps(horizon_days, dt_days):
     return steps
 
 
-def _starting_at_one(z):
-    """A (rows, steps) block as a (rows, steps+1) column-major array whose
-    first column is 1."""
-    rel = np.empty((z.shape[0], z.shape[1] + 1), order="F")
-    rel[:, 0] = 1.0
-    rel[:, 1:] = z
-    return rel
-
-
 def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
-    """The paths of generate_path_matrix block by block, in order: two
-    (rows, steps+1) column-major arrays per block of BLOCK paths, the last one
-    cut to n_paths.
+    """The paths of generate_path_matrix block by block, in order: the two
+    (rows, steps+1) column-major arrays of _generate_block per block of BLOCK
+    paths, the last one cut to n_paths.
 
     With n_workers > 1, worker threads draw up to n_workers blocks ahead of
     the consumer, whose own work overlaps theirs: the RNG fills and most
@@ -261,16 +298,14 @@ def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1
     n_blocks = -(-n_paths // BLOCK)
 
     def draw(bi):
-        za, zb = _generate_block(market, jump, steps, dt_days, seed, bi,
-                                 min(BLOCK, n_paths - bi * BLOCK))
-        rel_a = _starting_at_one(za)
-        del za  # one draw buffer fewer alive while the second leg is copied
-        return rel_a, _starting_at_one(zb)
+        return _generate_block(market, jump, steps, dt_days, seed, bi,
+                               min(BLOCK, n_paths - bi * BLOCK))
 
     if n_workers <= 1 or n_blocks == 1:
         for bi in range(n_blocks):
             yield draw(bi)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay the import
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         ahead = deque(pool.submit(draw, bi) for bi in range(min(n_workers, n_blocks)))
         for bi in range(n_blocks):

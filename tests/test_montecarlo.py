@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -147,6 +148,65 @@ def test_dense_jump_merge_matches_out_of_place_reference(baseline):
     a, b = mc.generate_path_matrix(m, jump, 10.0, 1.0 / 3.0, n, seed=17)
     assert np.array_equal(a, np.vstack([blk[0] for blk in blocks])[:n])
     assert np.array_equal(b, np.vstack([blk[1] for blk in blocks])[:n])
+
+
+_SEAM_JUMPS = [
+    None,
+    JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=True),
+    JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.3, variance_matched=False),
+    JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.0, variance_matched=False),
+    JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=1.0, variance_matched=False),
+    JumpParams(lam=30.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=False),
+    JumpParams(lam=4.0, mu_j=-0.125, sigma_j=0.5, rho_j=0.8, variance_matched=False),
+    JumpParams(lam=2000.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=False),
+]
+
+
+@pytest.mark.parametrize("steps", [270, 30])
+@pytest.mark.parametrize("jump", _SEAM_JUMPS)
+def test_draw_chunk_seams_match_out_of_place_reference(baseline, jump, steps):
+    # a block is drawn in chunks of rows: cut blocks of 1 and 400 rows and one
+    # row either side of a chunk edge, at the module's chunk size and at a few
+    # rows' worth, where the last chunk is ragged, jumps fall on chunk edges
+    # and a cut block draws its streams' tails through the small buffers; a
+    # partial second block at the small size (test_path_matrix_matches_out_of_
+    # place_reference holds it at the module's size, threaded too)
+    m = baseline.market
+    blocks = [_reference_block(m, jump, steps, 1.0 / 3.0, 17, bi) for bi in range(2)]
+    ref_a = np.vstack([blk[0] for blk in blocks])
+    ref_b = np.vstack([blk[1] for blk in blocks])
+    for elements in (mc._DRAW_ELEMENTS, 7 * steps - 1):
+        chunk = min(mc.BLOCK, max(1, elements // steps))
+        cuts = {1, 400, chunk - 1, chunk + 1}
+        if elements != mc._DRAW_ELEMENTS:
+            cuts.add(mc.BLOCK + 777)
+        with mock.patch.object(mc, "_DRAW_ELEMENTS", elements):
+            for n in sorted(cuts):
+                # one block draws in the calling thread whatever the worker count
+                for workers in ((1, 2) if n > mc.BLOCK else (1,)):
+                    a, b = mc.generate_path_matrix(m, jump, steps / 3.0, 1.0 / 3.0, n,
+                                                   seed=17, n_workers=workers)
+                    assert np.array_equal(a, ref_a[:n]), (elements, n, workers)
+                    assert np.array_equal(b, ref_b[:n]), (elements, n, workers)
+
+
+@pytest.mark.parametrize("jump", [None, JumpParams()])
+def test_cut_block_memory_follows_its_rows(baseline, jump):
+    # a 2,000-row block at 270 steps holds its two outputs and three chunk
+    # buffers; drawing the streams' tails for the full block's sake must not
+    # allocate block-sized arrays
+    rows, steps = 2000, 270
+    chunk = min(mc.BLOCK, max(1, mc._DRAW_ELEMENTS // steps))
+    outputs = 2 * rows * (steps + 1) * 8
+    tracemalloc.start()
+    try:
+        a, b = mc._generate_block(baseline.market, jump, steps, 1.0 / 3.0, 42, 0, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= outputs + 3 * chunk * steps * 8 + (2 << 20), peak
+    assert a.shape == b.shape == (rows, steps + 1)
+    assert a.flags.f_contiguous and b.flags.f_contiguous
 
 
 _INTENSITIES = st.one_of(st.just(0.0), st.floats(0.0, 0.3, exclude_min=True),
