@@ -10,7 +10,8 @@ stream is drawn as for the full block and the rest of the arithmetic is per
 path, so any n_paths and any worker count yield bit-identical paths for the
 same seed. Path arrays are stored column-major (time-major): all paths'
 prices at one step are contiguous. A block is drawn in chunks of rows
-straight into those arrays, so its memory follows the rows it keeps.
+straight into those arrays and its arithmetic runs on them in place, on
+tiles of whole columns, so its memory follows the rows it keeps.
 
 The block is also the unit of memory: a run streams its blocks through every
 kernel pass it makes and keeps only the step loop's per-path state for each
@@ -84,18 +85,19 @@ _DECODE_LAM = 0.25
 # bincount over the kept entries above that (rows 400 to 8192 at 30 and 270
 # steps on a 2-vCPU host: the two cross at 0.19 to 0.27 of them)
 _DENSE_MERGE = 4
-# elements (rows x steps) of each of _generate_block's three chunk buffers
-# (4 MiB). Each chunk is copied into the column-major outputs as one run of
-# rows per step, and longer runs copy faster: with a worker thread drawing
-# beside the step loop, 2^17 and 2^18 ran slower than the whole-block draw
-# they replaced, 2^19 as fast (20 alternated pairs of the threaded jump
+# elements (rows x steps) of each chunk of normals, and about those (rows x
+# columns) of each tile of _generate_block's arithmetic: its one buffer holds
+# either (4 MiB). Each chunk is copied into the column-major outputs as one
+# run of rows per step, and longer runs copy faster: with a worker thread
+# drawing beside the step loop, 2^17 and 2^18 ran slower than the whole-block
+# draw they replaced, 2^19 as fast (20 alternated pairs of the threaded jump
 # rebalancing command on a 2-vCPU host)
 _DRAW_ELEMENTS = 1 << 19
 
 
-def _poisson_sparse(rng, lam, n):
-    """The nonzero entries of rng.poisson(lam, n), as sorted flat indices and
-    counts, leaving rng in the state rng.poisson would.
+def _poisson_sparse(rng, lam, n, kept):
+    """The nonzero entries below kept of rng.poisson(lam, n), as sorted flat
+    indices and counts, leaving rng in the state rng.poisson would.
 
     For 0 < lam < 10 numpy's sampler (random_poisson_mult) multiplies
     next_double uniforms, which rng.random draws too, until the product is at
@@ -108,17 +110,23 @@ def _poisson_sparse(rng, lam, n):
     done + pos - rank, rank being the raising uniforms before it in the
     chunk. A chunk draws at most one uniform per unfinished count, so none is
     drawn ahead, and a count still going at its end carries its product into
-    the next chunk. Other lam take rng.poisson itself (lam = 0 draws nothing).
-    A property test holds the result, and the generator's next draw, to
-    rng.poisson.
+    the next chunk. Other lam take rng.poisson itself, in chunks of
+    _UNIFORM_CHUNK, which fill in sequence as one call would (lam = 0 draws
+    nothing). A property test holds the result, and the generator's next
+    draw, to rng.poisson.
     """
     if lam == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    found = []  # per chunk, the sorted indices below kept of its nonzero counts
     if not 0 < lam < _DECODE_LAM:
-        k = rng.poisson(lam, n)
-        return np.flatnonzero(k), k[k != 0]
+        counts = []
+        for lo in range(0, n, _UNIFORM_CHUNK):
+            k = rng.poisson(lam, min(_UNIFORM_CHUNK, n - lo))
+            at = np.flatnonzero(k[:max(0, kept - lo)])
+            found.append(lo + at)
+            counts.append(k[at])
+        return np.concatenate(found), np.concatenate(counts)
     enlam = math.exp(-lam)
-    raised = []  # per chunk, the count index of each raising uniform
     done = 0  # counts ended
     prod = 1.0  # product of the count going on; 1.0 before its first uniform
     while done < n:
@@ -150,15 +158,10 @@ def _poisson_sparse(rng, lam, n):
             if high[-1] == len(u) - 1:
                 prod = p_end[-1]
         pos = high[raises]
-        raised.append(done + pos - np.arange(len(pos)))
+        at = done + pos - np.arange(len(pos))
+        found.append(at[:np.searchsorted(at, kept)])
         done += len(u) - len(pos)
-    return np.unique(np.concatenate(raised), return_counts=True)
-
-
-def _kept(sparse, kept):
-    """The entries of a sorted (indices, counts) pair that fall below kept."""
-    cut = np.searchsorted(sparse[0], kept)
-    return sparse[0][:cut], sparse[1][:cut]
+    return np.unique(np.concatenate(found), return_counts=True)
 
 
 def _normals(rng, n, buf):
@@ -176,32 +179,40 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
     Every stream is drawn as for the full block, so a path does not depend on
     rows: numpy's Generator fills a draw in sequence, so drawing a stream in
     pieces gives the bits of one call, and the draws of the block's other
-    paths are made, through a chunk buffer, only where a later draw on the
+    paths are made, through the buffer, only where a later draw on the
     same stream follows them. The arithmetic runs on the kept rows only, each
-    row on its own, in chunks of max(1, _DRAW_ELEMENTS // steps) rows (at
-    most BLOCK), so a block holds its two outputs plus three chunk buffers,
-    with jumps or without, and its memory follows rows, not BLOCK.
+    row on its own, so a block holds its two outputs plus one buffer, which
+    serves the chunks and the tiles below, with jumps or without, and its
+    memory follows rows, not BLOCK.
 
     The jump stream has its own generator, so it is drawn first: each leg's
     jump-size noise goes into leg b's output memory, read as a flat array,
-    and only its entries where a count falls are kept. Then leg a's normals
-    go chunk by chunk into leg a's output, and each chunk of leg b's normals
-    is correlated with them, scaled, overlaid, summed and exponentiated with
-    leg a's chunk and written over both outputs.
+    and only its entries where a count falls are kept. Then each leg's
+    normals are drawn in chunks of max(1, _DRAW_ELEMENTS // steps) rows (at
+    most BLOCK) and copied straight into the leg's output, leg a's first.
+    The arithmetic then runs time-major, in place, on tiles of
+    max(1, _DRAW_ELEMENTS // rows) whole columns of both outputs, each one
+    run of memory: correlate, scale, drift, overlay, a running column add
+    z[t] += z[t-1] that makes np.cumsum's additions in its order, and exp.
+    Each leg's running sum at a tile's last column waits in its output's
+    first column for the next tile.
 
     The jump counts come as their nonzero entries from _poisson_sparse, which
     reads them off the uniforms of numpy's Poisson sampler, so the jumps are
-    added only where they fall; the paths are the bits of the dense overlay.
+    added only where they fall, at their positions in the time-major layout;
+    the paths are the bits of the dense overlay.
     """
     dt_y = dt_days / DAYS_PER_YEAR
     rel_a = np.empty((rows, steps + 1), order="F")
     rel_b = np.empty((rows, steps + 1), order="F")
     chunk = min(BLOCK, max(1, _DRAW_ELEMENTS // steps))
-    # three arrays: one (3, chunk * steps) array raised the cv sweep's peak RSS by 6 MB
-    buf_a, buf_b, scratch = (np.empty(chunk * steps) for _ in range(3))
+    width = min(steps, max(1, _DRAW_ELEMENTS // rows))
+    buf = np.empty(max(chunk * steps, rows * width))
 
     sd_a, sd_b = market.sigma_a, market.sigma_b
-    overlays = (None, None)  # per leg: the flat indices of its jumps, and their terms
+    # per leg: the time-major positions of its jumps among the increments,
+    # t * rows + row for step t + 1, and their terms
+    overlays = (None, None)
     if jump is not None and jump.lam > 0:
         if jump.variance_matched:
             # shrink diffusion so total annualized variance matches plain GBM
@@ -213,15 +224,20 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
         compensator = jump.lam * kappa * dt_y
         lam_idio = jump.lam * (1.0 - jump.rho_j) * dt_y
         n, kept = BLOCK * steps, rows * steps
+
+        def time_major(sparse):  # from draw order, row * steps + t
+            idx, counts = sparse
+            return idx % steps * rows + idx // steps, counts
+
         # common stream first, then each leg's size noise and idiosyncratic
         # counts; the noise is drawn whole, as the later draws start after it
-        common = _kept(_poisson_sparse(rng_j, jump.lam * jump.rho_j * dt_y, n), kept)
+        common = time_major(_poisson_sparse(rng_j, jump.lam * jump.rho_j * dt_y, n, kept))
         eps = rel_b.ravel(order="F")[:kept]  # a view: its column of ones comes last
         overlays = []
         for _ in range(2):
             rng_j.standard_normal(out=eps)
-            _normals(rng_j, n - kept, scratch)
-            idio = _kept(_poisson_sparse(rng_j, lam_idio, n), kept)
+            _normals(rng_j, n - kept, buf)
+            idio = time_major(_poisson_sparse(rng_j, lam_idio, n, kept))
             at = np.concatenate((common[0], idio[0]))
             counts = np.concatenate((common[1], idio[1]))
             if len(at) * _DENSE_MERGE > kept:
@@ -238,38 +254,47 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
             # share, which can change only the sign of a zero z: every later
             # sum is then the same nonzero number or a zero, and exp(-0.0) is
             # exp(+0.0), so the paths are the same bits
-            overlays.append((idx, (k * jump.mu_j + (np.sqrt(k) * jump.sigma_j) * eps.take(idx))
+            noise = eps.take(idx % rows * steps + idx // rows)
+            overlays.append((idx, (k * jump.mu_j + (np.sqrt(k) * jump.sigma_j) * noise)
                              - compensator))
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx,)))
-    for r0 in range(0, rows, chunk):
-        z = buf_a[:min(chunk, rows - r0) * steps].reshape(-1, steps)
-        rng.standard_normal(out=z)
-        rel_a[r0:r0 + len(z), 1:] = z
-    _normals(rng, (BLOCK - rows) * steps, buf_a)
+    for rel, tail in ((rel_a, BLOCK - rows), (rel_b, 0)):
+        for r0 in range(0, rows, chunk):
+            z = buf[:min(chunk, rows - r0) * steps].reshape(-1, steps)
+            rng.standard_normal(out=z)
+            rel[r0:r0 + len(z), 1:] = z
+        _normals(rng, tail * steps, buf)
+
+    # per leg: a time-major view of its increments, whose row t holds every
+    # path's at step t + 1 as one run of memory, and its first column, where
+    # the running sum at a tile's last step waits for the next tile
+    legs = ((rel_a.T[1:], rel_a[:, 0], sd_a, market.mu_a, overlays[0]),
+            (rel_b.T[1:], rel_b[:, 0], sd_b, market.mu_b, overlays[1]))
     rho_b = math.sqrt(1.0 - market.rho * market.rho)
-    for r0 in range(0, rows, chunk):
-        r1 = min(rows, r0 + chunk)
-        za, zb, zc = (buf[:(r1 - r0) * steps].reshape(-1, steps) for buf in (buf_a, buf_b, scratch))
-        rng.standard_normal(out=zb)
-        za[...] = rel_a[r0:r1, 1:]
+    for t0 in range(0, steps, width):
+        za, zb = (leg[0][t0:t0 + width] for leg in legs)
+        t1 = t0 + len(za)
+        zc = buf[:za.size].reshape(za.shape)
         np.multiply(za, market.rho, out=zc)
         zb *= rho_b
         zb += zc  # rho za + sqrt(1 - rho^2) zb
-        for z, rel, sd, mu, overlay in ((za, rel_a, sd_a, market.mu_a, overlays[0]),
-                                        (zb, rel_b, sd_b, market.mu_b, overlays[1])):
+        for z, (_, carry, sd, mu, overlay) in zip((za, zb), legs):
             z *= sd * math.sqrt(dt_y)
             z += (mu - 0.5 * sd * sd) * dt_y
             if overlay is not None:
                 idx, term = overlay
-                lo, hi = np.searchsorted(idx, (r0 * steps, r1 * steps))
-                at = idx[lo:hi] - r0 * steps
+                lo, hi = np.searchsorted(idx, (t0 * rows, t1 * rows))
+                at = idx[lo:hi] - t0 * rows
                 z_old = z.take(at)
                 z -= compensator
                 np.put(z, at, z_old + term[lo:hi])
-            np.cumsum(z, axis=1, out=z)
+            if t0:
+                z[0] += carry
+            for t in range(1, len(z)):
+                z[t] += z[t - 1]
+            carry[...] = z[-1]
             np.exp(z, out=z)
-            rel[r0:r1, 1:] = z
     rel_a[:, 0] = 1.0
     rel_b[:, 0] = 1.0
     return rel_a, rel_b
@@ -420,9 +445,13 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs):
     row's bits are those of a pass with that h alone. The breach step takes
     the least unsigned type that holds steps + 1, however fine the grid.
 
-    The step computes each debt value once, into buffers allocated once.
-    The pending rewards, shared by every path, stay a Python float; both
-    debts are (H, 1) columns until a rebalance first sets them per path.
+    The step computes each debt value once, into buffers allocated once. A
+    step that checks no rebalance computes the debt in place over xa and xb,
+    which it reads no further: the same operations on the same operands,
+    with less memory traffic; a check step keeps both for the trigger and
+    the cash update and computes the debt into its own buffers. The pending
+    rewards, shared by every path, stay a Python float; both debts are
+    (H, 1) columns until a rebalance first sets them per path.
     The breach test fl(D / C) >= l_max is run as D >= _breach_level(C, l_max),
     the same value for every double D, and max LTV is fl(max_t D_t / C), which
     equals max_t fl(D_t / C) by the same monotonicity.
@@ -457,7 +486,6 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs):
     n_reb = np.zeros((H, n if reb_stride else 1), dtype=np.int64)
     xa, xb, debt, tmp = (np.empty((H, n)) for _ in range(4))
     breach = np.empty((H, K, n), dtype=bool)
-    debt_k = debt[:, None, :]  # the debts against each collateral's level
     # the reserves are all +0.0 until the first claim; the shortcut below
     # also needs da, db >= 0, which h, v0 >= 0 and price relatives >= 0 give
     reserves = not (v0 >= 0.0 and (h >= 0.0).all())
@@ -493,27 +521,30 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs):
             pending = 0.0
             reserves = True
 
-        # debt = max(xa - res_a, 0) + max(xb - res_b, 0) + interest
+        # debt = max(xa - res_a, 0) + max(xb - res_b, 0) + interest, over
+        # xa and xb themselves unless a rebalance check reads them below
+        check = reb_stride and t % reb_stride == 0
+        d, e = (debt, tmp) if check else (xa, xb)
         if reserves:
-            np.subtract(xa, res_a, out=debt)
-            np.maximum(debt, 0.0, out=debt)
-            np.subtract(xb, res_b, out=tmp)
-            np.maximum(tmp, 0.0, out=tmp)
-            debt += tmp
+            np.subtract(xa, res_a, out=d)
+            np.maximum(d, 0.0, out=d)
+            np.subtract(xb, res_b, out=e)
+            np.maximum(e, 0.0, out=e)
+            d += e
         else:
             # with res = +0.0 and x >= 0 or nan, max(x - 0.0, 0.0) is x up
             # to the sign of a zero, which adding interest erases (interest
             # starts at +0.0, so it is never -0.0): the reserve terms' bits
-            np.add(xa, xb, out=debt)
-        debt += interest
-        np.maximum(max_debt, debt, out=max_debt)
-        np.greater_equal(debt_k, level, out=breach)
+            np.add(xa, xb, out=d)
+        d += interest
+        np.maximum(max_debt, d, out=max_debt)
+        np.greater_equal(d[:, None, :], level, out=breach)  # against each level
         np.greater(breach, liq, out=breach)  # breach & ~liq, with no temporary
         if breach.any():
             np.copyto(step, t, where=breach)
             liq |= breach
 
-        if not reb_stride or t % reb_stride:
+        if not check:
             continue
         lp = v0 * np.sqrt(a * b)
         trig = ~liq[:, 0]

@@ -165,21 +165,29 @@ _SEAM_JUMPS = [
 @pytest.mark.parametrize("steps", [270, 30])
 @pytest.mark.parametrize("jump", _SEAM_JUMPS)
 def test_draw_chunk_seams_match_out_of_place_reference(baseline, jump, steps):
-    # a block is drawn in chunks of rows: cut blocks of 1 and 400 rows and one
-    # row either side of a chunk edge, at the module's chunk size and at a few
-    # rows' worth, where the last chunk is ragged, jumps fall on chunk edges
-    # and a cut block draws its streams' tails through the small buffers; a
-    # partial second block at the small size (test_path_matrix_matches_out_of_
+    # a block is drawn in chunks of rows and its arithmetic runs on tiles of
+    # columns, both sized from _DRAW_ELEMENTS: cut blocks of 1 and 400 rows
+    # and one row either side of a chunk edge, at the module's size and at a
+    # few rows' worth, with ragged last chunks and tiles, a full block's
+    # tiles one column wide, jumps on chunk edges and a cut block drawing its
+    # streams' tails through the small buffer; then 400 rows on tiles of one
+    # column and of 7, the last one ragged, where every tile after the first
+    # starts on a carried running sum and jumps fall on tile edges; a partial
+    # second block at a few rows' worth (test_path_matrix_matches_out_of_
     # place_reference holds it at the module's size, threaded too)
     m = baseline.market
     blocks = [_reference_block(m, jump, steps, 1.0 / 3.0, 17, bi) for bi in range(2)]
     ref_a = np.vstack([blk[0] for blk in blocks])
     ref_b = np.vstack([blk[1] for blk in blocks])
-    for elements in (mc._DRAW_ELEMENTS, 7 * steps - 1):
+
+    def around_a_chunk(elements):
         chunk = min(mc.BLOCK, max(1, elements // steps))
-        cuts = {1, 400, chunk - 1, chunk + 1}
-        if elements != mc._DRAW_ELEMENTS:
-            cuts.add(mc.BLOCK + 777)
+        return {1, 400, chunk - 1, chunk + 1}
+
+    small = 7 * steps - 1
+    for elements, cuts in ((mc._DRAW_ELEMENTS, around_a_chunk(mc._DRAW_ELEMENTS)),
+                           (small, around_a_chunk(small) | {mc.BLOCK + 777}),
+                           (400, {400}), (7 * 400, {400})):
         with mock.patch.object(mc, "_DRAW_ELEMENTS", elements):
             for n in sorted(cuts):
                 # one block draws in the calling thread whatever the worker count
@@ -190,23 +198,42 @@ def test_draw_chunk_seams_match_out_of_place_reference(baseline, jump, steps):
                     assert np.array_equal(b, ref_b[:n]), (elements, n, workers)
 
 
-@pytest.mark.parametrize("jump", [None, JumpParams()])
-def test_cut_block_memory_follows_its_rows(baseline, jump):
-    # a 2,000-row block at 270 steps holds its two outputs and three chunk
-    # buffers; drawing the streams' tails for the full block's sake must not
-    # allocate block-sized arrays
-    rows, steps = 2000, 270
+def _draw_peak(market, jump, steps, rows):
+    """The traced peak of drawing one block cut to rows, and its buffer's bytes."""
     chunk = min(mc.BLOCK, max(1, mc._DRAW_ELEMENTS // steps))
-    outputs = 2 * rows * (steps + 1) * 8
+    width = min(steps, max(1, mc._DRAW_ELEMENTS // rows))
     tracemalloc.start()
     try:
-        a, b = mc._generate_block(baseline.market, jump, steps, 1.0 / 3.0, 42, 0, rows)
+        a, b = mc._generate_block(market, jump, steps, 1.0 / 3.0, 42, 0, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= outputs + 3 * chunk * steps * 8 + (2 << 20), peak
     assert a.shape == b.shape == (rows, steps + 1)
     assert a.flags.f_contiguous and b.flags.f_contiguous
+    return peak, max(chunk * steps, rows * width) * 8
+
+
+@pytest.mark.parametrize("jump", [None, JumpParams()])
+def test_cut_block_memory_follows_its_rows(baseline, jump):
+    # a 2,000-row block at 270 steps holds its two outputs and one chunk
+    # buffer; drawing the streams' tails for the full block's sake must not
+    # allocate block-sized arrays
+    rows, steps = 2000, 270
+    peak, buf = _draw_peak(baseline.market, jump, steps, rows)
+    assert peak <= 2 * rows * (steps + 1) * 8 + buf + (2 << 20), peak
+
+
+def test_dense_jump_block_memory_follows_its_rows(baseline):
+    # at lam = 2000 per year most per-step counts are nonzero, so the counts
+    # take rng.poisson and the dense merge, and each leg's overlay holds a
+    # few arrays of the kept entries. They come in chunks and only the kept
+    # ones stay: a 2,000-row block at 270 steps peaks within a dozen
+    # (rows x steps) arrays of doubles beyond its outputs and buffer (the
+    # whole-block counts, 17.7 MB each as int64, took it to 105 MiB)
+    rows, steps = 2000, 270
+    jump = JumpParams(lam=2000.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=False)
+    peak, buf = _draw_peak(baseline.market, jump, steps, rows)
+    assert peak <= 2 * rows * (steps + 1) * 8 + buf + 12 * rows * steps * 8, peak
 
 
 _INTENSITIES = st.one_of(st.just(0.0), st.floats(0.0, 0.3, exclude_min=True),
@@ -221,17 +248,20 @@ _INTENSITIES = st.one_of(st.just(0.0), st.floats(0.0, 0.3, exclude_min=True),
     (16, 10.0),
 ])
 @settings(max_examples=100, deadline=None)
-@given(lam=_INTENSITIES, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2000))
-def test_poisson_sparse_is_rng_poisson(chunk, decode_lam, lam, seed, n):
+@given(lam=_INTENSITIES, seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2000),
+       cut=st.integers(0, 2000))
+def test_poisson_sparse_is_rng_poisson(chunk, decode_lam, lam, seed, n, cut):
+    # the entries below kept of the whole draw, with kept anywhere up to n
+    kept = min(cut, n)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mc, "_UNIFORM_CHUNK", chunk)
         mp.setattr(mc, "_DECODE_LAM", decode_lam)
-        idx, counts = mc._poisson_sparse(rng, lam, n)
+        idx, counts = mc._poisson_sparse(rng, lam, n, kept)
     assert np.all(np.diff(idx) > 0) and np.all(counts > 0)
-    dense = np.zeros(n, dtype=np.int64)
+    dense = np.zeros(kept, dtype=np.int64)
     dense[idx] = counts
-    assert np.array_equal(dense, ref.poisson(lam, n))
+    assert np.array_equal(dense, ref.poisson(lam, n)[:kept])
     assert rng.random() == ref.random()  # the same uniforms were drawn
 
 
