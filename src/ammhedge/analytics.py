@@ -42,36 +42,33 @@ class PnlDecomposition:
 
 
 def joint_mgf_exponent(a, b, market: MarketParams, t_years):
-    """log E[pA^a pB^b] for zero-drift correlated GBM at horizon t_years."""
-    sa2 = market.sigma_a * market.sigma_a
-    sb2 = market.sigma_b * market.sigma_b
-    cross = market.rho * market.sigma_a * market.sigma_b
-    return 0.5 * (a * (a - 1.0) * sa2 + b * (b - 1.0) * sb2 + 2.0 * a * b * cross) * t_years
+    """log E[pA^a pB^b] for zero-drift correlated GBM at horizon t_years; the only
+    reader of the price model here or in liquidation_fpt, whose moments are sums of its exp."""
+    sa, sb = market.sigma_a, market.sigma_b
+    return 0.5 * (a * (a - 1.0) * (sa * sa) + b * (b - 1.0) * (sb * sb)
+                  + 2.0 * a * b * (market.rho * sa * sb)) * t_years
 
 
 def compute_phi(market: MarketParams) -> float:
     # pool decay rate: E[G_t] = V0 * exp(-phi t)
-    return (market.sigma_a ** 2 + market.sigma_b ** 2
-            - 2.0 * market.rho * market.sigma_a * market.sigma_b) / 8.0
+    return -joint_mgf_exponent(0.5, 0.5, market, 1.0)
 
 
 def variance_components(market: MarketParams, t_years) -> MomentSet:
     """Exact variance decomposition of pool vs 50/50 hold at horizon t_years.
 
     All three components are dimensionless (relative to V0^2) and vanish as
-    t -> 0.
+    t -> 0. Each is a sum of E[pA^a pB^b] = exp(joint_mgf_exponent(a, b)).
     """
-    sa2 = market.sigma_a * market.sigma_a
-    sb2 = market.sigma_b * market.sigma_b
-    cross = market.rho * market.sigma_a * market.sigma_b
-    phi = compute_phi(market)
-    t = t_years
-    v_gg = math.exp(cross * t) - math.exp(-2.0 * phi * t)
-    v_aa = 0.25 * (math.exp(sa2 * t) + math.exp(sb2 * t) + 2.0 * math.exp(cross * t) - 4.0)
-    v_ga = 0.5 * (math.exp((3.0 * sa2 - sb2 + 6.0 * cross) * t / 8.0)
-                  + math.exp((-sa2 + 3.0 * sb2 + 6.0 * cross) * t / 8.0)
-                  - 2.0 * math.exp(-phi * t))
-    return MomentSet(phi=phi, v_gg=v_gg, v_aa=v_aa, v_ga=v_ga)
+    k, t = joint_mgf_exponent, t_years
+    k_g = k(0.5, 0.5, market, t)  # log E[G_t / V0]
+    e_11 = math.exp(k(1.0, 1.0, market, t))
+    v_gg = e_11 - math.exp(2.0 * k_g)
+    v_aa = 0.25 * (math.exp(k(2.0, 0.0, market, t)) + math.exp(k(0.0, 2.0, market, t))
+                   + 2.0 * e_11 - 4.0)
+    v_ga = 0.5 * (math.exp(k(1.5, 0.5, market, t)) + math.exp(k(0.5, 1.5, market, t))
+                  - 2.0 * math.exp(k_g))
+    return MomentSet(phi=compute_phi(market), v_gg=v_gg, v_aa=v_aa, v_ga=v_ga)
 
 
 def pnl_decomposition(market: MarketParams, rates: RateParams, pos: PositionParams) -> PnlDecomposition:
@@ -98,10 +95,10 @@ def sharpe(h, market: MarketParams, rates: RateParams, pos: PositionParams) -> f
     """
     m = variance_components(market, pos.horizon_years)
     d = pnl_decomposition(market, rates, pos)
-    var_h = m.v_gg + h * h * m.v_aa - 2.0 * h * m.v_ga
+    var_h = pnl_variance(h, m, pos.v0)
     if var_h <= 0.0:
         raise ValueError("P&L variance at h = %g is not positive" % h)
-    return (d.mu0 - d.c * h) / (pos.v0 * math.sqrt(var_h))
+    return (d.mu0 - d.c * h) / math.sqrt(var_h)
 
 
 def h_star(market: MarketParams, rates: RateParams, pos: PositionParams) -> float:

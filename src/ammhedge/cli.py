@@ -143,14 +143,13 @@ def cmd_fpt(args):
     if args.alpha is not None and not 0.0 < args.alpha < 1.0:
         raise ScenarioError("--alpha %r: must lie in (0,1)" % args.alpha)
     m, pos = scn.market, scn.position
-    st = fpt.sigma_tilde(m, pos.horizon_years)
     inp = fpt.fpt_inputs(pos.h, m, pos)
     prob = fpt.liquidation_probability(pos.h, m, pos)
     if args.alpha is not None:
         # both before the first line, so that a failure prints nothing
         hb = fpt.h_bar(args.alpha, m, pos)
         hdd = fpt.h_double_star(args.alpha, m, scn.rates, pos)
-    print("sigma_tilde  = %.6f" % st)
+    print("sigma_tilde  = %.6f" % inp.sigma_tilde)
     print("LTV_0        = %.4f" % inp.ltv0)
     print("barrier b    = %.6f" % inp.barrier_log)
     print("P(liq, %.0fd) = %.2f%%" % (pos.horizon_days, prob * 100.0))

@@ -147,6 +147,11 @@ def validate(market: MarketParams, rates: RateParams, pos: PositionParams) -> li
             + _non_finite("position", pos))
 
 
+def _matched_variance(sigma, jump: JumpParams):
+    """A leg's diffusion variance once variance-matched jumps take their share."""
+    return sigma * sigma - jump.lam * (jump.mu_j ** 2 + jump.sigma_j ** 2)
+
+
 def validate_jump(jump: JumpParams, market: MarketParams) -> list:
     errs = []
     if jump.lam < 0:
@@ -156,9 +161,8 @@ def validate_jump(jump: JumpParams, market: MarketParams) -> list:
     if not 0.0 <= jump.rho_j <= 1.0:
         errs.append("rho_j must lie in [0,1]")
     if jump.variance_matched and jump.lam > 0:
-        jump_var = jump.lam * (jump.mu_j ** 2 + jump.sigma_j ** 2)
         for name, sig in (("sigma_a", market.sigma_a), ("sigma_b", market.sigma_b)):
-            if sig ** 2 - jump_var <= 0:
+            if _matched_variance(sig, jump) <= 0:
                 errs.append("variance matching infeasible: %s^2 <= lambda*(mu_j^2 + sigma_j^2)" % name)
     return errs + _non_finite("jump", jump)
 

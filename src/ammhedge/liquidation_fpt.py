@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .analytics import _CALIBRATION_CACHE, h_star
+from .analytics import _CALIBRATION_CACHE, h_star, joint_mgf_exponent
 from .config_domain import MarketParams, PositionParams, RateParams
 
 _SQRT2 = math.sqrt(2.0)
@@ -42,15 +42,13 @@ class FptInputs:
 def sigma_tilde(market: MarketParams, t_years) -> float:
     """Annualized vol of the single GBM matched to the debt factor (pA + pB)/2.
 
-    sigma_tilde^2 = (1/t) ln[(e^{sa^2 t} + e^{sb^2 t} + 2 e^{rho sa sb t}) / 4].
-    As t -> 0 this approaches the instantaneous portfolio variance
+    sigma_tilde^2 = (1/t) log E[((pA + pB)/2)^2], from joint_mgf_exponent. As
+    t -> 0 this approaches the instantaneous portfolio variance
     (sa^2 + sb^2 + 2 rho sa sb)/4.
     """
-    sa2 = market.sigma_a * market.sigma_a
-    sb2 = market.sigma_b * market.sigma_b
-    cross = market.rho * market.sigma_a * market.sigma_b
-    t = t_years
-    num = math.exp(sa2 * t) + math.exp(sb2 * t) + 2.0 * math.exp(cross * t)
+    k, t = joint_mgf_exponent, t_years
+    num = (math.exp(k(2.0, 0.0, market, t)) + math.exp(k(0.0, 2.0, market, t))
+           + 2.0 * math.exp(k(1.0, 1.0, market, t)))
     return math.sqrt(math.log(num / 4.0) / t)
 
 
@@ -62,9 +60,10 @@ def fpt_inputs(h, market: MarketParams, pos: PositionParams) -> FptInputs:
                      nu=-0.5 * st * st, t_years=pos.horizon_years)
 
 
+@functools.lru_cache(maxsize=_CALIBRATION_CACHE)
 def _probability(market: MarketParams, pos: PositionParams):
-    """liquidation_probability(., market, pos) as a function of h alone; the
-    moment-matched vol, s2t and sd, which do not depend on h, are computed once."""
+    """liquidation_probability(., market, pos) as a function of h alone, cached per
+    (market, pos): the moment-matched vol, s2t and sd depend on neither h nor alpha."""
     st = sigma_tilde(market, pos.horizon_years)
     s2t = st * st * pos.horizon_years
     sd = math.sqrt(s2t)

@@ -31,7 +31,8 @@ from itertools import groupby
 import numpy as np
 
 from .config_domain import (DAYS_PER_YEAR, MarketParams, PositionParams, RateParams,
-                            ScenarioError, SimConfig, _whole_steps, parse_rebalance)
+                            ScenarioError, SimConfig, _matched_variance, _whole_steps,
+                            parse_rebalance)
 
 BLOCK = 8192
 # state elements (hedge ratios x rows) of one _step_loop call: about what keeps
@@ -216,9 +217,8 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
     if jump is not None and jump.lam > 0:
         if jump.variance_matched:
             # shrink diffusion so total annualized variance matches plain GBM
-            jump_var = jump.lam * (jump.mu_j ** 2 + jump.sigma_j ** 2)
-            sd_a = math.sqrt(sd_a * sd_a - jump_var)
-            sd_b = math.sqrt(sd_b * sd_b - jump_var)
+            sd_a = math.sqrt(_matched_variance(sd_a, jump))
+            sd_b = math.sqrt(_matched_variance(sd_b, jump))
         rng_j = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_idx, 2)))
         kappa = math.exp(jump.mu_j + 0.5 * jump.sigma_j ** 2) - 1.0
         compensator = jump.lam * kappa * dt_y

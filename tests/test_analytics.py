@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ammhedge import analytics as an
+from ammhedge import analytics as an, liquidation_fpt as fpt
 from ammhedge.config_domain import MarketParams, RateParams, parse_scenario
 
 # quarter-year horizon; closed-form reference values below are frozen from
@@ -72,18 +73,29 @@ def test_variance_components_vanish_at_zero_horizon():
     assert abs(m.v_gg) < 1e-9 and abs(m.v_aa) < 1e-9 and abs(m.v_ga) < 1e-9
 
 
-def test_variance_components_from_moment_exponents():
-    # rebuild each component from E[pa^a pb^b] building blocks
-    t = 0.25
-    m = an.variance_components(MARKET, t)
-    e = lambda a, b: math.exp(an.joint_mgf_exponent(a, b, MARKET, t))
+@settings(max_examples=200, deadline=None)
+@given(m=st.builds(MarketParams, sigma_a=st.floats(0.05, 2.0), sigma_b=st.floats(0.05, 2.0),
+                   rho=st.floats(-0.95, 0.95)),
+       t=st.floats(0.02, 2.0))
+def test_variance_components_from_moment_exponents(m, t):
+    # rebuild each component from E[pa^a pb^b] building blocks, in an order
+    # of its own; every term is at most E[(pa + pb)^2], so the two orders
+    # agree to a few ulp of that
+    mom = an.variance_components(m, t)
+    e = lambda a, b: math.exp(an.joint_mgf_exponent(a, b, m, t))
     e_g = e(0.5, 0.5)
     v_gg = e(1.0, 1.0) - e_g * e_g
     v_aa = 0.25 * (e(2.0, 0.0) + e(0.0, 2.0) + 2.0 * e(1.0, 1.0)) - 1.0
     v_ga = 0.5 * (e(1.5, 0.5) + e(0.5, 1.5)) - e_g
-    assert math.isclose(m.v_gg, v_gg, rel_tol=1e-13)
-    assert math.isclose(m.v_aa, v_aa, rel_tol=1e-13)
-    assert math.isclose(m.v_ga, v_ga, rel_tol=1e-13)
+    tol = 1e-15 * (e(2.0, 0.0) + e(0.0, 2.0) + 2.0 * e(1.0, 1.0))
+    assert math.isclose(mom.v_gg, v_gg, rel_tol=1e-13, abs_tol=tol)
+    assert math.isclose(mom.v_aa, v_aa, rel_tol=1e-13, abs_tol=tol)
+    assert math.isclose(mom.v_ga, v_ga, rel_tol=1e-13, abs_tol=tol)
+    # the first-passage bound's matched vol and v_aa both give log E[A_T^2]:
+    # 1 + v_aa and (4 E[A_T^2]) / 4 round alike, so they agree to a few ulp
+    assert math.isclose(fpt.sigma_tilde(m, t) ** 2 * t, math.log1p(mom.v_aa), rel_tol=1e-14)
+    # the pool decay rate is the same cumulant at one year
+    assert an.compute_phi(m) == -an.joint_mgf_exponent(0.5, 0.5, m, 1.0)
 
 
 def test_variance_components_against_simulation():

@@ -198,6 +198,18 @@ def test_invalid_parameter_is_config_error(capsys):
     assert "configuration error" in err and "rho" in err
 
 
+def test_variance_matched_jumps_that_use_up_a_leg_are_rejected(capsys):
+    # lambda (mu_j^2 + sigma_j^2) is sigma_a * sigma_a to the bit, while
+    # sigma_a ** 2 rounds one ulp above it: the generator would be left no
+    # diffusion on leg a, so the validator must refuse the record
+    code, out, err = _run(capsys, ["simulate", "--paths", "50",
+                                   "--override", "market.sigma_a=1.0484845121491653",
+                                   "--override", "jump.lambda=1.099319772216673",
+                                   "--override", "jump.mu_j=0", "--override", "jump.sigma_j=1"])
+    assert code == 1 and out == ""
+    assert "variance matching infeasible: sigma_a" in err
+
+
 def test_runtime_failure_exits_two(capsys):
     # a valid calibration whose unhedged P&L has no positive mean: no Sharpe optimum
     code, _, err = _run(capsys, ["analytic", "--override", "rates.reward_rate=0",

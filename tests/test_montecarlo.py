@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import ammhedge.montecarlo as mc
 from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, PositionParams,
                                     RateParams, Scenario, ScenarioError, SimConfig, validate_sim)
+from ammhedge.experiments import PRESETS, get_preset
 
 from scalar_oracle import simulate_path
 
@@ -566,6 +567,34 @@ def test_kernel_is_layout_independent(baseline, rule):
     assert c_res["liquidated"].any()
     for name, value in c_res.items():
         assert np.array_equal(value, f_res[name], equal_nan=True), name
+
+
+# hedge ratios 0, 0.05, ..., 1
+_MONOTONE_HS = tuple(i / 20.0 for i in range(21))
+
+
+@pytest.mark.parametrize("claim_days", [None, 0.0, 1.0])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_breach_and_max_debt_are_monotone_in_h(preset, claim_days):
+    # what the model promises, not a parity between two code paths: without
+    # a rebalancing rule a larger h borrows more of each leg on the same
+    # paths, whatever the claims repay, so each path's max debt cannot fall
+    # as h grows and its first breach, at any collateral, cannot come later;
+    # claims at the preset's own interval (None), never and daily
+    scn = get_preset(preset)
+    pos = scn.position
+    sim = dataclasses.replace(scn.sim, rebalance="none")
+    if claim_days is not None:
+        sim = dataclasses.replace(sim, claim_interval_days=claim_days)
+    rel_a, rel_b = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
+                                           sim.dt_days, 256, seed=7)
+    states = mc._step_loop(rel_a, rel_b, scn.rates, pos, sim, _MONOTONE_HS,
+                           (1.2, pos.c_over_v0))
+    step = np.array([s.step for s in states], dtype=np.int64)  # (H, K, rows)
+    max_debt = np.array([s.max_debt for s in states])  # (H, rows)
+    assert (np.diff(step, axis=0) <= 0).all()
+    assert (np.diff(max_debt, axis=0) >= 0).all()
+    assert (step[:, 1] < rel_a.shape[1]).any()  # some path breaches at the preset's C/V0
 
 
 def _dyadic_paths(seed, n, steps):
