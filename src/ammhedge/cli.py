@@ -39,7 +39,7 @@ def _add_monte_carlo(p):
                         % (SEED_ENV, DEFAULT_SEED))
     p.add_argument("--paths", type=int, default=None, help="number of Monte Carlo paths")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads that draw path blocks ahead of the kernel")
+                   help="processes that each draw whole path blocks and run the kernel on them")
     tx = p.add_mutually_exclusive_group()
     tx.add_argument("--tx", dest="tx", action="store_true", default=None,
                     help="include transaction costs in the headline ROE")

@@ -13,18 +13,22 @@ prices at one step are contiguous. A block is drawn in chunks of rows
 straight into those arrays and its arithmetic runs on them in place, on
 tiles of whole columns, so its memory follows the rows it keeps.
 
-The block is also the unit of memory: a run streams its blocks through every
-kernel pass it makes and keeps only the step loop's per-path state for each
-h, so it holds one block of paths (plus those that worker threads draw
-ahead), never the whole (n_paths, steps+1) matrix. The step loop is
-elementwise per path, so the outputs equal those of one pass over the whole
-matrix, bit for bit.
+The block is also the unit of memory and of work: a run streams its blocks
+through every kernel pass it makes and keeps only the step loop's per-path
+state for each h, so a process holds one block of paths at a time, never the
+whole (n_paths, steps+1) matrix. With n_workers > 1 each block is one task of
+a pool of forked processes, which draws the block, runs every pass on it and
+sends back only the loop states. The step loop is elementwise per path, so
+the outputs equal those of one pass over the whole matrix in one process,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque, namedtuple
+import mmap
+import os
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import groupby
 
@@ -90,9 +94,9 @@ _DENSE_MERGE = 4
 # columns) of each tile of _generate_block's arithmetic: its one buffer holds
 # either (4 MiB). Each chunk is copied into the column-major outputs as one
 # run of rows per step, and longer runs copy faster: with a worker thread
-# drawing beside the step loop, 2^17 and 2^18 ran slower than the whole-block
-# draw they replaced, 2^19 as fast (20 alternated pairs of the threaded jump
-# rebalancing command on a 2-vCPU host)
+# drawing beside the step loop, as --workers 2 then ran, 2^17 and 2^18 ran
+# slower than the whole-block draw they replaced, 2^19 as fast (20 alternated
+# pairs of the jump rebalancing command on a 2-vCPU host)
 _DRAW_ELEMENTS = 1 << 19
 
 
@@ -310,34 +314,64 @@ def _path_steps(horizon_days, dt_days):
     return steps
 
 
-def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
-    """The paths of generate_path_matrix block by block, in order: the two
-    (rows, steps+1) column-major arrays of _generate_block per block of BLOCK
-    paths, the last one cut to n_paths.
+def _map_blocks(fn, n_blocks, n_workers):
+    """fn(bi) for each bi in range(n_blocks), yielded in block order.
 
-    With n_workers > 1, worker threads draw up to n_workers blocks ahead of
-    the consumer, whose own work overlaps theirs: the RNG fills and most
-    array operations of a draw release the GIL.
+    The calls run one per task in a pool of min(n_workers, n_blocks, usable
+    CPUs) forked processes, or, with one, or without fork, in this process,
+    which then imports no multiprocessing. fn reaches the workers through the
+    fork, so it may be a closure; only its results are pickled. (Spawned
+    workers would import numpy and the program again, about 0.14 s each; the
+    executor forks before it starts its own thread.) The pool is made per
+    call, so its workers see what the caller changed before the call, such as
+    a test's patched constant, and it is shut down, its workers joined, before
+    the generator ends, also when the consumer stops early or a call raises,
+    whose exception is re-raised here.
+    """
+    usable = getattr(os, "sched_getaffinity", None)
+    n = min(n_workers, n_blocks, len(usable(0)) if usable else os.cpu_count() or 1)
+    if n > 1:
+        import multiprocessing  # only runs with more than one process pay the imports
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            # fork named, as Python 3.14 makes forkserver the default on Linux
+            with ProcessPoolExecutor(n, multiprocessing.get_context("fork"),
+                                     initializer=_set_block_fn, initargs=(fn,)) as pool:
+                yield from pool.map(_block_fn_at, range(n_blocks))
+            return
+    yield from map(fn, range(n_blocks))
+
+
+_block_fn = None  # in a worker process of _map_blocks, the fn it maps
+
+
+def _set_block_fn(fn):
+    global _block_fn
+    _block_fn = fn
+
+
+def _block_fn_at(bi):
+    return _block_fn(bi)
+
+
+def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, *, task, n_workers):
+    """task(lo, rel_a, rel_b) for each block of the paths of generate_path_matrix,
+    in block order: lo is the block's first path, and rel_a and rel_b are the
+    two (rows, steps+1) column-major arrays of _generate_block per block of
+    BLOCK paths, the last one cut to n_paths.
+
+    Each block is drawn in the process that runs its task, one of n_workers
+    (_map_blocks), and dropped when the task returns, so only the task's
+    result leaves it.
     """
     steps = _path_steps(horizon_days, dt_days)
-    n_blocks = -(-n_paths // BLOCK)
 
-    def draw(bi):
-        return _generate_block(market, jump, steps, dt_days, seed, bi,
-                               min(BLOCK, n_paths - bi * BLOCK))
+    def run(bi):
+        lo = bi * BLOCK
+        return task(lo, *_generate_block(market, jump, steps, dt_days, seed, bi,
+                                         min(BLOCK, n_paths - lo)))
 
-    if n_workers <= 1 or n_blocks == 1:
-        for bi in range(n_blocks):
-            yield draw(bi)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay the import
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        ahead = deque(pool.submit(draw, bi) for bi in range(min(n_workers, n_blocks)))
-        for bi in range(n_blocks):
-            done = ahead.popleft()
-            if bi + n_workers < n_blocks:
-                ahead.append(pool.submit(draw, bi + n_workers))
-            yield done.result()
+    return _map_blocks(run, -(-n_paths // BLOCK), n_workers)
 
 
 def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
@@ -345,16 +379,22 @@ def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_w
     blocks of the path stream, stacked.
 
     The arrays are column-major, so each step's prices across all paths are
-    contiguous: the accounting loop reads one column per step.
+    contiguous: the accounting loop reads one column per step. They share
+    one anonymous shared mapping, which worker processes inherit and copy
+    their blocks into, so no block is pickled.
     """
     steps = _path_steps(horizon_days, dt_days)
-    rel_a = np.empty((n_paths, steps + 1), order="F")
-    rel_b = np.empty((n_paths, steps + 1), order="F")
-    lo = 0
-    for a, b in _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, n_workers):
+    mem = np.frombuffer(mmap.mmap(-1, max(1, 16 * n_paths * (steps + 1))))
+    # (n_paths, steps+1, 2) column-major: each of its two halves is column-major
+    rel_a, rel_b = mem.reshape((n_paths, steps + 1, 2), order="F").transpose(2, 0, 1)
+
+    def store(lo, a, b):
         rel_a[lo:lo + len(a)] = a
         rel_b[lo:lo + len(b)] = b
-        lo += len(a)
+
+    for _ in _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed,
+                          task=store, n_workers=n_workers):
+        pass
     return rel_a, rel_b
 
 
@@ -614,28 +654,33 @@ def _stream_passes(scenarios, grid, n_workers=1):
     gives one BatchResult per h, closed as it is read.
 
     Consecutive scenarios with equal _path_inputs form a run: each of its
-    blocks is drawn once, read by all of the run's kernel passes and dropped
-    before the next is drawn. Consecutive scenarios of a run with equal
-    _pass_key form a group, whose step loop runs once per h over the group's
-    distinct C/V0 levels, in chunks of max(1, _STACK_ELEMENTS // rows) hedge
-    ratios. Only the loop states are kept, per group, h and block, so memory
-    grows with h, not with the variants. A run's scenarios are yielded after
-    its last block, each closed from its group's states joined over the blocks.
+    blocks is drawn once, read by all of the run's kernel passes and dropped,
+    all in the process that runs the block's task (_path_blocks). Consecutive
+    scenarios of a run with equal _pass_key form a group, whose step loop runs
+    once per h over the group's distinct C/V0 levels, in chunks of
+    max(1, _STACK_ELEMENTS // rows) hedge ratios. Only the loop states are
+    kept, per group, h and block, so memory grows with h, not with the
+    variants. A run's scenarios are yielded after its last block, each closed
+    from its group's states joined over the blocks in block order.
     """
     for _, run in groupby(scenarios, key=_path_inputs):
         groups = [list(g) for _, g in groupby(run, key=_pass_key)]
         levels = [tuple(dict.fromkeys(s.position.c_over_v0 for s in g)) for g in groups]
+
+        def passes(_, rel_a, rel_b):
+            """Per group and h, the block's loop state."""
+            size = max(1, _STACK_ELEMENTS // len(rel_a))
+            return [[state for lo in range(0, len(grid), size) for state in _step_loop(
+                rel_a, rel_b, g[0].rates, g[0].position, g[0].sim, grid[lo:lo + size], cvs)]
+                for g, cvs in zip(groups, levels)]
+
         # per group and h, the loop state of each block
         states = [[[] for _ in grid] for _ in groups]
-        for block in _path_blocks(*_path_inputs(groups[0][0]), n_workers):
-            size = max(1, _STACK_ELEMENTS // len(block[0]))
-            for group, cvs, parts in zip(groups, levels, states):
-                scn = group[0]
-                for lo in range(0, len(grid), size):
-                    for part, state in zip(parts[lo:lo + size], _step_loop(
-                            *block, scn.rates, scn.position, scn.sim, grid[lo:lo + size], cvs)):
-                        part.append(state)
-            del block  # before the next block is drawn
+        for per_group in _path_blocks(*_path_inputs(groups[0][0]), task=passes,
+                                      n_workers=n_workers):
+            for parts, per_h in zip(states, per_group):
+                for part, state in zip(parts, per_h):
+                    part.append(state)
         for group, cvs, parts in zip(groups, levels, states):
             rule = parse_rebalance(group[0].sim.rebalance)[0] != "none"
             for i, blocks in enumerate(parts):

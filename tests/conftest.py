@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import pytest
 
@@ -13,3 +14,9 @@ def scaled(scn, n_paths):
 def baseline():
     return get_preset("baseline")
 
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # two usable CPUs, so two workers start two processes on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -1,17 +1,22 @@
 """End-to-end command line tests run in process through main()."""
 
 import argparse
+import concurrent.futures
+import contextlib
 import datetime
+import multiprocessing
 import os
 import re
 import shlex
+import sys
+import types
 
 import numpy as np
 import pytest
 
 import ammhedge.montecarlo as mc
 from ammhedge.cli import SEED_ENV, build_parser, main
-from ammhedge.config_domain import scenario_hash
+from ammhedge.config_domain import ScenarioError, scenario_hash
 from ammhedge.experiments import PRESETS, TARGETS, Table, get_preset
 
 
@@ -557,10 +562,59 @@ def test_calibrate_missing_file_is_config_error(capsys, tmp_path):
     ["simulate", "--override", "sim.rebalance=periodic(2)"],
 ])
 def test_worker_count_does_not_change_bytes(capsys, argv):
-    # three blocks of paths: worker threads draw blocks ahead of the kernel
+    # three blocks of paths: worker processes each draw whole blocks and run
+    # every kernel pass on them
     common = ["--paths", str(2 * mc.BLOCK + 100), "--override", "position.horizon_days=4"]
     outs = [_run(capsys, argv + common + ["--workers", w]) for w in ("1", "2")]
     assert outs[0][0] == 0 and outs[0] == outs[1]
+
+
+_THREE_BLOCKS = ["rebalance", "--scenario", "jumps", "--paths", str(2 * mc.BLOCK + 100),
+                 "--override", "position.horizon_days=4"]
+
+
+def test_workers_are_joined_when_the_run_ends(capsys, two_cpus):
+    assert _run(capsys, _THREE_BLOCKS + ["--workers", "2"])[0] == 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error, code", [(ScenarioError, 1), (ValueError, 2)])
+def test_worker_errors_read_as_in_one_process(capsys, monkeypatch, two_cpus, error, code):
+    # a step loop that raises in a worker ends the run with the message and
+    # the exit code of the same failure in one process, and leaves no worker
+    def fail(rel_a, *args):
+        raise error("no pass over %d paths" % len(rel_a))
+
+    monkeypatch.setattr(mc, "_step_loop", fail)
+    outs = [_run(capsys, _THREE_BLOCKS + ["--workers", w]) for w in ("1", "2")]
+    assert multiprocessing.active_children() == []
+    assert outs[0] == outs[1]
+    assert outs[0][0] == code and "no pass over %d paths" % mc.BLOCK in outs[0][2]
+
+
+@pytest.mark.parametrize("cpus, size", [(64, 4), (3, 3), (1, None)])
+def test_process_count_is_bounded(capsys, monkeypatch, cpus, size):
+    # --workers 1000000 at 30k paths: one process per block (4) and per usable
+    # CPU at most, and at one, no pool and no multiprocessing import. The pool
+    # records its size and runs in this process: none is started
+    sizes = []
+
+    def pool(max_workers, mp_context, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(mc, "_block_fn", None)
+    if size is None:
+        monkeypatch.setitem(sys.modules, "multiprocessing", None)  # importing it fails
+    argv = ["sweep", "--axis", "cv", "--values", "1.8,3", "--paths", "30000",
+            "--override", "position.horizon_days=2"]
+    outs = [_run(capsys, argv + ["--workers", w]) for w in ("1000000", "1")]
+    assert outs[0][0] == 0 and outs[0] == outs[1]
+    assert sizes == ([size] if size else [])
 
 
 # ---------------------------------------------------------------------------

@@ -178,13 +178,15 @@ def _count_draws(monkeypatch):
     that every block before it, of this stream or an earlier one, is dead."""
     real, drawn, refs = mc._path_blocks, [], []
 
-    def counted(*inputs):
+    def counted(*inputs, task, n_workers):
         drawn.append(inputs)
-        for block in real(*inputs):
+
+        def checked(lo, *block):
             assert all(ref() is None for ref in refs)
             refs.append(weakref.ref(block[0]))
-            yield block
-            del block
+            return task(lo, *block)
+
+        return real(*inputs, task=checked, n_workers=n_workers)
 
     monkeypatch.setattr(mc, "_path_blocks", counted)
     return drawn
@@ -307,7 +309,8 @@ def test_kept_memory_grows_with_h_not_with_variants(baseline):
 
     def peak(values):
         scns = [exp._apply_axis(base, "position.c_over_v0", cv) for cv in values]
-        with mock.patch.object(mc, "_path_blocks", lambda *inputs: iter([paths])):
+        with mock.patch.object(mc, "_path_blocks",
+                               lambda *inputs, task, n_workers: iter([task(0, *paths)])):
             tracemalloc.start()
             try:
                 exp._score(scns, exp.FINE_GRID)

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
 import tracemalloc
 from unittest import mock
 
@@ -51,6 +53,21 @@ def test_worker_count_does_not_change_paths(baseline):
     a1, b1 = mc.generate_path_matrix(m, None, 90.0, 1.0, 20000, seed=3, n_workers=1)
     a4, b4 = mc.generate_path_matrix(m, None, 90.0, 1.0, 20000, seed=3, n_workers=4)
     assert np.array_equal(a1, a4) and np.array_equal(b1, b4)
+
+
+def test_block_map_runs_in_order_in_worker_processes(two_cpus):
+    # fn is a closure: it reaches the workers through the fork
+    parent = os.getpid()
+    got = list(mc._map_blocks(lambda bi: (bi, os.getpid() != parent), 5, 2))
+    assert got == [(bi, True) for bi in range(5)]
+    assert multiprocessing.active_children() == []
+
+
+def test_abandoned_block_map_leaves_no_worker(two_cpus):
+    blocks = mc._map_blocks(lambda bi: bi * bi, 5, 2)
+    assert next(blocks) == 0
+    blocks.close()  # the consumer stops early
+    assert multiprocessing.active_children() == []
 
 
 def test_path_count_prefix_property(baseline):
@@ -175,7 +192,8 @@ def test_draw_chunk_seams_match_out_of_place_reference(baseline, jump, steps):
     # column and of 7, the last one ragged, where every tile after the first
     # starts on a carried running sum and jumps fall on tile edges; a partial
     # second block at a few rows' worth (test_path_matrix_matches_out_of_
-    # place_reference holds it at the module's size, threaded too)
+    # place_reference holds it at the module's size, in worker processes
+    # too, which fork after the patch below and so draw at its size)
     m = baseline.market
     blocks = [_reference_block(m, jump, steps, 1.0 / 3.0, 17, bi) for bi in range(2)]
     ref_a = np.vstack([blk[0] for blk in blocks])
@@ -191,7 +209,7 @@ def test_draw_chunk_seams_match_out_of_place_reference(baseline, jump, steps):
                            (400, {400}), (7 * 400, {400})):
         with mock.patch.object(mc, "_DRAW_ELEMENTS", elements):
             for n in sorted(cuts):
-                # one block draws in the calling thread whatever the worker count
+                # one block is drawn in this process whatever the worker count
                 for workers in ((1, 2) if n > mc.BLOCK else (1,)):
                     a, b = mc.generate_path_matrix(m, jump, steps / 3.0, 1.0 / 3.0, n,
                                                    seed=17, n_workers=workers)
@@ -597,6 +615,31 @@ def test_breach_and_max_debt_are_monotone_in_h(preset, claim_days):
     assert (step[:, 1] < rel_a.shape[1]).any()  # some path breaches at the preset's C/V0
 
 
+# C/V0 levels from high to low, each preset's own level put in among them
+_FALLING_CVS = (6.0, 4.0, 3.0, 2.5, 2.0, 1.8, 1.6, 1.5, 1.4, 1.3, 1.2, 1.1, 1.0, 0.9)
+
+
+@pytest.mark.parametrize("claim_days", [None, 0.0, 1.0])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_breach_comes_no_later_as_collateral_falls(preset, claim_days):
+    # what the model promises: the debt path does not read the collateral, so
+    # on one rule-free pass each path breaches a lower C/V0 no later than a
+    # higher one; claims at the preset's own interval (None), never and daily
+    scn = get_preset(preset)
+    pos = scn.position
+    sim = dataclasses.replace(scn.sim, rebalance="none")
+    if claim_days is not None:
+        sim = dataclasses.replace(sim, claim_interval_days=claim_days)
+    cvs = tuple(sorted(set(_FALLING_CVS) | {pos.c_over_v0}, reverse=True))
+    rel_a, rel_b = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
+                                           sim.dt_days, 256, seed=7)
+    states = mc._step_loop(rel_a, rel_b, scn.rates, pos, sim, (0.3, 0.6, 1.0), cvs)
+    step = np.array([s.step for s in states], dtype=np.int64)  # (H, K, rows)
+    assert (np.diff(step, axis=1) <= 0).all()
+    never = rel_a.shape[1]
+    assert (step[:, -1] < never).any() and (step[:, 0] == never).any()
+
+
 def _dyadic_paths(seed, n, steps):
     # PCG64 integer draws pick per-step factors 1 + k/64, k in -6..6, and
     # np.cumprod multiplies them up: no exp or log, whose SIMD builds can
@@ -659,7 +702,9 @@ def _contiguous_chunks(draw, n):
 
 def _serving(blocks):
     """mc._path_blocks patched to stream the given blocks, whatever it is asked for."""
-    return mock.patch.object(mc, "_path_blocks", lambda *inputs: iter(blocks))
+    starts = np.cumsum([0] + [len(b[0]) for b in blocks])
+    return mock.patch.object(mc, "_path_blocks", lambda *inputs, task, n_workers: (
+        task(lo, *b) for lo, b in zip(starts, blocks)))
 
 
 def _assert_fields_equal(got, want):
