@@ -4,11 +4,11 @@ Each runner names the scenarios it scores, and montecarlo._stream_passes, the
 one place that draws paths and runs kernel passes, streams them (mostly
 through _score, which aggregates each pass per h): consecutive scenarios that
 ask for the same paths read one stream of blocks, so comparisons ride on
-common random numbers, and those that differ only in what the kernel reads
-after its step loop share one pass per h. Each runner returns a Table;
-write_table() emits two CSVs per table, one at display precision and one at
-full precision, both under a provenance header (the seeds, path counts and
-engines the rows used, and a config hash).
+common random numbers, and those whose pass records (montecarlo._Pass, what
+the step loop reads of a scenario) are equal share one pass per h. Each
+runner returns a Table; write_table() emits two CSVs per table, one at
+display precision and one at full precision, both under a provenance header
+(the seeds, path counts and engines the rows used, and a config hash).
 """
 
 from __future__ import annotations
@@ -254,8 +254,9 @@ def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
     Sharpe at the optimum is reported alongside. Every value is validated
     (at h = 0: the grid sets h) before any path is drawn, and reuses the
     previous value's paths when it asks for the same ones. Consecutive values
-    that differ only in the penalty, or without rebalancing only in C/V0,
-    share one kernel pass per h.
+    whose pass records are equal share one kernel pass per h: those that
+    differ only in what the step loop does not read, such as the penalty,
+    r_f, the fees, gas and, without rebalancing, C/V0.
     """
     if not values:
         raise ScenarioError("sweep needs at least one axis value")

@@ -25,11 +25,6 @@ from .config_domain import MarketParams, PositionParams, RateParams
 _SQRT2 = math.sqrt(2.0)
 
 
-def _norm_cdf(x):
-    # erfc keeps absolute error ~1e-16 in the tails, well under the 1e-9 we need
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 @dataclass(frozen=True)
 class FptInputs:
     ltv0: float
@@ -80,8 +75,9 @@ def _probability(market: MarketParams, pos: PositionParams):
         if ltv0 >= l_max:
             return 1.0
         b = log(l_max / ltv0) if ltv0 > 0 else math.inf
-        # the two _norm_cdf calls inlined as 0.5 erfc(-x / sqrt 2); negating
-        # x = (-b -/+ s2t/2) / sd is exact, so (b +/- s2t/2) / sd has its bits
+        # Phi(x) = 0.5 erfc(-x / sqrt 2) at x = (-b -/+ s2t/2) / sd: erfc keeps
+        # absolute error ~1e-16 in the tails, and negating x is exact, so
+        # (b +/- s2t/2) / sd has its bits
         return (0.5 * erfc((b + half_s2t) / sd / _SQRT2)
                 + (ltv0 / l_max) * (0.5 * erfc((b - half_s2t) / sd / _SQRT2)))
 

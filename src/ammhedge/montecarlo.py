@@ -29,7 +29,7 @@ import math
 import mmap
 import os
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -92,9 +92,10 @@ _DECODE_LAM = 0.25
 _DENSE_MERGE = 4
 # elements (rows x steps) of each chunk of normals, and about those (rows x
 # columns) of each tile of _generate_block's arithmetic: its one buffer holds
-# either (4 MiB). Each chunk is copied into the column-major outputs as one
-# run of rows per step, and longer runs copy faster: with a worker thread
-# drawing beside the step loop, as --workers 2 then ran, 2^17 and 2^18 ran
+# either, so a block draws through one 4 MiB buffer. Each chunk is copied into
+# the column-major outputs as one run of rows per step, and longer runs copy
+# faster. The size was last timed when --workers 2 drew blocks in a thread
+# beside the step loop, which blocks no longer do: there 2^17 and 2^18 ran
 # slower than the whole-block draw they replaced, 2^19 as fast (20 alternated
 # pairs of the jump rebalancing command on a 2-vCPU host)
 _DRAW_ELEMENTS = 1 << 19
@@ -401,12 +402,19 @@ def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_w
 # ---------------------------------------------------------------------------
 # portfolio accounting
 
-def _grid_strides(pos, sim, steps):
-    """dt_days, the claim stride, the rebalance rule and its stride in steps.
+# what a kernel pass reads of a scenario: the step loop reads nothing else, so
+# scenarios drawing the same paths with equal records share a pass. Steps and
+# the step in days and years; the claim stride; the rule's kind, threshold (a
+# fraction) and stride, a stride of 0 meaning never; the rates and position
+# the loop reads; and C/V0 for a rule pass only, where it gates the trigger
+_Pass = namedtuple("_Pass", "steps dt_days dt_y claim_stride kind thr reb_stride "
+                            "r_a r_b reward v0 l_max cv")
 
-    A threshold rule is checked on whole-day marks, a periodic one every
-    period; a stride of 0 means never.
-    """
+
+def _pass_record(rates, pos, sim):
+    """The _Pass of a scenario. A threshold rule is checked on whole-day marks,
+    a periodic one every period."""
+    steps = _path_steps(pos.horizon_days, sim.dt_days)
     dt_days = pos.horizon_days / steps
     if abs(dt_days - sim.dt_days) > 1e-9 * max(1.0, sim.dt_days):
         raise ValueError("path grid (%d steps over %g days) does not match sim.dt_days = %g"
@@ -427,7 +435,9 @@ def _grid_strides(pos, sim, steps):
         reb_stride = stride("periodic(days)", par)
     elif kind == "threshold":
         reb_stride = max(1, int(round(1.0 / dt_days)))
-    return dt_days, claim_stride, kind, par, reb_stride
+    return _Pass(steps, dt_days, dt_days / DAYS_PER_YEAR, claim_stride, kind,
+                 par / 100.0 if kind == "threshold" else 0.0, reb_stride, rates.r_a, rates.r_b,
+                 rates.reward_rate, pos.v0, pos.l_max, None if kind == "none" else pos.c_over_v0)
 
 
 def _breach_level(coll, l_max):
@@ -458,11 +468,12 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     running (so max-LTV diagnostics cover the full horizon) but can no longer
     rebalance, and its P&L is overridden with the flat penalty loss.
 
-    This is _step_loop run for the one hedge ratio pos.h and the one C/V0
-    pos.c_over_v0, then _close.
+    This is _step_loop run on the scenario's _Pass for the one hedge ratio
+    pos.h and the one C/V0 pos.c_over_v0, then _close.
     """
-    state, = _step_loop(rel_a, rel_b, rates, pos, sim, (pos.h,), (pos.c_over_v0,))
-    return _close(state, 0, np.shape(rel_a)[-1] - 1, pos.h, rates, pos, sim)
+    rec = _pass_record(rates, pos, sim)
+    state, = _step_loop(rel_a, rel_b, rec, (pos.h,), (pos.c_over_v0,))
+    return _close(state, 0, rec, pos.h, rates, pos, sim)
 
 
 # what the step loop leaves of one h for its variants to close, per path:
@@ -472,13 +483,14 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
 _LoopState = namedtuple("_LoopState", "s debt_t interest max_debt n_reb step")
 
 
-def _step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs):
-    """The accounting loop of simulate_batch for every hedge ratio in hs and
-    every C/V0 level in cvs at once: one _LoopState per h, which _close turns
-    into the BatchResult of any (C/V0, penalty) variant at that h.
+def _step_loop(rel_a, rel_b, rec, hs, cvs):
+    """The accounting loop of simulate_batch on the paths of rec's grid for
+    every hedge ratio in hs and every C/V0 level in cvs at once: one _LoopState
+    per h, which _close turns into the BatchResult at that h of any scenario
+    whose _Pass is rec.
 
-    The loop reads C/V0 only in the breach test, which it runs for each level,
-    and the penalty not at all; with a rebalancing rule C/V0 gates the
+    Of a scenario the loop reads rec alone, and C/V0 only in the breach test,
+    which it runs for each level; with a rebalancing rule C/V0 gates the
     trigger, so cvs must hold one level. The state has one row per h, (H, rows)
     arrays, and (H, K, rows) for the K levels, so each step reads the prices
     once for all H; every operation is elementwise per (h, path), so each
@@ -499,19 +511,20 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs):
     rel_a = np.atleast_2d(np.asarray(rel_a, dtype=float))
     rel_b = np.atleast_2d(np.asarray(rel_b, dtype=float))
     n, m = rel_a.shape
-    steps = m - 1
-    dt_days, claim_stride, reb_kind, reb_par, reb_stride = _grid_strides(pos, sim, steps)
-    dt_y = dt_days / DAYS_PER_YEAR
-    if reb_kind != "none" and len(cvs) != 1:
-        raise ValueError("a %s pass takes one c_over_v0, got %d" % (sim.rebalance, len(cvs)))
+    steps = rec.steps
+    if m != steps + 1:
+        raise ValueError("path grid (%d steps over %g days) does not match sim.dt_days = %g"
+                         % (m - 1, steps * rec.dt_days, rec.dt_days))
+    dt_y, claim_stride, reb_stride, thr = rec.dt_y, rec.claim_stride, rec.reb_stride, rec.thr
+    if rec.kind != "none" and len(cvs) != 1:
+        raise ValueError("a %s pass takes one c_over_v0, got %d" % (rec.kind, len(cvs)))
 
-    v0 = pos.v0
+    v0 = rec.v0
     h = np.array(hs, dtype=float)[:, None]
     H, K = len(hs), len(cvs)
     # one breach state per collateral level: rows of (K, n) arrays per h
-    level = np.array([_breach_level(cv * v0, pos.l_max) for cv in cvs])[:, None]
-    r_a, r_b, reward, r_f = rates.r_a, rates.r_b, rates.reward_rate, rates.r_f
-    thr = reb_par / 100.0  # threshold parameter arrives in percentage points
+    level = np.array([_breach_level(cv * v0, rec.l_max) for cv in cvs])[:, None]
+    r_a, r_b, reward = rec.r_a, rec.r_b, rec.reward
 
     da = db = h * v0 / 2.0  # (H, n) from the first rebalance on
     pending = 0.0
@@ -588,7 +601,7 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs):
             continue
         lp = v0 * np.sqrt(a * b)
         trig = ~liq[:, 0]
-        if reb_kind == "threshold":
+        if rec.kind == "threshold":
             # trigger on gross per-leg hedge drift; reserves do not leak in
             half = lp / 2.0
             trig &= (np.abs(xa / half - h) > thr) | (np.abs(xb / half - h) > thr)
@@ -607,12 +620,12 @@ def _step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs):
     return [_LoopState(*row) for row in zip(s, debt_t, interest, max_debt, n_reb, step)]
 
 
-def _close(state, k, steps, h, rates, pos, sim) -> BatchResult:
-    """The BatchResult at h of the variant (pos.c_over_v0, sim.liq_penalty_frac)
-    from h's _LoopState on a grid of steps steps, k indexing pos.c_over_v0 among
-    the loop's C/V0 levels: the kernel's operations in the kernel's order, so
-    the kernel's bits. A step claims before it tests the breach."""
-    dt_days, claim_stride, *_ = _grid_strides(pos, sim, steps)
+def _close(state, k, rec, h, rates, pos, sim) -> BatchResult:
+    """The BatchResult at h of the scenario (rates, pos, sim) from h's _LoopState
+    of a pass on rec, the scenario's _Pass, k indexing pos.c_over_v0 among the
+    loop's C/V0 levels: the kernel's operations in the kernel's order, so the
+    kernel's bits. A step claims before it tests the breach."""
+    steps, dt_days, claim_stride = rec.steps, rec.dt_days, rec.claim_stride
     step = state.step[k]
     v0, coll = pos.v0, pos.c_over_v0 * pos.v0
     liquidated = step <= steps
@@ -638,16 +651,6 @@ def _path_inputs(scn):
     return scn.market, scn.jump, scn.position.horizon_days, sim.dt_days, sim.n_paths, sim.seed
 
 
-def _pass_key(scn):
-    """What one kernel pass reads of a scenario in its step loop; scenarios with
-    equal keys share a pass. The penalty is read only after the loop, and so is
-    C/V0 without rebalancing, apart from the breach test the kernel runs per C/V0."""
-    pos, sim = scn.position, replace(scn.sim, liq_penalty_frac=0.0)
-    if parse_rebalance(sim.rebalance)[0] == "none":
-        pos = replace(pos, c_over_v0=1.0)
-    return scn.market, scn.jump, scn.rates, pos, sim
-
-
 def _stream_passes(scenarios, grid, n_workers=1):
     """simulate_batch for every scenario at every h of grid, on streamed paths:
     yields (scenario, batches) for each scenario, in order, where batches
@@ -656,7 +659,7 @@ def _stream_passes(scenarios, grid, n_workers=1):
     Consecutive scenarios with equal _path_inputs form a run: each of its
     blocks is drawn once, read by all of the run's kernel passes and dropped,
     all in the process that runs the block's task (_path_blocks). Consecutive
-    scenarios of a run with equal _pass_key form a group, whose step loop runs
+    scenarios of a run with equal _Pass records form a group, whose step loop runs
     once per h over the group's distinct C/V0 levels, in chunks of
     max(1, _STACK_ELEMENTS // rows) hedge ratios. Only the loop states are
     kept, per group, h and block, so memory grows with h, not with the
@@ -664,37 +667,36 @@ def _stream_passes(scenarios, grid, n_workers=1):
     from its group's states joined over the blocks in block order.
     """
     for _, run in groupby(scenarios, key=_path_inputs):
-        groups = [list(g) for _, g in groupby(run, key=_pass_key)]
-        levels = [tuple(dict.fromkeys(s.position.c_over_v0 for s in g)) for g in groups]
+        groups = [(rec, list(g)) for rec, g in groupby(
+            run, key=lambda s: _pass_record(s.rates, s.position, s.sim))]
+        levels = [tuple(dict.fromkeys(s.position.c_over_v0 for s in g)) for _, g in groups]
 
         def passes(_, rel_a, rel_b):
             """Per group and h, the block's loop state."""
             size = max(1, _STACK_ELEMENTS // len(rel_a))
-            return [[state for lo in range(0, len(grid), size) for state in _step_loop(
-                rel_a, rel_b, g[0].rates, g[0].position, g[0].sim, grid[lo:lo + size], cvs)]
-                for g, cvs in zip(groups, levels)]
+            return [[state for lo in range(0, len(grid), size)
+                     for state in _step_loop(rel_a, rel_b, rec, grid[lo:lo + size], cvs)]
+                    for (rec, _), cvs in zip(groups, levels)]
 
         # per group and h, the loop state of each block
         states = [[[] for _ in grid] for _ in groups]
-        for per_group in _path_blocks(*_path_inputs(groups[0][0]), task=passes,
+        for per_group in _path_blocks(*_path_inputs(groups[0][1][0]), task=passes,
                                       n_workers=n_workers):
             for parts, per_h in zip(states, per_group):
                 for part, state in zip(parts, per_h):
                     part.append(state)
-        for group, cvs, parts in zip(groups, levels, states):
-            rule = parse_rebalance(group[0].sim.rebalance)[0] != "none"
+        for (rec, group), cvs, parts in zip(groups, levels, states):
             for i, blocks in enumerate(parts):
                 joined = _LoopState(*(np.concatenate(col, axis=-1) for col in zip(*blocks)))
                 # without a rule every block's n_reb is the same (1,) zero
-                parts[i] = joined if rule else joined._replace(n_reb=blocks[0].n_reb)
+                parts[i] = joined if rec.reb_stride else joined._replace(n_reb=blocks[0].n_reb)
             for scn in group:
-                yield scn, _closes(parts, grid, cvs.index(scn.position.c_over_v0), scn)
+                yield scn, _closes(parts, grid, cvs.index(scn.position.c_over_v0), rec, scn)
 
 
-def _closes(states, grid, k, scn):
-    """scn's BatchResult at each h of grid, closed from the loop states as read."""
-    steps = _path_steps(scn.position.horizon_days, scn.sim.dt_days)
-    return (_close(state, k, steps, h, scn.rates, scn.position, scn.sim)
+def _closes(states, grid, k, rec, scn):
+    """scn's BatchResult at each h of grid, closed from rec's loop states as read."""
+    return (_close(state, k, rec, h, scn.rates, scn.position, scn.sim)
             for h, state in zip(grid, states))
 
 

@@ -210,9 +210,9 @@ def _count_calls(monkeypatch):
     # the hedge ratios and the C/V0 levels of each step-loop call
     real, calls = mc._step_loop, []
 
-    def counted(rel_a, rel_b, rates, pos, sim, hs, cvs):
+    def counted(rel_a, rel_b, rec, hs, cvs):
         calls.append((tuple(hs), cvs))
-        return real(rel_a, rel_b, rates, pos, sim, hs, cvs)
+        return real(rel_a, rel_b, rec, hs, cvs)
 
     monkeypatch.setattr(mc, "_step_loop", counted)
     return calls
@@ -222,17 +222,28 @@ def _count_passes(monkeypatch):
     # the C/V0 levels of each hedge-ratio pass, however the step loop stacks them
     real, passes = mc._step_loop, []
 
-    def counted(rel_a, rel_b, rates, pos, sim, hs, cvs):
+    def counted(rel_a, rel_b, rec, hs, cvs):
         passes.extend([cvs] * len(hs))
-        return real(rel_a, rel_b, rates, pos, sim, hs, cvs)
+        return real(rel_a, rel_b, rec, hs, cvs)
 
     monkeypatch.setattr(mc, "_step_loop", counted)
     return passes
 
 
+def _sweep(axis, values):
+    def run_sensitivity(scn):
+        return exp.run_sensitivity(scn, axis, values)
+    return run_sensitivity
+
+
 @pytest.mark.parametrize("runner, axis, n_values", [
     (exp.run_sensitivity_cv, "position.c_over_v0", 8),
     (exp.run_sensitivity_penalty, "sim.liq_penalty_frac", 3),
+    # read only after the step loop, like the penalty
+    (_sweep("rates.r_f", (0.0, 0.02, 0.04)), "rates.r_f", 3),
+    (_sweep("sim.gas_cost", (0.0, 0.001, 0.002)), "sim.gas_cost", 3),
+    (_sweep("sim.borrow_fee_frac", (0.0, 0.003, 0.01)), "sim.borrow_fee_frac", 3),
+    (_sweep("sim.include_tx_costs", (False, True)), "sim.include_tx_costs", 2),
 ])
 def test_shared_sweep_runs_one_pass_per_h(tiny, monkeypatch, runner, axis, n_values):
     month = apply_overrides(tiny, ["position.horizon_days=30"])
@@ -340,10 +351,16 @@ def test_rebalancing_cv_sweep_runs_one_pass_per_value(tiny, monkeypatch):
 def test_pass_groups_follow_the_step_loop_inputs(tiny):
     def groups(axis, values, base=tiny):
         scns = [exp._apply_axis(base, axis, v) for v in values]
-        return [len(list(g)) for _, g in itertools.groupby(scns, key=mc._pass_key)]
+        return [len(list(g)) for _, g in itertools.groupby(
+            scns, key=lambda s: mc._pass_record(s.rates, s.position, s.sim))]
 
     assert groups("position.c_over_v0", (1.5, 2.0, 3.0)) == [3]
     assert groups("sim.liq_penalty_frac", (0.1, 0.2)) == [2]
+    # what only _close reads
+    assert groups("rates.r_f", (0.0, 0.02, 0.04)) == [3]
+    assert groups("sim.gas_cost", (0.0, 0.001)) == [2]
+    assert groups("sim.borrow_fee_frac", (0.0, 0.003)) == [2]
+    assert groups("sim.include_tx_costs", (False, True)) == [2]
     assert groups("rates.r_b", (0.1, 0.2)) == [1, 1]
     threshold = apply_overrides(tiny, ["sim.rebalance=threshold(15)"])
     assert groups("position.c_over_v0", (1.5, 2.0), threshold) == [1, 1]

@@ -180,6 +180,11 @@ def test_safe_ratio_brackets_its_root(m, pos, alpha):
             or fpt.liquidation_probability(hb + tol, m, pos) > alpha)
 
 
+def _norm_cdf(x):
+    # erfc keeps absolute error ~1e-16 in the tails, well under the 1e-9 we need
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _old_probability(h, market, pos):
     # the probability as it stood before h_bar shared one evaluator: every
     # call rebuilds the h-free terms through fpt_inputs
@@ -191,8 +196,8 @@ def _old_probability(h, market, pos):
     s2t = fi.sigma_tilde * fi.sigma_tilde * fi.t_years
     sd = math.sqrt(s2t)
     b = fi.barrier_log
-    return (fpt._norm_cdf((-b - 0.5 * s2t) / sd)
-            + (fi.ltv0 / pos.l_max) * fpt._norm_cdf((-b + 0.5 * s2t) / sd))
+    return (_norm_cdf((-b - 0.5 * s2t) / sd)
+            + (fi.ltv0 / pos.l_max) * _norm_cdf((-b + 0.5 * s2t) / sd))
 
 
 def _old_h_bar(alpha, market, pos, tol=1e-6):

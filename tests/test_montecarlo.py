@@ -1,6 +1,7 @@
 """Path engine tests: determinism, distributional oracles, accounting parity."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -10,11 +11,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ammhedge.montecarlo as mc
 from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, PositionParams,
-                                    RateParams, Scenario, ScenarioError, SimConfig, validate_sim)
+                                    RateParams, Scenario, ScenarioError, SimConfig,
+                                    validate_scenario, validate_sim)
 from ammhedge.experiments import PRESETS, get_preset
 
 from scalar_oracle import simulate_path
@@ -133,6 +135,30 @@ def _reference_block(market, jump, steps, dt_days, seed, block_idx):
     return rel_a, rel_b
 
 
+# a partial second block: the most paths the reference tests below draw
+_REFERENCE_ROWS = mc.BLOCK + 777
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_paths(market, jump, steps):
+    """The first _REFERENCE_ROWS paths of the two seed-17 _reference_blocks on
+    a third-of-a-day grid, stacked and read-only: built once per (market, jump,
+    steps), as several tests below compare against the same ones."""
+    first, second = (_reference_block(market, jump, steps, 1.0 / 3.0, 17, bi) for bi in range(2))
+    refs = tuple(np.concatenate((first[leg], second[leg][:_REFERENCE_ROWS - mc.BLOCK]))
+                 for leg in (0, 1))
+    for ref in refs:
+        ref.flags.writeable = False
+    return refs
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_reference_paths():
+    # about 39 MB per 270-step reference: hold them for this module's tests only
+    yield
+    _reference_paths.cache_clear()
+
+
 @pytest.mark.parametrize("jump", [
     None,
     JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=True),
@@ -147,10 +173,8 @@ def _reference_block(market, jump, steps, dt_days, seed, block_idx):
 def test_path_matrix_matches_out_of_place_reference(baseline, jump):
     # production grid (270 steps), a partial second block, one and two workers
     m = baseline.market
-    n = mc.BLOCK + 777
-    blocks = [_reference_block(m, jump, 270, 1.0 / 3.0, 17, bi) for bi in range(2)]
-    ref_a = np.vstack([blk[0] for blk in blocks])[:n]
-    ref_b = np.vstack([blk[1] for blk in blocks])[:n]
+    n = _REFERENCE_ROWS
+    ref_a, ref_b = _reference_paths(m, jump, 270)
     for workers in (1, 2):
         a, b = mc.generate_path_matrix(m, jump, 90.0, 1.0 / 3.0, n, seed=17, n_workers=workers)
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), workers
@@ -161,11 +185,10 @@ def test_dense_jump_merge_matches_out_of_place_reference(baseline):
     # the dense merge, in a full block and a cut one
     m = baseline.market
     jump = JumpParams(lam=2000.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=False)
-    n = mc.BLOCK + 777
-    blocks = [_reference_block(m, jump, 30, 1.0 / 3.0, 17, bi) for bi in range(2)]
-    a, b = mc.generate_path_matrix(m, jump, 10.0, 1.0 / 3.0, n, seed=17)
-    assert np.array_equal(a, np.vstack([blk[0] for blk in blocks])[:n])
-    assert np.array_equal(b, np.vstack([blk[1] for blk in blocks])[:n])
+    ref_a, ref_b = _reference_paths(m, jump, 30)
+    a, b = mc.generate_path_matrix(m, jump, 10.0, 1.0 / 3.0, _REFERENCE_ROWS, seed=17)
+    assert np.array_equal(a, ref_a)
+    assert np.array_equal(b, ref_b)
 
 
 _SEAM_JUMPS = [
@@ -195,9 +218,7 @@ def test_draw_chunk_seams_match_out_of_place_reference(baseline, jump, steps):
     # place_reference holds it at the module's size, in worker processes
     # too, which fork after the patch below and so draw at its size)
     m = baseline.market
-    blocks = [_reference_block(m, jump, steps, 1.0 / 3.0, 17, bi) for bi in range(2)]
-    ref_a = np.vstack([blk[0] for blk in blocks])
-    ref_b = np.vstack([blk[1] for blk in blocks])
+    ref_a, ref_b = _reference_paths(m, jump, steps)
 
     def around_a_chunk(elements):
         chunk = min(mc.BLOCK, max(1, elements // steps))
@@ -205,7 +226,7 @@ def test_draw_chunk_seams_match_out_of_place_reference(baseline, jump, steps):
 
     small = 7 * steps - 1
     for elements, cuts in ((mc._DRAW_ELEMENTS, around_a_chunk(mc._DRAW_ELEMENTS)),
-                           (small, around_a_chunk(small) | {mc.BLOCK + 777}),
+                           (small, around_a_chunk(small) | {_REFERENCE_ROWS}),
                            (400, {400}), (7 * 400, {400})):
         with mock.patch.object(mc, "_DRAW_ELEMENTS", elements):
             for n in sorted(cuts):
@@ -440,7 +461,12 @@ def test_event_counts_are_whole_intervals(baseline, dt_days, days, claim_days, p
 
 def _assert_kernel_matches_oracle(rel_a, rel_b, rates, pos, sim):
     batch = mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim)
-    for i in range(rel_a.shape[0]):
+    _assert_batch_matches_oracle(batch, rel_a, rel_b, rates, pos, sim, rel_a.shape[0])
+
+
+def _assert_batch_matches_oracle(batch, rel_a, rel_b, rates, pos, sim, rows):
+    """The first rows paths of batch against the scalar oracle."""
+    for i in range(rows):
         one = simulate_path(rel_a[i], rel_b[i], rates, pos, sim)
         assert one["roe"] == pytest.approx(batch.roe[i], abs=1e-10), i
         assert one["liquidated"] == batch.liquidated[i], i
@@ -507,7 +533,8 @@ def test_breach_step_type_holds_never_past_the_last_step(baseline, steps, dtype,
     rel_a, rel_b = np.ones((1, steps + 1)), np.ones((1, steps + 1))
     if breach:
         rel_a[0, -1] = rel_b[0, -1] = 5.0
-    state, = mc._step_loop(rel_a, rel_b, baseline.rates, pos, sim, (pos.h,), (pos.c_over_v0,))
+    state, = mc._step_loop(rel_a, rel_b, mc._pass_record(baseline.rates, pos, sim), (pos.h,),
+                           (pos.c_over_v0,))
     assert state.step.dtype == dtype
     batch = mc.simulate_batch(rel_a, rel_b, None, baseline.rates, pos, sim)
     assert batch.liquidated[0] == breach
@@ -519,11 +546,11 @@ def _loop_and_close(rel_a, rel_b, rates, pos, sim, hs, variants):
     """Per h of hs, the BatchResult of each (C/V0, penalty) variant, closed from
     one step loop over the variants' distinct C/V0 levels."""
     cvs = tuple(dict.fromkeys(cv for cv, _ in variants))
-    steps = np.shape(rel_a)[-1] - 1
-    return [[mc._close(state, cvs.index(cv), steps, h, rates,
+    rec = mc._pass_record(rates, pos, sim)
+    return [[mc._close(state, cvs.index(cv), rec, h, rates,
                        dataclasses.replace(pos, c_over_v0=cv),
                        dataclasses.replace(sim, liq_penalty_frac=pen)) for cv, pen in variants]
-            for h, state in zip(hs, mc._step_loop(rel_a, rel_b, rates, pos, sim, hs, cvs))]
+            for h, state in zip(hs, mc._step_loop(rel_a, rel_b, rec, hs, cvs))]
 
 
 def _assert_variants_match_single_passes(rel_a, rel_b, market, rates, pos, sim, variants):
@@ -569,7 +596,8 @@ def test_rebalancing_pass_shares_only_the_penalty(baseline, rule):
     assert any(row.n_rebalances.any() for row in shared)
     # C/V0 gates the trigger: a rebalancing pass cannot share it
     with pytest.raises(ValueError, match="one c_over_v0"):
-        mc._step_loop(rel_a, rel_b, baseline.rates, pos, sim, (pos.h,), (1.8, 3.0))
+        mc._step_loop(rel_a, rel_b, mc._pass_record(baseline.rates, pos, sim), (pos.h,),
+                      (1.8, 3.0))
 
 
 @pytest.mark.parametrize("rule", ["none", "threshold(15)", "periodic(14)"])
@@ -606,7 +634,7 @@ def test_breach_and_max_debt_are_monotone_in_h(preset, claim_days):
         sim = dataclasses.replace(sim, claim_interval_days=claim_days)
     rel_a, rel_b = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
                                            sim.dt_days, 256, seed=7)
-    states = mc._step_loop(rel_a, rel_b, scn.rates, pos, sim, _MONOTONE_HS,
+    states = mc._step_loop(rel_a, rel_b, mc._pass_record(scn.rates, pos, sim), _MONOTONE_HS,
                            (1.2, pos.c_over_v0))
     step = np.array([s.step for s in states], dtype=np.int64)  # (H, K, rows)
     max_debt = np.array([s.max_debt for s in states])  # (H, rows)
@@ -633,11 +661,127 @@ def test_breach_comes_no_later_as_collateral_falls(preset, claim_days):
     cvs = tuple(sorted(set(_FALLING_CVS) | {pos.c_over_v0}, reverse=True))
     rel_a, rel_b = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
                                            sim.dt_days, 256, seed=7)
-    states = mc._step_loop(rel_a, rel_b, scn.rates, pos, sim, (0.3, 0.6, 1.0), cvs)
+    states = mc._step_loop(rel_a, rel_b, mc._pass_record(scn.rates, pos, sim), (0.3, 0.6, 1.0),
+                           cvs)
     step = np.array([s.step for s in states], dtype=np.int64)  # (H, K, rows)
     assert (np.diff(step, axis=1) <= 0).all()
     never = rel_a.shape[1]
     assert (step[:, -1] < never).any() and (step[:, 0] == never).any()
+
+
+@functools.lru_cache(maxsize=None)
+def _block_of(market, jump, horizon_days, dt_days):
+    """256 paths at seed 7 on a scenario's grid, read-only, for the properties below."""
+    paths = mc.generate_path_matrix(market, jump, horizon_days, dt_days, 256, seed=7)
+    for rel in paths:
+        rel.flags.writeable = False
+    return paths
+
+
+def _with(scn, key, value):
+    section, name = key.split(".")
+    return dataclasses.replace(
+        scn, **{section: dataclasses.replace(getattr(scn, section), **{name: value})})
+
+
+# rules of each kind; threshold(15.0) is threshold(15) spelled apart
+_RULES = ("none", "threshold(15)", "threshold(15.0)", "threshold(10)", "periodic(7)",
+          "periodic(14)")
+# each scenario key that is not a path input, with values that keep a scenario
+# valid, claims on
+_NON_PATH_VALUES = {
+    "rates.r_a": st.floats(0.0, 0.3), "rates.r_b": st.floats(0.0, 0.3),
+    "rates.reward_rate": st.floats(0.0, 1.0), "rates.r_f": st.floats(0.0, 0.1),
+    "position.v0": st.sampled_from([0.5, 1.0, 2.0]), "position.c_over_v0": st.floats(1.2, 4.0),
+    "position.h": st.floats(0.0, 1.0), "position.l_max": st.floats(0.6, 0.95),
+    "sim.claim_interval_days": st.sampled_from([1.0, 2.0, 7.0, 14.0]),
+    "sim.liq_penalty_frac": st.floats(0.0, 1.0), "sim.borrow_fee_frac": st.floats(0.0, 0.01),
+    "sim.gas_cost": st.floats(0.0, 0.002), "sim.rebalance": st.sampled_from(_RULES),
+    "sim.include_tx_costs": st.booleans(),
+}
+# the keys only _close reads (h is the pass's own)
+_POST_LOOP_KEYS = ("position.h", "rates.r_f", "sim.borrow_fee_frac", "sim.gas_cost",
+                   "sim.include_tx_costs", "sim.liq_penalty_frac")
+
+
+@st.composite
+def _claiming_scenarios(draw):
+    """A preset, or the baseline market with every other key drawn, claims on
+    and a drawn rule, on 256 paths."""
+    preset = draw(st.sampled_from(sorted(PRESETS) + [None]))
+    if preset is None:
+        scn = get_preset("baseline")
+        for key, values in _NON_PATH_VALUES.items():
+            scn = _with(scn, key, draw(values))
+        scn = _with(scn, "position.horizon_days", draw(st.sampled_from([14.0, 28.0])))
+        scn = _with(scn, "sim.dt_days", draw(st.sampled_from([1.0, 0.5, 1.0 / 3.0])))
+    else:
+        scn = get_preset(preset)  # claims every 14 days
+    scn = _with(_with(scn, "sim.rebalance", draw(st.sampled_from(_RULES))), "sim.n_paths", 256)
+    assume(validate_scenario(scn) == [])
+    return scn
+
+
+@settings(max_examples=40, deadline=None)
+@given(scn=_claiming_scenarios(), data=st.data())
+def test_scenarios_with_equal_pass_records_share_the_loop_state(scn, data):
+    # the sharing rule: one step loop serves every consecutive scenario whose
+    # _Pass record is equal, so a key the record leaves out must not move a
+    # bit of the loop's state. Change one key that is not a path input: what
+    # only _close reads (and C/V0 without a rule) leaves the record as it is;
+    # where the record holds, the loop states are the same bits, and the
+    # changed scenario, closed from the shared pass, meets the scalar oracle,
+    # which reads the scenario whole
+    key = data.draw(st.sampled_from(sorted(_NON_PATH_VALUES)), label="key")
+    other = _with(scn, key, data.draw(_NON_PATH_VALUES[key], label="value"))
+    assume(validate_scenario(other) == [])
+    rec, other_rec = (mc._pass_record(s.rates, s.position, s.sim) for s in (scn, other))
+    if key in _POST_LOOP_KEYS or (key == "position.c_over_v0" and rec.kind == "none"):
+        assert other_rec == rec
+    if other_rec != rec:
+        return
+    rel_a, rel_b = _block_of(*mc._path_inputs(scn)[:4])
+    hs = tuple(dict.fromkeys((scn.position.h, other.position.h)))
+    cvs = tuple(dict.fromkeys((scn.position.c_over_v0, other.position.c_over_v0)))
+    for got, want in zip(mc._step_loop(rel_a, rel_b, other_rec, hs, cvs),
+                         mc._step_loop(rel_a, rel_b, rec, hs, cvs)):
+        for name, g, w in zip(mc._LoopState._fields, got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+    with _serving([(rel_a, rel_b)]):
+        streamed = list(mc._stream_passes([scn, other], hs))
+    for h, batch in zip(hs, streamed[1][1]):
+        _assert_batch_matches_oracle(batch, rel_a, rel_b, other.rates,
+                                     dataclasses.replace(other.position, h=h), other.sim, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(preset=st.sampled_from(sorted(PRESETS)), h=st.floats(0.0, 1.0),
+       rule=st.sampled_from(["none", "threshold(10)", "periodic(14)"]),
+       claim_days=st.sampled_from([0.0, 1.0, 14.0]))
+def test_swapping_the_legs_leaves_each_roe(preset, h, rule, claim_days):
+    # what the model promises: the legs enter the accounting alike, so swapping
+    # sigma_A with sigma_B (which the kernel reads only through the paths), r_A
+    # with r_B and path a with path b leaves each path's ROE as it was. Without
+    # claims every sum the kernel makes over the two legs commutes, so every
+    # field keeps its bits. A claim splits its repayment w, 1 - w by the legs'
+    # net debts, and after the swap a leg's share is the other's 1 - w, which
+    # rounds apart: each claim leaves the reserves an ulp or so of at most the
+    # rewards claimed (under 1) from where they were, so the terminal debt, and
+    # the ROE over pi0 > 1, move by a few ulps of numbers near 1: about 1e-15
+    # each claim, and a 14-day horizon's daily claims stay far inside 1e-13
+    scn = get_preset(preset)
+    pos = dataclasses.replace(scn.position, h=h)
+    sim = dataclasses.replace(scn.sim, rebalance=rule, claim_interval_days=claim_days)
+    rel_a, rel_b = (rel[:64] for rel in _block_of(*mc._path_inputs(scn)[:4]))
+    m, r = scn.market, scn.rates
+    batch = mc.simulate_batch(rel_a, rel_b, m, r, pos, sim)
+    swapped = mc.simulate_batch(rel_b, rel_a,
+                                dataclasses.replace(m, sigma_a=m.sigma_b, sigma_b=m.sigma_a),
+                                dataclasses.replace(r, r_a=r.r_b, r_b=r.r_a), pos, sim)
+    if claim_days == 0:
+        _assert_fields_equal(swapped, batch)
+    else:
+        np.testing.assert_allclose(swapped.roe, batch.roe, rtol=0, atol=1e-13)
 
 
 def _dyadic_paths(seed, n, steps):
