@@ -169,7 +169,10 @@ def validate_jump(jump: JumpParams, market: MarketParams) -> list:
 
 def _whole_steps(span, step):
     """span / step when step cuts span into n >= 1 whole steps, else None; the
-    tolerance absorbs the rounding of steps such as 1/3 day."""
+    tolerance absorbs the rounding of steps such as 1/3 day. A step that is
+    not positive cuts nothing."""
+    if not step > 0:
+        return None
     ratio = span / step
     if not math.isfinite(ratio):
         return None
@@ -209,8 +212,8 @@ def validate_sim(sim: SimConfig) -> list:
     else:
         for what, days in (("claim_interval_days = %g", sim.claim_interval_days),
                            ("rebalance = periodic(%g)", par if kind == "periodic" else 0.0)):
-            # a 1/k-day step divides every whole day
-            if days > 0 and _whole_steps(days, max(dt, 1.0)) is None:
+            # whole days, and whole steps as the kernel counts its strides
+            if days > 0 and (_whole_steps(days, 1.0) is None or _whole_steps(days, dt) is None):
                 errs.append((what + " is not a whole number of days divisible by dt_days = %g")
                             % (days, dt))
     return errs + _non_finite("sim", sim)

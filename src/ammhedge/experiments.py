@@ -271,7 +271,7 @@ def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
         errs = validate_scenario(replace(scn, position=replace(scn.position, h=0.0)))
         if not errs:
             try:
-                mc._path_steps(scn.position.horizon_days, scn.sim.dt_days)
+                mc._pass_record(scn.rates, scn.position, scn.sim)
             except ScenarioError as exc:
                 errs = [str(exc)]
         if errs:

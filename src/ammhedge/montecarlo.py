@@ -26,7 +26,6 @@ bit for bit.
 from __future__ import annotations
 
 import math
-import mmap
 import os
 from collections import namedtuple
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ import numpy as np
 
 from .config_domain import (DAYS_PER_YEAR, MarketParams, PositionParams, RateParams,
                             ScenarioError, SimConfig, _matched_variance, _whole_steps,
-                            parse_rebalance)
+                            parse_rebalance, validate_sim)
 
 BLOCK = 8192
 # state elements (hedge ratios x rows) of one _step_loop call: about what keeps
@@ -375,27 +374,20 @@ def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, *, task, n_
     return _map_blocks(run, -(-n_paths // BLOCK), n_workers)
 
 
-def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed, n_workers=1):
-    """All paths as two (n_paths, steps+1) arrays of price relatives: the
-    blocks of the path stream, stacked.
+def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed):
+    """All paths as two (n_paths, steps+1) column-major arrays of price
+    relatives: the blocks of the path stream, drawn in this process and
+    stacked. The reference that the streamed runs are held to.
 
-    The arrays are column-major, so each step's prices across all paths are
-    contiguous: the accounting loop reads one column per step. They share
-    one anonymous shared mapping, which worker processes inherit and copy
-    their blocks into, so no block is pickled.
+    Column-major, each step's prices across all paths are contiguous: the
+    accounting loop reads one column per step.
     """
     steps = _path_steps(horizon_days, dt_days)
-    mem = np.frombuffer(mmap.mmap(-1, max(1, 16 * n_paths * (steps + 1))))
-    # (n_paths, steps+1, 2) column-major: each of its two halves is column-major
-    rel_a, rel_b = mem.reshape((n_paths, steps + 1, 2), order="F").transpose(2, 0, 1)
-
-    def store(lo, a, b):
-        rel_a[lo:lo + len(a)] = a
-        rel_b[lo:lo + len(b)] = b
-
-    for _ in _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed,
-                          task=store, n_workers=n_workers):
-        pass
+    rel_a = np.empty((n_paths, steps + 1), order="F")
+    rel_b = np.empty((n_paths, steps + 1), order="F")
+    for bi, lo in enumerate(range(0, n_paths, BLOCK)):
+        rel_a[lo:lo + BLOCK], rel_b[lo:lo + BLOCK] = _generate_block(
+            market, jump, steps, dt_days, seed, bi, min(BLOCK, n_paths - lo))
     return rel_a, rel_b
 
 
@@ -412,32 +404,25 @@ _Pass = namedtuple("_Pass", "steps dt_days dt_y claim_stride kind thr reb_stride
 
 
 def _pass_record(rates, pos, sim):
-    """The _Pass of a scenario. A threshold rule is checked on whole-day marks,
-    a periodic one every period."""
-    steps = _path_steps(pos.horizon_days, sim.dt_days)
-    dt_days = pos.horizon_days / steps
-    if abs(dt_days - sim.dt_days) > 1e-9 * max(1.0, sim.dt_days):
-        raise ValueError("path grid (%d steps over %g days) does not match sim.dt_days = %g"
-                         % (steps, pos.horizon_days, sim.dt_days))
+    """The _Pass of a scenario on its paths' step, sim.dt_days, or for a sim
+    that validate_sim rejects, ScenarioError with validate_sim's message. A
+    threshold rule is checked on whole-day marks, a periodic one every period."""
+    errs = validate_sim(sim)
+    if errs:
+        raise ScenarioError("; ".join(errs))
+    dt_days = sim.dt_days
     kind, par = parse_rebalance(sim.rebalance)
-
-    def stride(what, days):
-        n = _whole_steps(days, dt_days)
-        if n is None:
-            raise ScenarioError("%s = %g is not a whole number of %g-day steps"
-                                % (what, days, dt_days))
-        return n
-
-    claim_stride = stride("claim_interval_days", sim.claim_interval_days) \
-        if sim.claim_interval_days > 0 else 0
+    # validate_sim holds every interval to whole steps of dt_days
+    claim_stride = _whole_steps(sim.claim_interval_days, dt_days) or 0
     reb_stride = 0
     if kind == "periodic":
-        reb_stride = stride("periodic(days)", par)
+        reb_stride = _whole_steps(par, dt_days)
     elif kind == "threshold":
         reb_stride = max(1, int(round(1.0 / dt_days)))
-    return _Pass(steps, dt_days, dt_days / DAYS_PER_YEAR, claim_stride, kind,
-                 par / 100.0 if kind == "threshold" else 0.0, reb_stride, rates.r_a, rates.r_b,
-                 rates.reward_rate, pos.v0, pos.l_max, None if kind == "none" else pos.c_over_v0)
+    return _Pass(_path_steps(pos.horizon_days, dt_days), dt_days, dt_days / DAYS_PER_YEAR,
+                 claim_stride, kind, par / 100.0 if kind == "threshold" else 0.0, reb_stride,
+                 rates.r_a, rates.r_b, rates.reward_rate, pos.v0, pos.l_max,
+                 None if kind == "none" else pos.c_over_v0)
 
 
 def _breach_level(coll, l_max):
@@ -469,7 +454,8 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     rebalance, and its P&L is overridden with the flat penalty loss.
 
     This is _step_loop run on the scenario's _Pass for the one hedge ratio
-    pos.h and the one C/V0 pos.c_over_v0, then _close.
+    pos.h and the one C/V0 pos.c_over_v0, then _close. A sim that
+    validate_sim rejects raises ScenarioError with validate_sim's message.
     """
     rec = _pass_record(rates, pos, sim)
     state, = _step_loop(rel_a, rel_b, rec, (pos.h,), (pos.c_over_v0,))

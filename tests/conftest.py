@@ -1,13 +1,23 @@
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
+import ammhedge.montecarlo as mc
 from ammhedge import get_preset
 
 
 def scaled(scn, n_paths):
     return dataclasses.replace(scn, sim=dataclasses.replace(scn.sim, n_paths=n_paths))
+
+
+def streamed_paths(market, jump, horizon_days, dt_days, n_paths, seed, n_workers):
+    """The paths as the streamed runs draw them: the blocks of mc._path_blocks
+    at n_workers, stacked, to hold against mc.generate_path_matrix."""
+    blocks = list(mc._path_blocks(market, jump, horizon_days, dt_days, n_paths, seed,
+                                  task=lambda lo, a, b: (a, b), n_workers=n_workers))
+    return np.concatenate([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])
 
 
 @pytest.fixture(scope="session")

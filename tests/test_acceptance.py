@@ -18,7 +18,7 @@ import ammhedge.liquidation_fpt as fpt
 import ammhedge.montecarlo as mc
 from ammhedge.config_domain import DAYS_PER_YEAR
 
-from conftest import scaled
+from conftest import scaled, streamed_paths
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +209,8 @@ def test_engine_property_suite(base_scn, base_paths):
     assert fpt.liquidation_probability(hb + 1e-3, m, pos) > 0.05
 
     # path generation is invariant to the worker count
-    a1, b1 = mc.generate_path_matrix(m, None, 90.0, 1.0, 2 * mc.BLOCK + 100, 42, n_workers=1)
-    a3, b3 = mc.generate_path_matrix(m, None, 90.0, 1.0, 2 * mc.BLOCK + 100, 42, n_workers=3)
+    a1, b1 = streamed_paths(m, None, 90.0, 1.0, 2 * mc.BLOCK + 100, 42, n_workers=1)
+    a3, b3 = streamed_paths(m, None, 90.0, 1.0, 2 * mc.BLOCK + 100, 42, n_workers=3)
     assert (a1 == a3).all() and (b1 == b3).all()
 
 

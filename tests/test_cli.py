@@ -232,6 +232,26 @@ def test_step_that_does_not_divide_horizon_is_config_error(capsys):
     assert _run(capsys, ["analytic"] + argv)[0] == 0
 
 
+@pytest.mark.parametrize("argv, dt_days", [
+    (["simulate", "--override", "sim.dt_days=0.3333334"], 0.3333334),
+    (["simulate", "--override", "position.horizon_days=90.00001"], 1.0 / 3.0),
+    (["sweep", "--axis", "sim.dt_days", "--values", "0.3333334"], 0.3333334),
+])
+def test_step_validation_accepts_runs_as_given(capsys, monkeypatch, argv, dt_days):
+    # within _whole_steps' tolerance of 90 days: every kernel pass runs 270
+    # steps of the configured step and claims every 42 of them
+    grids, loop = [], mc._step_loop
+
+    def recorded(rel_a, rel_b, rec, *args):
+        grids.append((rec.steps, rec.dt_days, rec.claim_stride))
+        return loop(rel_a, rel_b, rec, *args)
+
+    monkeypatch.setattr(mc, "_step_loop", recorded)
+    code, out, err = _run(capsys, argv + ["--paths", "200"])
+    assert (code, err) == (0, "")
+    assert grids and set(grids) == {(270, dt_days, 42)}
+
+
 @pytest.mark.parametrize("overrides", [
     ["sim.dt_days=0.4"],
     ["sim.dt_days=3", "sim.claim_interval_days=10"],

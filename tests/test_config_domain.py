@@ -71,6 +71,10 @@ def test_negative_costs_rejected():
      "rebalance = periodic(10) is not a whole number of days divisible by dt_days = 3"),
     (0.25, {"rebalance": "periodic(7.5)"},
      "rebalance = periodic(7.5) is not a whole number of days divisible by dt_days = 0.25"),
+    # each within tolerance of 14 days and of 1/3 day, but 42 steps of the
+    # step miss the interval by more than it: the kernel has no claim stride
+    (0.33333366, {"claim_interval_days": 13.99999},
+     "claim_interval_days = 14 is not a whole number of days divisible by dt_days = 0.333334"),
 ])
 def test_event_cadence_must_fit_the_grid(dt_days, changes, error):
     assert cd.validate_sim(cd.SimConfig(n_paths=10, dt_days=dt_days, **changes)) == [error]

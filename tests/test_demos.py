@@ -6,6 +6,7 @@ cannot break a demo unnoticed. The README's count of that API is checked too.
 """
 
 import ast
+import fnmatch
 import importlib
 import importlib.util
 import os
@@ -57,6 +58,16 @@ def test_demo_imports_exist(demo):
 
 
 def test_readme_counts_the_public_api():
+    # the README's public-API paragraph gives the count of ammhedge.__all__,
+    # names only exported names, and leaves out only the run_* table builders
     with open(os.path.join(ROOT, "README.md")) as fh:
-        counts = re.findall(r"`ammhedge\.__all__` \((\d+) names\)", fh.read())
+        text = fh.read()
+    counts = re.findall(r"`ammhedge\.__all__` \((\d+) names\)", text)
     assert counts == [str(len(ammhedge.__all__))]
+    # the list below the count, up to the next blank line
+    listed, = re.findall(r"`ammhedge\.__all__` \(\d+ names\):\n\n(.*?)\n\n", text, flags=re.S)
+    names = set(re.findall(r"`([^`]+)`", listed)) - {"run_*"}
+    assert names <= set(ammhedge.__all__), names - set(ammhedge.__all__)
+    unlisted = [name for name in ammhedge.__all__
+                if name not in names and not fnmatch.fnmatchcase(name, "run_*")]
+    assert not unlisted, unlisted

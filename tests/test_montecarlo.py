@@ -14,11 +14,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ammhedge.montecarlo as mc
+from ammhedge.analytics import pnl_decomposition
 from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, PositionParams,
                                     RateParams, Scenario, ScenarioError, SimConfig,
                                     validate_scenario, validate_sim)
 from ammhedge.experiments import PRESETS, get_preset
 
+from conftest import streamed_paths
 from scalar_oracle import simulate_path
 
 # hand-derived flat-market ROE: T * (reward - h*(r_a+r_b)/2 + cv*r_f) / pi0
@@ -52,8 +54,8 @@ def test_same_seed_reproduces_paths(baseline):
 
 def test_worker_count_does_not_change_paths(baseline):
     m = baseline.market
-    a1, b1 = mc.generate_path_matrix(m, None, 90.0, 1.0, 20000, seed=3, n_workers=1)
-    a4, b4 = mc.generate_path_matrix(m, None, 90.0, 1.0, 20000, seed=3, n_workers=4)
+    a1, b1 = streamed_paths(m, None, 90.0, 1.0, 20000, seed=3, n_workers=1)
+    a4, b4 = streamed_paths(m, None, 90.0, 1.0, 20000, seed=3, n_workers=4)
     assert np.array_equal(a1, a4) and np.array_equal(b1, b4)
 
 
@@ -88,7 +90,7 @@ def test_paths_are_prefix_and_worker_invariant(baseline, n, workers, seed):
     # two days at a third of a day: full 8192-path blocks stay cheap
     m = baseline.market
     a_ref, b_ref = mc.generate_path_matrix(m, None, 2.0, 1.0 / 3.0, 3 * mc.BLOCK, seed)
-    a, b = mc.generate_path_matrix(m, None, 2.0, 1.0 / 3.0, n, seed, n_workers=workers)
+    a, b = streamed_paths(m, None, 2.0, 1.0 / 3.0, n, seed, n_workers=workers)
     assert np.array_equal(a, a_ref[:n]) and np.array_equal(b, b_ref[:n])
 
 
@@ -176,7 +178,7 @@ def test_path_matrix_matches_out_of_place_reference(baseline, jump):
     n = _REFERENCE_ROWS
     ref_a, ref_b = _reference_paths(m, jump, 270)
     for workers in (1, 2):
-        a, b = mc.generate_path_matrix(m, jump, 90.0, 1.0 / 3.0, n, seed=17, n_workers=workers)
+        a, b = streamed_paths(m, jump, 90.0, 1.0 / 3.0, n, seed=17, n_workers=workers)
         assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b), workers
 
 
@@ -232,8 +234,8 @@ def test_draw_chunk_seams_match_out_of_place_reference(baseline, jump, steps):
             for n in sorted(cuts):
                 # one block is drawn in this process whatever the worker count
                 for workers in ((1, 2) if n > mc.BLOCK else (1,)):
-                    a, b = mc.generate_path_matrix(m, jump, steps / 3.0, 1.0 / 3.0, n,
-                                                   seed=17, n_workers=workers)
+                    a, b = streamed_paths(m, jump, steps / 3.0, 1.0 / 3.0, n,
+                                          seed=17, n_workers=workers)
                     assert np.array_equal(a, ref_a[:n]), (elements, n, workers)
                     assert np.array_equal(b, ref_b[:n]), (elements, n, workers)
 
@@ -316,6 +318,25 @@ def test_grid_must_divide_horizon(baseline):
     # a configuration error: the CLI reports it with exit status 1
     with pytest.raises(ScenarioError, match="0.333333 does not divide horizon_days = 91.25"):
         mc.generate_path_matrix(baseline.market, None, 91.25, 1.0 / 3.0, 10, seed=1)
+    # a step that is not positive divides nothing, and zero is never divided by
+    for dt_days in (0.0, -1.0, math.nan):
+        with pytest.raises(ScenarioError, match="does not divide horizon_days = 90"):
+            mc.generate_path_matrix(baseline.market, None, 90.0, dt_days, 10, seed=1)
+
+
+# the steps validate_sim accepts up to 10 days: 1/k of a day and whole days
+_GRID_STEPS = [1.0 / k for k in range(1, 49)] + [float(d) for d in range(1, 11)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(quarters=st.integers(1, 4 * 730), dt_days=st.sampled_from(_GRID_STEPS))
+def test_exact_grid_steps_are_the_configured_step(quarters, dt_days):
+    # the loop runs on sim.dt_days; on every exact grid of whole or quarter
+    # days that is horizon / steps to the bit, the step it ran on before
+    horizon_days = quarters / 4.0
+    steps = mc._whole_steps(horizon_days, dt_days)
+    assume(steps is not None)
+    assert horizon_days / steps == dt_days
 
 
 def test_log_increment_moments(baseline):
@@ -669,6 +690,27 @@ def test_breach_comes_no_later_as_collateral_falls(preset, claim_days):
     assert (step[:, -1] < never).any() and (step[:, 0] == never).any()
 
 
+@pytest.mark.parametrize("preset", ["baseline", "sol_ray", "sec46"])
+def test_mean_pnl_without_claims_or_liquidation_is_the_closed_form(preset):
+    # what the model promises: with claims off, r_f = 0 and so much
+    # collateral that no path can breach, E[P&L] = mu0 - c h, the closed
+    # form's mean, within 4 Monte Carlo standard errors, on one block
+    scn = get_preset(preset)
+    scn = dataclasses.replace(
+        scn, rates=dataclasses.replace(scn.rates, r_f=0.0),
+        position=dataclasses.replace(scn.position, c_over_v0=100.0),
+        sim=dataclasses.replace(scn.sim, claim_interval_days=0.0, rebalance="none",
+                                n_paths=mc.BLOCK))
+    hs = (0.0, 0.3, 0.6, 0.9)
+    (_, batches), = mc._stream_passes([scn], hs)
+    for h, batch in zip(hs, batches):
+        assert not batch.liquidated.any()
+        pnl = batch.roe_raw * batch.pi0
+        d = pnl_decomposition(scn.market, scn.rates, dataclasses.replace(scn.position, h=h))
+        se = pnl.std(ddof=1) / math.sqrt(len(pnl))
+        assert abs(pnl.mean() - (d.mu0 - d.c * h)) < 4.0 * se, h
+
+
 @functools.lru_cache(maxsize=None)
 def _block_of(market, jump, horizon_days, dt_days):
     """256 paths at seed 7 on a scenario's grid, read-only, for the properties below."""
@@ -998,6 +1040,22 @@ def test_batch_rejects_mismatched_grid(baseline):
     with pytest.raises(ValueError, match="does not match sim.dt_days"):
         mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
                           baseline.position, baseline.sim)
+
+
+@pytest.mark.parametrize("changes, message", [
+    # gas would be booked as income
+    ({"gas_cost": -0.001}, "gas_cost must be nonnegative"),
+    # 30 whole steps of a quarter day, but not whole days
+    ({"dt_days": 0.25, "rebalance": "periodic(7.5)"},
+     "rebalance = periodic(7.5) is not a whole number of days divisible by dt_days = 0.25"),
+])
+def test_batch_rejects_what_validate_sim_rejects(baseline, changes, message):
+    sim = dataclasses.replace(baseline.sim, **changes)
+    assert validate_sim(sim) == [message]
+    rel_a, rel_b = _flat_paths(dataclasses.replace(baseline, sim=sim))
+    with pytest.raises(ScenarioError) as err:
+        mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, baseline.position, sim)
+    assert str(err.value) == message
 
 
 def test_claim_interval_below_grid_step_rejected(baseline):
