@@ -1,8 +1,9 @@
 """Command line front end.
 
-Every subcommand resolves one Scenario (preset or file, plus overrides),
-runs, and prints the same CSV text that --out writes to disk, so runs are
-reproducible byte for byte given the same seed.
+Every subcommand resolves one Scenario (--scenario, a preset or a file, else
+the subcommand's or target's own preset, with every flag on top), runs, and
+prints the same CSV text that --out writes to disk, so the command line and
+the scenario file decide every byte of a run.
 
 Exit codes: 1 for configuration problems (bad file, unknown key, invalid
 parameters), 2 for runtime failures.
@@ -20,12 +21,11 @@ from .config_domain import (DEFAULT_SEED, ScenarioError, apply_overrides,
                             estimate_market_params, load_scenario, read_price_csv,
                             scenario_hash, validate_scenario)
 
-SEED_ENV = "AMMHEDGE_SEED"
-
 
 def _add_common(p):
-    p.add_argument("--scenario", default="baseline",
-                   help="preset name (%s) or path to a scenario file"
+    p.add_argument("--scenario", default=None,
+                   help="preset name (%s) or path to a scenario file; default: baseline, "
+                        "or for reproduce the target's own preset"
                         % ", ".join(sorted(experiments.PRESETS)))
     p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                    help="override one scenario key; repeatable")
@@ -35,8 +35,7 @@ def _add_common(p):
 def _add_monte_carlo(p):
     _add_common(p)
     p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (beats %s and the scenario file; default %d)"
-                        % (SEED_ENV, DEFAULT_SEED))
+                   help="RNG seed (beats the scenario file; default %d)" % DEFAULT_SEED)
     p.add_argument("--paths", type=int, default=None, help="number of Monte Carlo paths")
     p.add_argument("--workers", type=int, default=1,
                    help="processes that each draw whole path blocks and run the kernel on them")
@@ -47,14 +46,15 @@ def _add_monte_carlo(p):
                     help="report cost-free headline ROE (default)")
 
 
-def _resolve_scenario(args):
-    """The scenario the flags ask for, and whether any flag asked for one: a preset
-    or file other than the baseline, --override, --paths, --tx, --seed or SEED_ENV;
-    the last four only where the subcommand simulates, and where it does not,
-    the closed form takes no drift and no jumps."""
+def _resolve_scenario(args, preset="baseline"):
+    """The scenario a run starts from, --scenario when set, else preset, with
+    --override on top and, where the subcommand simulates, --paths, --tx and
+    --seed; where it does not, the closed form takes no drift and no jumps.
+    A file, never a directory, stands in for a preset of its name, and only
+    when --scenario names it."""
     name = args.scenario
-    if name in experiments.PRESETS and not os.path.exists(name):
-        scn = experiments.get_preset(name)
+    if name is None or (name in experiments.PRESETS and not os.path.isfile(name)):
+        scn = experiments.get_preset(preset if name is None else name)
     elif os.path.exists(name):
         scn = load_scenario(name)
     else:
@@ -70,8 +70,6 @@ def _resolve_scenario(args):
             overrides.append("sim.include_tx_costs=%s" % args.tx)
         if args.seed is not None:
             overrides.append("sim.seed=%d" % args.seed)
-        elif os.environ.get(SEED_ENV):
-            overrides.append("sim.seed=%s" % os.environ[SEED_ENV].strip())
     if overrides:
         scn = apply_overrides(scn, overrides)
     errs = validate_scenario(scn)
@@ -83,7 +81,7 @@ def _resolve_scenario(args):
                   ("jump.lambda", lam)) if value != 0.0]
     if errs:
         raise ScenarioError("; ".join(errs))
-    return scn, name != "baseline" or bool(overrides)
+    return scn
 
 
 def _at_h(scn, h):
@@ -107,7 +105,7 @@ def _emit(tables, out_dir):
 # subcommands
 
 def cmd_analytic(args):
-    scn, _ = _resolve_scenario(args)
+    scn = _resolve_scenario(args)
     m, r, pos = scn.market, scn.rates, scn.position
     t = pos.horizon_years
     mom = analytics.variance_components(m, t)
@@ -137,7 +135,7 @@ def cmd_analytic(args):
 
 
 def cmd_fpt(args):
-    scn, _ = _resolve_scenario(args)
+    scn = _resolve_scenario(args)
     if args.h is not None:
         scn = _at_h(scn, args.h)
     if args.alpha is not None and not 0.0 < args.alpha < 1.0:
@@ -160,7 +158,7 @@ def cmd_fpt(args):
 
 
 def cmd_simulate(args):
-    scn, _ = _resolve_scenario(args)
+    scn = _resolve_scenario(args)
     (_, batches), = mc._stream_passes([scn], (scn.position.h,), args.workers)
     batch = next(batches)
     if args.dump_paths:
@@ -185,7 +183,7 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    scn, _ = _resolve_scenario(args)
+    scn = _resolve_scenario(args)
     if args.values is None:
         raise ScenarioError("--values is required; the built-in sweeps are `reproduce %s`"
                             % "|".join(n for n, t in experiments.TARGETS.items() if t.axis))
@@ -203,7 +201,7 @@ def cmd_sweep(args):
 
 
 def cmd_rebalance(args):
-    scn, _ = _resolve_scenario(args)
+    scn = _resolve_scenario(args)
     _at_h(scn, args.h)  # every strategy runs at --h
     tables = [experiments.run_rebalancing_comparison(scn, h=args.h, n_workers=args.workers)]
     _emit(tables, args.out)
@@ -238,8 +236,8 @@ def cmd_calibrate(args):
 
 
 def cmd_reproduce(args):
-    scn, given = _resolve_scenario(args)
-    tables = experiments.reproduce(args.name, scn=scn if given else None, n_workers=args.workers)
+    scn = _resolve_scenario(args, experiments.find_target(args.name).preset)
+    tables = experiments.reproduce(args.name, scn=scn, n_workers=args.workers)
     _emit(tables, args.out)
     return 0
 

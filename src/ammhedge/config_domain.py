@@ -436,8 +436,11 @@ def parse_scenario(text, name="custom", base=None):
 
 
 def load_scenario(path):
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError("cannot read scenario file %s: %s" % (path, exc)) from None
     stem = str(path).rsplit("/", 1)[-1]
     stem = stem.rsplit(".", 1)[0]
     return parse_scenario(text, name=stem)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from importlib import resources
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,24 +32,10 @@ TABLE5_GRID = (0.30, 0.40, 0.50, 0.60, 0.70, 0.80, 1.00)
 FINE_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 JUMP_GRID = (0.0, 0.40, 0.60, 0.65, 0.70, 1.00)
 
-# presets are plain scenario-file text so the shipped .cfg files and the
-# built-ins cannot drift apart
-PRESETS = {
-    "baseline": "",
-    "table5": "sim.n_paths = 50000\n",
-    "sec46": ("position.horizon_days = 91.25\n"
-              "sim.dt_days = 1/4\n"),
-    # the default jump calibration: any jump key turns it on
-    "jumps": "jump.lambda = 4.0\n",
-    # representative lending/reward rates for the extra pairs; treat as
-    # illustrative defaults rather than authoritative calibrations
-    "sol_ray": ("market.sigma_a = 0.80\nmarket.sigma_b = 1.10\nmarket.rho = 0.83\n"
-                "rates.r_a = 0.05\nrates.r_b = 0.08\nrates.reward_rate = 0.40\n"),
-    "sol_jup": ("market.sigma_a = 0.80\nmarket.sigma_b = 1.00\nmarket.rho = 0.86\n"
-                "rates.r_a = 0.05\nrates.r_b = 0.06\nrates.reward_rate = 0.35\n"),
-    "eth_arb": ("market.sigma_a = 0.74\nmarket.sigma_b = 1.03\nmarket.rho = 0.82\n"
-                "rates.r_a = 0.03\nrates.r_b = 0.05\nrates.reward_rate = 0.30\n"),
-}
+# the presets are the package's scenario files: name -> file text
+PRESETS = {f.name[:-len(".cfg")]: f.read_text(encoding="utf-8")
+           for f in sorted((resources.files(__package__) / "scenarios").iterdir(),
+                           key=lambda f: f.name) if f.name.endswith(".cfg")}
 
 ROBUSTNESS_PAIRS = (
     ("SUI/NS", "Sui", "baseline"),
@@ -535,7 +522,7 @@ def _one(runner):
 # the single list of target names, aliases and sweep shortcuts
 TARGETS = {
     "table4": Target(("hedge_grid",), _one(run_hedge_grid)),
-    # the table5 preset's 50k paths, as in the paper, unless the caller brings a scenario
+    # the table5 preset's 50k paths, as in the paper
     "table5": Target(("analytic_vs_mc",), _one(run_analytic_vs_mc), preset="table5"),
     "liqstats": Target(("liquidation_stats",), _one(run_liquidation_stats)),
     "table8": Target(("rebalancing",), _one(run_rebalancing_comparison)),
@@ -557,12 +544,19 @@ def describe_targets() -> str:
     return ", ".join(name + "".join("|" + a for a in t.aliases) for name, t in TARGETS.items())
 
 
-def reproduce(name, scn=None, out_dir=None, n_workers=1):
-    """Run one target of TARGETS, by name or alias; returns its Tables."""
+def find_target(name) -> Target:
+    """The target of TARGETS with this name or alias."""
     target = next((t for key, t in TARGETS.items() if name == key or name in t.aliases), None)
     if target is None:
         raise ScenarioError("unknown reproduction target %r; known: %s"
                             % (name, describe_targets()))
+    return target
+
+
+def reproduce(name, scn=None, out_dir=None, n_workers=1):
+    """Run one target of TARGETS, by name or alias, on scn or else the target's
+    preset; returns its Tables."""
+    target = find_target(name)
     tables = target.run(scn if scn is not None else get_preset(target.preset), n_workers)
     if out_dir is not None:
         for t in tables:

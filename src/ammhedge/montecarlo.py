@@ -93,10 +93,10 @@ _DENSE_MERGE = 4
 # columns) of each tile of _generate_block's arithmetic: its one buffer holds
 # either, so a block draws through one 4 MiB buffer. Each chunk is copied into
 # the column-major outputs as one run of rows per step, and longer runs copy
-# faster. The size was last timed when --workers 2 drew blocks in a thread
-# beside the step loop, which blocks no longer do: there 2^17 and 2^18 ran
-# slower than the whole-block draw they replaced, 2^19 as fast (20 alternated
-# pairs of the jump rebalancing command on a 2-vCPU host)
+# faster. On a 2-vCPU host, sizes 2^15 to 2^19 drew one 8192 x 270 block
+# with the same bits and within 8 % of each other: baseline 0.077-0.083 s,
+# jumps 0.158-0.162 s, and 0.153-0.167 s for jumps with two processes
+# drawing at once
 _DRAW_ELEMENTS = 1 << 19
 
 

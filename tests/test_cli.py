@@ -15,14 +15,9 @@ import numpy as np
 import pytest
 
 import ammhedge.montecarlo as mc
-from ammhedge.cli import SEED_ENV, build_parser, main
-from ammhedge.config_domain import ScenarioError, scenario_hash
+from ammhedge.cli import build_parser, main
+from ammhedge.config_domain import ScenarioError, apply_overrides, scenario_hash
 from ammhedge.experiments import PRESETS, TARGETS, Table, get_preset
-
-
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV, raising=False)
 
 
 def _run(capsys, argv):
@@ -119,16 +114,12 @@ def test_closed_form_rejects_drift_and_jumps(capsys, command, argv, key):
 
 
 @pytest.mark.parametrize("command", ["analytic", "fpt"])
-def test_closed_form_takes_no_monte_carlo_flags(capsys, monkeypatch, command):
+def test_closed_form_takes_no_monte_carlo_flags(capsys, command):
     for flags in (["--paths", "5"], ["--seed", "9"], ["--workers", "7"], ["--tx"], ["--no-tx"]):
         with pytest.raises(SystemExit) as exc:
             main([command] + flags)
         assert exc.value.code == 2
         assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
-    # nor does the seed variable change the output, analytic's config hash included
-    plain = _run(capsys, [command])
-    monkeypatch.setenv(SEED_ENV, "9")
-    assert plain[0] == 0 and _run(capsys, [command]) == plain
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +156,40 @@ def test_simulate_runs_are_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_seed_resolution_order(capsys, monkeypatch):
+def test_seed_resolution_order(capsys, tmp_path):
     _, out_default, _ = _run(capsys, ["simulate", "--paths", "50"])
     assert out_default.startswith("# seed=42 ")
-    monkeypatch.setenv(SEED_ENV, "9")
-    _, out_env, _ = _run(capsys, ["simulate", "--paths", "50"])
-    assert out_env.startswith("# seed=9 ")
     _, out_flag, _ = _run(capsys, ["simulate", "--paths", "50", "--seed", "5"])
-    assert out_flag.startswith("# seed=5 ")  # flag beats the environment
+    assert out_flag.startswith("# seed=5 ")
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("sim.seed = 11\n")
+    _, out_file, _ = _run(capsys, ["simulate", "--paths", "50", "--scenario", str(cfg)])
+    assert out_file.startswith("# seed=11 ")
+    _, out_both, _ = _run(capsys, ["simulate", "--paths", "50", "--scenario", str(cfg),
+                                   "--seed", "5"])
+    assert out_both == out_flag  # the flag beats the file's sim.seed
+
+
+def test_no_environment_variable_changes_a_run(capsys, monkeypatch):
+    plain = _run(capsys, ["simulate", "--paths", "50"])
+    monkeypatch.setenv("AMMHEDGE_SEED", "9")
+    assert plain[0] == 0 and _run(capsys, ["simulate", "--paths", "50"]) == plain
+
+
+def test_a_file_named_like_a_preset_stands_in_only_when_named(capsys, monkeypatch, tmp_path):
+    # without --scenario a run starts from the preset itself, whatever the
+    # working directory holds; --scenario baseline still reads ./baseline,
+    # but a directory such as an --out DIR never hides a preset
+    plain = _run(capsys, ["simulate", "--paths", "50"])
+    jumps = _run(capsys, ["simulate", "--paths", "50", "--scenario", "jumps"])
+    (tmp_path / "baseline").write_text("rates.r_b = 0.10\n")
+    (tmp_path / "jumps").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert plain[0] == 0 and _run(capsys, ["simulate", "--paths", "50"]) == plain
+    named = _run(capsys, ["simulate", "--paths", "50", "--scenario", "baseline"])
+    assert named[0] == 0 and named[1] != plain[1]
+    assert jumps[0] == 0 and _run(capsys, ["simulate", "--paths", "50", "--scenario",
+                                           "jumps"]) == jumps
 
 
 def test_override_flag_equals_scenario_file(capsys, tmp_path):
@@ -194,6 +211,15 @@ def test_unknown_scenario_is_config_error(capsys):
     code, _, err = _run(capsys, ["simulate", "--scenario", "missing_thing"])
     assert code == 1
     assert "no preset or scenario file" in err
+
+
+def test_unreadable_scenario_file_is_config_error(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"sim.seed = 3\xff\n")
+    for path in (tmp_path, bad):
+        code, out, err = _run(capsys, ["analytic", "--scenario", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("configuration error: cannot read scenario file %s: " % path)
 
 
 def test_invalid_parameter_is_config_error(capsys):
@@ -524,6 +550,26 @@ def test_every_target_name_dispatches(capsys, monkeypatch, name):
     (base, n_workers), = seen
     preset = "table5" if key == "table5" else "baseline"
     assert scenario_hash(base) == scenario_hash(get_preset(preset))
+
+
+@pytest.mark.parametrize("flags, preset, overrides", [
+    # flags without --scenario keep the target's preset: table5's 50k paths
+    (["--seed", "7"], "table5", ["sim.seed=7"]),
+    (["--scenario", "baseline"], "baseline", []),
+])
+def test_reproduce_starts_from_scenario_else_the_target_preset(capsys, monkeypatch, flags,
+                                                               preset, overrides):
+    seen = []
+
+    def run(base, n_workers):
+        seen.append(base)
+        return []
+
+    monkeypatch.setitem(TARGETS, "table5", TARGETS["table5"]._replace(run=run))
+    assert _run(capsys, ["reproduce", "table5"] + flags)[0] == 0
+    (base,) = seen
+    assert scenario_hash(base) == scenario_hash(apply_overrides(get_preset(preset), overrides))
+    assert base.sim.n_paths == {"table5": 50000, "baseline": 30000}[preset]
 
 
 def test_apr_sweep_marks_the_calibrated_rate(capsys):

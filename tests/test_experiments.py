@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import os
 import tracemalloc
 import weakref
 from unittest import mock
@@ -14,13 +13,10 @@ import pytest
 import ammhedge.experiments as exp
 import ammhedge.liquidation_fpt as fpt
 import ammhedge.montecarlo as mc
-from ammhedge.config_domain import (JumpParams, ScenarioError, apply_overrides, load_scenario,
-                                    scenario_hash, scenario_values)
+from ammhedge.config_domain import (JumpParams, ScenarioError, apply_overrides, scenario_hash,
+                                    scenario_values)
 
 from conftest import scaled
-
-SCENARIO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                            "scenarios")
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +33,6 @@ def _dummy_stats(sr_raw, sr_tx=0.0):
 
 # ---------------------------------------------------------------------------
 # presets
-
-def test_presets_match_shipped_files():
-    for name in exp.PRESETS:
-        preset = exp.get_preset(name)
-        from_file = load_scenario(os.path.join(SCENARIO_DIR, name + ".cfg"))
-        assert scenario_values(from_file) == scenario_values(preset), name
-        assert scenario_hash(from_file) == scenario_hash(preset), name
-
 
 def test_get_preset_unknown_lists_names():
     with pytest.raises(ScenarioError, match="unknown preset") as err:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ammhedge.montecarlo as mc
-from ammhedge.analytics import pnl_decomposition
+from ammhedge.analytics import pnl_decomposition, pnl_variance, variance_components
 from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, PositionParams,
                                     RateParams, Scenario, ScenarioError, SimConfig,
                                     validate_scenario, validate_sim)
@@ -709,6 +709,31 @@ def test_mean_pnl_without_claims_or_liquidation_is_the_closed_form(preset):
         d = pnl_decomposition(scn.market, scn.rates, dataclasses.replace(scn.position, h=h))
         se = pnl.std(ddof=1) / math.sqrt(len(pnl))
         assert abs(pnl.mean() - (d.mu0 - d.c * h)) < 4.0 * se, h
+
+
+@pytest.mark.parametrize("preset", ["baseline", "sol_ray", "sec46"])
+def test_pnl_variance_without_interest_noise_is_the_closed_form(preset):
+    # what the model promises: with no interest to accrue (r_a = r_b = r_f =
+    # 0), claims off and so much collateral that no path can breach, the P&L
+    # variance is the closed form's V0^2 (v_GG + h^2 v_AA - 2 h v_GA), within 4
+    # standard errors of the sample variance, taken from its fourth moment
+    scn = get_preset(preset)
+    pos = dataclasses.replace(scn.position, c_over_v0=100.0)
+    scn = dataclasses.replace(
+        scn, rates=dataclasses.replace(scn.rates, r_a=0.0, r_b=0.0, r_f=0.0), position=pos,
+        sim=dataclasses.replace(scn.sim, claim_interval_days=0.0, rebalance="none",
+                                n_paths=mc.BLOCK))
+    moments = variance_components(scn.market, pos.horizon_years)
+    hs = (0.0, 0.3, 0.6, 0.9)
+    (_, batches), = mc._stream_passes([scn], hs)
+    for h, batch in zip(hs, batches):
+        assert not batch.liquidated.any()
+        dev = batch.roe_raw * batch.pi0
+        dev = dev - dev.mean()
+        n = len(dev)
+        var = dev @ dev / (n - 1)
+        se = math.sqrt((np.mean(dev ** 4) - var * var) / n)
+        assert abs(var - pnl_variance(h, moments, pos.v0)) < 4.0 * se, h
 
 
 @functools.lru_cache(maxsize=None)
