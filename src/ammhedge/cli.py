@@ -6,7 +6,8 @@ prints the same CSV text that --out writes to disk, so the command line and
 the scenario file decide every byte of a run.
 
 Exit codes: 1 for configuration problems (bad file, unknown key, invalid
-parameters), 2 for runtime failures.
+parameters), 2 for runtime failures, such as an output path that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -1,14 +1,14 @@
 """Config-driven reproduction of every results table and figure dataset.
 
 Each runner names the scenarios it scores, and montecarlo._stream_passes, the
-one place that draws paths and runs kernel passes, streams them (mostly
-through _score, which aggregates each pass per h): consecutive scenarios that
-ask for the same paths read one stream of blocks, so comparisons ride on
-common random numbers, and those whose pass records (montecarlo._Pass, what
-the step loop reads of a scenario) are equal share one pass per h. Each
-runner returns a Table; write_table() emits two CSVs per table, one at
-display precision and one at full precision, both under a provenance header
-(the seeds, path counts and engines the rows used, and a config hash).
+one place that draws paths and runs kernel passes, checks every one before the
+first draw (a rejection names it) and streams them, mostly through _score,
+which aggregates each pass per h: consecutive scenarios that ask for the same
+paths read one stream of blocks, so comparisons ride on common random numbers,
+and those with equal pass records (montecarlo._Pass) share one pass per h. Each
+runner returns a Table; write_table() emits two CSVs per table, at display and
+at full precision, under a provenance header (the seeds, path counts and
+engines the rows used, and a config hash).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 
 from . import montecarlo as mc
 from .config_domain import (_KEY_PARSERS, DAYS_PER_YEAR, Scenario, ScenarioError,
-                            _parse_number, apply_overrides, parse_scenario,
-                            scenario_hash, validate_scenario)
+                            _parse_number, apply_overrides, parse_scenario, scenario_hash)
 from .liquidation_fpt import fpt_inputs, liquidation_probability
 
 TABLE4_GRID = (0.0, 0.20, 0.40, 0.50, 0.60, 0.65, 0.70, 0.80, 1.00)
@@ -238,8 +237,8 @@ def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
     """Re-optimize h over the grid for each value of one parameter axis.
 
     Optima are selected on the raw (cost-free) Sharpe; the cost-adjusted
-    Sharpe at the optimum is reported alongside. Every value is validated
-    (at h = 0: the grid sets h) before any path is drawn, and reuses the
+    Sharpe at the optimum is reported alongside. A value's scenario is named
+    "sweep value <axis> = <value>", which a rejection names, and reuses the
     previous value's paths when it asks for the same ones. Consecutive values
     whose pass records are equal share one kernel pass per h: those that
     differ only in what the step loop does not read, such as the penalty,
@@ -251,18 +250,8 @@ def run_sensitivity(base, axis, values, grid=FINE_GRID, n_workers=1) -> Table:
         raise ScenarioError("cannot sweep %s: %s" % (axis, _UNSWEPT[axis]))
     if axis not in SWEEP_AXES:
         raise ScenarioError("unknown sweep axis %r" % (axis,))
-    if not grid:
-        raise ScenarioError("sweep needs a nonempty h grid")
-    scenarios = [_apply_axis(base, axis, value) for value in values]
-    for value, scn in zip(values, scenarios):
-        errs = validate_scenario(replace(scn, position=replace(scn.position, h=0.0)))
-        if not errs:
-            try:
-                mc._pass_record(scn.rates, scn.position, scn.sim)
-            except ScenarioError as exc:
-                errs = [str(exc)]
-        if errs:
-            raise ScenarioError("sweep value %s = %r: %s" % (axis, value, "; ".join(errs)))
+    scenarios = [replace(_apply_axis(base, axis, value), name="sweep value %s = %r" % (axis, value))
+                 for value in values]
     rows, per_value = [], {}
     for value, scn, stats in zip(values, scenarios, _score(scenarios, grid, n_workers)):
         h_opt = argmax_h(grid, stats)
@@ -341,7 +330,7 @@ def run_robustness_pairs(base, grid=FINE_GRID, n_workers=1) -> Table:
     Each pair keeps its own preset's market and rates and takes the rest from
     base: position, jumps and simulation settings.
     """
-    scenarios = [replace(base, market=pair.market, rates=pair.rates)
+    scenarios = [replace(base, market=pair.market, rates=pair.rates, name=pair.name)
                  for pair in (get_preset(preset) for _, _, preset in ROBUSTNESS_PAIRS)]
     rows, per_pair = [], {}
     for (pair, chain, _), scn, stats in zip(ROBUSTNESS_PAIRS, scenarios,
@@ -367,7 +356,8 @@ def run_robustness_pairs(base, grid=FINE_GRID, n_workers=1) -> Table:
 
 def _with_jump(scn, rho_j, matched) -> Scenario:
     # a base without jumps takes the default jump calibration
-    return apply_overrides(scn, ["jump.rho_j=%s" % rho_j, "jump.variance_matched=%s" % matched])
+    scn = apply_overrides(scn, ["jump.rho_j=%s" % rho_j, "jump.variance_matched=%s" % matched])
+    return replace(scn, name="rho_J = %.2f %s jumps" % (rho_j, "matched" if matched else "unmatched"))
 
 
 def run_jump_stress(scn, grid=JUMP_GRID, fine_grid=FINE_GRID, n_workers=1) -> dict:
@@ -452,8 +442,6 @@ def emit_figure_data(which, scn, n_workers=1, grid=None) -> Table:
     """Plot-data table of one figure in FIGURES; CSV of (x, series...) tuples."""
     if which not in FIGURES:
         raise ScenarioError("unknown figure %r; expected one of %s" % (which, ", ".join(FIGURES)))
-    if grid is not None and len(grid) == 0:
-        raise ScenarioError("figure grid must be nonempty")
     default_grid, columns, build = FIGURES[which]
     rows, extra = build(scn, tuple(grid) if grid is not None else default_grid, n_workers)
     return Table(name=which, columns=columns, rows=rows,

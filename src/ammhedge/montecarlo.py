@@ -28,14 +28,14 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
 
 from .config_domain import (DAYS_PER_YEAR, MarketParams, PositionParams, RateParams,
                             ScenarioError, SimConfig, _matched_variance, _whole_steps,
-                            parse_rebalance, validate_sim)
+                            parse_rebalance, validate_scenario, validate_sim)
 
 BLOCK = 8192
 # state elements (hedge ratios x rows) of one _step_loop call: about what keeps
@@ -355,10 +355,10 @@ def _block_fn_at(bi):
 
 
 def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, *, task, n_workers):
-    """task(lo, rel_a, rel_b) for each block of the paths of generate_path_matrix,
-    in block order: lo is the block's first path, and rel_a and rel_b are the
-    two (rows, steps+1) column-major arrays of _generate_block per block of
-    BLOCK paths, the last one cut to n_paths.
+    """task(lo, rel_a, rel_b) for each block of n_paths paths, in block order:
+    lo is the block's first path, and rel_a and rel_b are the two
+    (rows, steps+1) column-major arrays of _generate_block per block of BLOCK
+    paths, the last one cut to n_paths.
 
     Each block is drawn in the process that runs its task, one of n_workers
     (_map_blocks), and dropped when the task returns, so only the task's
@@ -372,23 +372,6 @@ def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, *, task, n_
                                          min(BLOCK, n_paths - lo)))
 
     return _map_blocks(run, -(-n_paths // BLOCK), n_workers)
-
-
-def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed):
-    """All paths as two (n_paths, steps+1) column-major arrays of price
-    relatives: the blocks of the path stream, drawn in this process and
-    stacked. The reference that the streamed runs are held to.
-
-    Column-major, each step's prices across all paths are contiguous: the
-    accounting loop reads one column per step.
-    """
-    steps = _path_steps(horizon_days, dt_days)
-    rel_a = np.empty((n_paths, steps + 1), order="F")
-    rel_b = np.empty((n_paths, steps + 1), order="F")
-    for bi, lo in enumerate(range(0, n_paths, BLOCK)):
-        rel_a[lo:lo + BLOCK], rel_b[lo:lo + BLOCK] = _generate_block(
-            market, jump, steps, dt_days, seed, bi, min(BLOCK, n_paths - lo))
-    return rel_a, rel_b
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +623,9 @@ def _path_inputs(scn):
 def _stream_passes(scenarios, grid, n_workers=1):
     """simulate_batch for every scenario at every h of grid, on streamed paths:
     yields (scenario, batches) for each scenario, in order, where batches
-    gives one BatchResult per h, closed as it is read.
+    gives one BatchResult per h, closed as it is read. Before any block is
+    drawn, ScenarioError names the first scenario that validate_scenario
+    rejects at h = 0 (the grid sets h) or whose grid _pass_record rejects.
 
     Consecutive scenarios with equal _path_inputs form a run: each of its
     blocks is drawn once, read by all of the run's kernel passes and dropped,
@@ -652,9 +637,19 @@ def _stream_passes(scenarios, grid, n_workers=1):
     variants. A run's scenarios are yielded after its last block, each closed
     from its group's states joined over the blocks in block order.
     """
-    for _, run in groupby(scenarios, key=_path_inputs):
-        groups = [(rec, list(g)) for rec, g in groupby(
-            run, key=lambda s: _pass_record(s.rates, s.position, s.sim))]
+    if not grid:
+        raise ScenarioError("the h grid must be nonempty")
+    checked = []  # (scenario, _Pass)
+    for scn in scenarios:
+        errs = validate_scenario(replace(scn, position=replace(scn.position, h=0.0)))
+        try:
+            checked.append((scn, None if errs else _pass_record(scn.rates, scn.position, scn.sim)))
+        except ScenarioError as exc:
+            errs = [str(exc)]
+        if errs:
+            raise ScenarioError("%s: %s" % (scn.name, "; ".join(errs)))
+    for inputs, run in groupby(checked, key=lambda sr: _path_inputs(sr[0])):
+        groups = [(rec, [scn for scn, _ in g]) for rec, g in groupby(run, key=lambda sr: sr[1])]
         levels = [tuple(dict.fromkeys(s.position.c_over_v0 for s in g)) for _, g in groups]
 
         def passes(_, rel_a, rel_b):
@@ -666,8 +661,7 @@ def _stream_passes(scenarios, grid, n_workers=1):
 
         # per group and h, the loop state of each block
         states = [[[] for _ in grid] for _ in groups]
-        for per_group in _path_blocks(*_path_inputs(groups[0][1][0]), task=passes,
-                                      n_workers=n_workers):
+        for per_group in _path_blocks(*inputs, task=passes, n_workers=n_workers):
             for parts, per_h in zip(states, per_group):
                 for part, state in zip(parts, per_h):
                     part.append(state)

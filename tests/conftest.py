@@ -12,9 +12,27 @@ def scaled(scn, n_paths):
     return dataclasses.replace(scn, sim=dataclasses.replace(scn.sim, n_paths=n_paths))
 
 
+def generate_path_matrix(market, jump, horizon_days, dt_days, n_paths, seed):
+    """All paths as two (n_paths, steps+1) column-major arrays of price
+    relatives: mc._generate_block per block of mc.BLOCK paths, drawn in this
+    process and stacked. The whole-matrix reference that the streamed runs
+    are held to.
+
+    Column-major, each step's prices across all paths are contiguous: the
+    accounting loop reads one column per step.
+    """
+    steps = mc._path_steps(horizon_days, dt_days)
+    rel_a = np.empty((n_paths, steps + 1), order="F")
+    rel_b = np.empty((n_paths, steps + 1), order="F")
+    for bi, lo in enumerate(range(0, n_paths, mc.BLOCK)):
+        rel_a[lo:lo + mc.BLOCK], rel_b[lo:lo + mc.BLOCK] = mc._generate_block(
+            market, jump, steps, dt_days, seed, bi, min(mc.BLOCK, n_paths - lo))
+    return rel_a, rel_b
+
+
 def streamed_paths(market, jump, horizon_days, dt_days, n_paths, seed, n_workers):
     """The paths as the streamed runs draw them: the blocks of mc._path_blocks
-    at n_workers, stacked, to hold against mc.generate_path_matrix."""
+    at n_workers, stacked, to hold against generate_path_matrix."""
     blocks = list(mc._path_blocks(market, jump, horizon_days, dt_days, n_paths, seed,
                                   task=lambda lo, a, b: (a, b), n_workers=n_workers))
     return np.concatenate([a for a, _ in blocks]), np.concatenate([b for _, b in blocks])

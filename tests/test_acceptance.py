@@ -18,7 +18,7 @@ import ammhedge.liquidation_fpt as fpt
 import ammhedge.montecarlo as mc
 from ammhedge.config_domain import DAYS_PER_YEAR
 
-from conftest import scaled, streamed_paths
+from conftest import generate_path_matrix, scaled, streamed_paths
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def quarter_scn():
 @pytest.fixture(scope="module")
 def base_paths(base_scn):
     pos, sim = base_scn.position, base_scn.sim
-    return mc.generate_path_matrix(base_scn.market, None, pos.horizon_days,
+    return generate_path_matrix(base_scn.market, None, pos.horizon_days,
                                    sim.dt_days, sim.n_paths, sim.seed)
 
 

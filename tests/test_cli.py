@@ -249,6 +249,19 @@ def test_runtime_failure_exits_two(capsys):
     assert err.startswith("error:") and "mu0" in err
 
 
+@pytest.mark.parametrize("flag, where", [("--dump-paths", ("missing", "x.csv")),
+                                         ("--out", ("file", "tables"))])
+def test_unwritable_output_path_is_runtime_error(capsys, tmp_path, flag, where):
+    # a file in a directory that does not exist, a directory under a regular
+    # file: one error line each, exit 2, no traceback
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path.joinpath(*where))
+    code, _, err = _run(capsys, ["simulate", "--paths", "50", flag, path])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
+
+
 def test_step_that_does_not_divide_horizon_is_config_error(capsys):
     argv = ["--override", "position.horizon_days=91", "--override", "sim.dt_days=2"]
     code, _, err = _run(capsys, ["simulate", "--paths", "50"] + argv)
@@ -514,6 +527,22 @@ def test_reproduce_robustness_honours_position_and_jumps(capsys):
                                  "--paths", "200"])
     assert code == 0
     assert " engine=mc_jump " in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["jumps", "--override", "market.sigma_a=0.2"], "rho_J = 0.80 matched jumps"),
+    (["robustness", "--scenario", "jumps", "--override", "jump.sigma_j=0.37"], "eth_arb"),
+])
+def test_reproduce_names_the_scenario_it_rejects_before_any_draw(capsys, monkeypatch, argv,
+                                                                 named):
+    # the base is valid, but a scenario the target builds from it has matched
+    # jumps that use up leg a's variance: no path is drawn, and the one error
+    # line names that scenario
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
+    code, out, err = _run(capsys, ["reproduce", "--paths", "200"] + argv)
+    assert (code, out) == (1, "")
+    assert err == ("configuration error: %s: variance matching infeasible: "
+                   "sigma_a^2 <= lambda*(mu_j^2 + sigma_j^2)\n" % named)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))

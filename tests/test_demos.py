@@ -1,8 +1,9 @@
-"""The demos stay on the public API: every name they import from ammhedge exists.
+"""The demos run, and every name they import from ammhedge exists.
 
-The demos are parsed, never run. A name imported from the package itself must
-be in `ammhedge.__all__` or be one of its modules, so shrinking the public API
-cannot break a demo unnoticed. The README's count of that API is checked too.
+Each demo is run as its own process and must exit 0. Each is also parsed: a
+name imported from the package itself must be in `ammhedge.__all__` or be one
+of its modules, so shrinking the public API cannot break a demo unnoticed.
+The README's count of that API is checked too.
 """
 
 import ast
@@ -11,6 +12,8 @@ import importlib
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +30,16 @@ def _is_module(name):
 
 def test_there_are_demos():
     assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    # the checkout's package, from a directory of its own
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, os.path.join(DEMO_DIR, demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -16,7 +16,7 @@ import ammhedge.montecarlo as mc
 from ammhedge.config_domain import (JumpParams, ScenarioError, apply_overrides, scenario_hash,
                                     scenario_values)
 
-from conftest import scaled
+from conftest import generate_path_matrix, scaled
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +275,7 @@ def test_streamed_score_equals_whole_matrix_passes(baseline):
     grid = (0.6, 0.95)
     scored = exp._score(scns, grid)
     for scn, stats in zip(scns, scored):
-        rel_a, rel_b = mc.generate_path_matrix(*mc._path_inputs(scn))
+        rel_a, rel_b = generate_path_matrix(*mc._path_inputs(scn))
         for h in grid:
             pos = dataclasses.replace(scn.position, h=h)
             batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, pos, scn.sim)
@@ -303,7 +303,7 @@ def test_kept_memory_grows_with_h_not_with_variants(baseline):
     # beforehand: the 7 more levels keep one breach step per h and path each;
     # the slack is the step loop's two bool flags per level for one h-chunk
     base = apply_overrides(baseline, ["sim.n_paths=2000"])
-    paths = mc.generate_path_matrix(*mc._path_inputs(base))
+    paths = generate_path_matrix(*mc._path_inputs(base))
     cvs = (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0)
 
     def peak(values):
@@ -377,6 +377,19 @@ def test_sweep_values_are_validated_before_any_draw(tiny, monkeypatch):
         exp.run_sensitivity(tiny, "sim.dt_days", (0.5, 0.4))
     with pytest.raises(ScenarioError, match="sim.seed"):
         exp.run_sensitivity(tiny, "sim.seed", (1.5,))
+
+
+def test_a_later_scenario_is_checked_before_the_first_is_drawn(tiny, monkeypatch):
+    # the GBM scenario comes first and is valid; the matched stress scenarios
+    # after it leave leg a no diffusion, so no block of any run is drawn
+    def boom(*args, **kw):
+        raise AssertionError("paths drawn before every scenario was checked")
+
+    monkeypatch.setattr(mc, "_generate_block", boom)
+    base = apply_overrides(tiny, ["market.sigma_a=0.2"])
+    with pytest.raises(ScenarioError, match=r"^rho_J = 0\.80 matched jumps: variance "
+                                            r"matching infeasible: sigma_a"):
+        exp.run_jump_stress(base)
 
 
 def test_apr_remarks():
@@ -481,7 +494,7 @@ REF_GRID = (0.4, 0.8)
 def _naive(scn, grid):
     """{h: SummaryStats} of scn on freshly drawn paths, one plain kernel call per h."""
     pos, sim = scn.position, scn.sim
-    rel_a, rel_b = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days, sim.dt_days,
+    rel_a, rel_b = generate_path_matrix(scn.market, scn.jump, pos.horizon_days, sim.dt_days,
                                            sim.n_paths, sim.seed)
     out = {}
     for h in grid:

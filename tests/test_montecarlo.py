@@ -20,7 +20,7 @@ from ammhedge.config_domain import (DAYS_PER_YEAR, JumpParams, MarketParams, Pos
                                     validate_scenario, validate_sim)
 from ammhedge.experiments import PRESETS, get_preset
 
-from conftest import streamed_paths
+from conftest import generate_path_matrix, streamed_paths
 from scalar_oracle import simulate_path
 
 # hand-derived flat-market ROE: T * (reward - h*(r_a+r_b)/2 + cv*r_f) / pi0
@@ -37,7 +37,7 @@ def _flat_paths(baseline, n=1):
 
 def test_path_matrix_shape_and_start(baseline):
     m = baseline.market
-    a, b = mc.generate_path_matrix(m, None, 90.0, 1.0 / 3.0, 100, seed=1)
+    a, b = generate_path_matrix(m, None, 90.0, 1.0 / 3.0, 100, seed=1)
     assert a.shape == b.shape == (100, 271)
     assert np.all(a[:, 0] == 1.0) and np.all(b[:, 0] == 1.0)
     assert np.all(a > 0) and np.all(b > 0)
@@ -45,9 +45,9 @@ def test_path_matrix_shape_and_start(baseline):
 
 def test_same_seed_reproduces_paths(baseline):
     m = baseline.market
-    a1, b1 = mc.generate_path_matrix(m, None, 90.0, 1.0, 500, seed=11)
-    a2, b2 = mc.generate_path_matrix(m, None, 90.0, 1.0, 500, seed=11)
-    a3, _ = mc.generate_path_matrix(m, None, 90.0, 1.0, 500, seed=12)
+    a1, b1 = generate_path_matrix(m, None, 90.0, 1.0, 500, seed=11)
+    a2, b2 = generate_path_matrix(m, None, 90.0, 1.0, 500, seed=11)
+    a3, _ = generate_path_matrix(m, None, 90.0, 1.0, 500, seed=12)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
     assert not np.array_equal(a1, a3)
 
@@ -77,8 +77,8 @@ def test_abandoned_block_map_leaves_no_worker(two_cpus):
 def test_path_count_prefix_property(baseline):
     # growing n_paths must extend the sample, not reshuffle it
     m = baseline.market
-    a_small, b_small = mc.generate_path_matrix(m, None, 90.0, 1.0, 9000, seed=3)
-    a_big, b_big = mc.generate_path_matrix(m, None, 90.0, 1.0, 20000, seed=3)
+    a_small, b_small = generate_path_matrix(m, None, 90.0, 1.0, 9000, seed=3)
+    a_big, b_big = generate_path_matrix(m, None, 90.0, 1.0, 20000, seed=3)
     assert np.array_equal(a_big[:9000], a_small)
     assert np.array_equal(b_big[:9000], b_small)
 
@@ -89,7 +89,7 @@ def test_path_count_prefix_property(baseline):
 def test_paths_are_prefix_and_worker_invariant(baseline, n, workers, seed):
     # two days at a third of a day: full 8192-path blocks stay cheap
     m = baseline.market
-    a_ref, b_ref = mc.generate_path_matrix(m, None, 2.0, 1.0 / 3.0, 3 * mc.BLOCK, seed)
+    a_ref, b_ref = generate_path_matrix(m, None, 2.0, 1.0 / 3.0, 3 * mc.BLOCK, seed)
     a, b = streamed_paths(m, None, 2.0, 1.0 / 3.0, n, seed, n_workers=workers)
     assert np.array_equal(a, a_ref[:n]) and np.array_equal(b, b_ref[:n])
 
@@ -97,8 +97,8 @@ def test_paths_are_prefix_and_worker_invariant(baseline, n, workers, seed):
 def test_zero_intensity_jump_is_plain_gbm(baseline):
     m = baseline.market
     off = JumpParams(lam=0.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8)
-    a0, b0 = mc.generate_path_matrix(m, None, 90.0, 1.0, 300, seed=5)
-    a1, b1 = mc.generate_path_matrix(m, off, 90.0, 1.0, 300, seed=5)
+    a0, b0 = generate_path_matrix(m, None, 90.0, 1.0, 300, seed=5)
+    a1, b1 = generate_path_matrix(m, off, 90.0, 1.0, 300, seed=5)
     assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
 
 
@@ -188,7 +188,7 @@ def test_dense_jump_merge_matches_out_of_place_reference(baseline):
     m = baseline.market
     jump = JumpParams(lam=2000.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8, variance_matched=False)
     ref_a, ref_b = _reference_paths(m, jump, 30)
-    a, b = mc.generate_path_matrix(m, jump, 10.0, 1.0 / 3.0, _REFERENCE_ROWS, seed=17)
+    a, b = generate_path_matrix(m, jump, 10.0, 1.0 / 3.0, _REFERENCE_ROWS, seed=17)
     assert np.array_equal(a, ref_a)
     assert np.array_equal(b, ref_b)
 
@@ -308,20 +308,20 @@ def test_poisson_sparse_is_rng_poisson(chunk, decode_lam, lam, seed, n, cut):
 
 
 def test_path_matrix_is_column_major(baseline):
-    a, b = mc.generate_path_matrix(baseline.market, None, 30.0, 1.0, 50, seed=1)
+    a, b = generate_path_matrix(baseline.market, None, 30.0, 1.0, 50, seed=1)
     assert a.flags.f_contiguous and b.flags.f_contiguous
 
 
 def test_grid_must_divide_horizon(baseline):
     with pytest.raises(ValueError, match="does not divide"):
-        mc.generate_path_matrix(baseline.market, None, 90.0, 0.7, 10, seed=1)
+        generate_path_matrix(baseline.market, None, 90.0, 0.7, 10, seed=1)
     # a configuration error: the CLI reports it with exit status 1
     with pytest.raises(ScenarioError, match="0.333333 does not divide horizon_days = 91.25"):
-        mc.generate_path_matrix(baseline.market, None, 91.25, 1.0 / 3.0, 10, seed=1)
+        generate_path_matrix(baseline.market, None, 91.25, 1.0 / 3.0, 10, seed=1)
     # a step that is not positive divides nothing, and zero is never divided by
     for dt_days in (0.0, -1.0, math.nan):
         with pytest.raises(ScenarioError, match="does not divide horizon_days = 90"):
-            mc.generate_path_matrix(baseline.market, None, 90.0, dt_days, 10, seed=1)
+            generate_path_matrix(baseline.market, None, 90.0, dt_days, 10, seed=1)
 
 
 # the steps validate_sim accepts up to 10 days: 1/k of a day and whole days
@@ -342,7 +342,7 @@ def test_exact_grid_steps_are_the_configured_step(quarters, dt_days):
 def test_log_increment_moments(baseline):
     m = baseline.market
     n = 65536
-    a, b = mc.generate_path_matrix(m, None, 1.0, 1.0, n, seed=21)
+    a, b = generate_path_matrix(m, None, 1.0, 1.0, n, seed=21)
     la = np.log(a[:, 1])
     lb = np.log(b[:, 1])
     dt_y = 1.0 / DAYS_PER_YEAR
@@ -356,7 +356,7 @@ def test_log_increment_moments(baseline):
 
 def test_perfect_correlation_links_legs():
     m = MarketParams(sigma_a=0.8, sigma_b=1.2, rho=1.0)
-    a, b = mc.generate_path_matrix(m, None, 1.0, 1.0, 2000, seed=2)
+    a, b = generate_path_matrix(m, None, 1.0, 1.0, 2000, seed=2)
     dt_y = 1.0 / DAYS_PER_YEAR
     # one shared driver: centered log returns are proportional across legs
     ca = np.log(a[:, 1]) + 0.5 * m.sigma_a ** 2 * dt_y
@@ -370,7 +370,7 @@ def test_jump_overlay_variance_and_martingale(baseline):
     t_y = 90.0 / DAYS_PER_YEAR
 
     def terminal(jump):
-        a, b = mc.generate_path_matrix(m, jump, 90.0, 1.0, n, seed=33)
+        a, b = generate_path_matrix(m, jump, 90.0, 1.0, n, seed=33)
         return a[:, -1], b[:, -1]
 
     matched = JumpParams(lam=4.0, mu_j=-0.05, sigma_j=0.15, rho_j=0.8,
@@ -447,7 +447,7 @@ def test_breached_paths_keep_diagnostics_but_stop_rebalancing(baseline):
 
 def test_periodic_rule_counts_rebalances(baseline):
     sim = dataclasses.replace(baseline.sim, dt_days=1.0, rebalance="periodic(30)")
-    paths = mc.generate_path_matrix(baseline.market, None, 90.0, 1.0, 2000, seed=42)
+    paths = generate_path_matrix(baseline.market, None, 90.0, 1.0, 2000, seed=42)
     batch = mc.simulate_batch(paths[0], paths[1], baseline.market, baseline.rates,
                               baseline.position, sim)
     alive = ~batch.liquidated
@@ -508,7 +508,7 @@ def _assert_batch_matches_oracle(batch, rel_a, rel_b, rates, pos, sim, rows):
 def test_scalar_and_vector_kernels_agree(baseline, sim_changes):
     pos = dataclasses.replace(baseline.position, h=0.8)
     sim = dataclasses.replace(baseline.sim, **sim_changes)
-    rel_a, rel_b = mc.generate_path_matrix(baseline.market, None, pos.horizon_days,
+    rel_a, rel_b = generate_path_matrix(baseline.market, None, pos.horizon_days,
                                            sim.dt_days, 50, seed=7)
     _assert_kernel_matches_oracle(rel_a, rel_b, baseline.rates, pos, sim)
 
@@ -625,7 +625,7 @@ def test_rebalancing_pass_shares_only_the_penalty(baseline, rule):
 def test_kernel_is_layout_independent(baseline, rule):
     pos = dataclasses.replace(baseline.position, h=0.8)
     sim = dataclasses.replace(baseline.sim, rebalance=rule)
-    rel_a, rel_b = mc.generate_path_matrix(baseline.market, None, pos.horizon_days,
+    rel_a, rel_b = generate_path_matrix(baseline.market, None, pos.horizon_days,
                                            sim.dt_days, 2000, seed=7)
     results = [mc.simulate_batch(order(rel_a), order(rel_b), baseline.market, baseline.rates,
                                  pos, sim)
@@ -653,7 +653,7 @@ def test_breach_and_max_debt_are_monotone_in_h(preset, claim_days):
     sim = dataclasses.replace(scn.sim, rebalance="none")
     if claim_days is not None:
         sim = dataclasses.replace(sim, claim_interval_days=claim_days)
-    rel_a, rel_b = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
+    rel_a, rel_b = generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
                                            sim.dt_days, 256, seed=7)
     states = mc._step_loop(rel_a, rel_b, mc._pass_record(scn.rates, pos, sim), _MONOTONE_HS,
                            (1.2, pos.c_over_v0))
@@ -680,7 +680,7 @@ def test_breach_comes_no_later_as_collateral_falls(preset, claim_days):
     if claim_days is not None:
         sim = dataclasses.replace(sim, claim_interval_days=claim_days)
     cvs = tuple(sorted(set(_FALLING_CVS) | {pos.c_over_v0}, reverse=True))
-    rel_a, rel_b = mc.generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
+    rel_a, rel_b = generate_path_matrix(scn.market, scn.jump, pos.horizon_days,
                                            sim.dt_days, 256, seed=7)
     states = mc._step_loop(rel_a, rel_b, mc._pass_record(scn.rates, pos, sim), (0.3, 0.6, 1.0),
                            cvs)
@@ -739,7 +739,7 @@ def test_pnl_variance_without_interest_noise_is_the_closed_form(preset):
 @functools.lru_cache(maxsize=None)
 def _block_of(market, jump, horizon_days, dt_days):
     """256 paths at seed 7 on a scenario's grid, read-only, for the properties below."""
-    paths = mc.generate_path_matrix(market, jump, horizon_days, dt_days, 256, seed=7)
+    paths = generate_path_matrix(market, jump, horizon_days, dt_days, 256, seed=7)
     for rel in paths:
         rel.flags.writeable = False
     return paths
@@ -1061,7 +1061,7 @@ def test_max_ltv_is_the_max_debt_over_collateral(coll, debts):
 
 
 def test_batch_rejects_mismatched_grid(baseline):
-    rel_a, rel_b = mc.generate_path_matrix(baseline.market, None, 90.0, 1.0, 3, seed=1)
+    rel_a, rel_b = generate_path_matrix(baseline.market, None, 90.0, 1.0, 3, seed=1)
     with pytest.raises(ValueError, match="does not match sim.dt_days"):
         mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
                           baseline.position, baseline.sim)
@@ -1081,6 +1081,19 @@ def test_batch_rejects_what_validate_sim_rejects(baseline, changes, message):
     with pytest.raises(ScenarioError) as err:
         mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, baseline.position, sim)
     assert str(err.value) == message
+
+
+def test_run_scenario_checks_variance_matching_before_any_draw(monkeypatch):
+    # matched jumps that use up leg a's variance: the scenario is rejected by
+    # its name before a block is drawn, not met as a sqrt of a negative there
+    def boom(*args, **kw):
+        raise AssertionError("paths drawn before the scenario was checked")
+
+    scn = get_preset("jumps")
+    scn = dataclasses.replace(scn, market=dataclasses.replace(scn.market, sigma_a=0.2))
+    monkeypatch.setattr(mc, "_generate_block", boom)
+    with pytest.raises(ScenarioError, match=r"^jumps: variance matching infeasible: sigma_a"):
+        mc.run_scenario(scn)
 
 
 def test_claim_interval_below_grid_step_rejected(baseline):
