@@ -50,9 +50,10 @@ def _add_monte_carlo(p):
 def _resolve_scenario(args, preset="baseline"):
     """The scenario a run starts from, --scenario when set, else preset, with
     --override on top and, where the subcommand simulates, --paths, --tx and
-    --seed; where it does not, the closed form takes no drift and no jumps.
-    A file, never a directory, stands in for a preset of its name, and only
-    when --scenario names it."""
+    --seed. A file, never a directory, stands in for a preset of its name, and
+    only when --scenario names it. Nothing here checks the scenario: a Monte
+    Carlo run is checked at the hedge ratios it runs, before its first draw
+    (montecarlo._stream_passes), and the closed form by _at_h."""
     name = args.scenario
     if name is None or (name in experiments.PRESETS and not os.path.isfile(name)):
         scn = experiments.get_preset(preset if name is None else name)
@@ -61,8 +62,8 @@ def _resolve_scenario(args, preset="baseline"):
     else:
         raise ScenarioError("no preset or scenario file named %r; presets: %s"
                             % (name, ", ".join(sorted(experiments.PRESETS))))
-    overrides, simulates = list(args.override), "paths" in args
-    if simulates:
+    overrides = list(args.override)
+    if "paths" in args:
         if args.workers < 1:
             raise ScenarioError("--workers %d: need at least one" % args.workers)
         if args.paths is not None:
@@ -71,35 +72,34 @@ def _resolve_scenario(args, preset="baseline"):
             overrides.append("sim.include_tx_costs=%s" % args.tx)
         if args.seed is not None:
             overrides.append("sim.seed=%d" % args.seed)
-    if overrides:
-        scn = apply_overrides(scn, overrides)
+    return apply_overrides(scn, overrides) if overrides else scn
+
+
+def _at_h(args, scn, h):
+    """scn with h in place of position.h, held to validate_scenario and, where
+    the subcommand draws no paths, to the closed form's zero drift and no
+    jumps. A rejection of an h given by --h names the flag."""
+    scn = dataclasses.replace(scn, position=dataclasses.replace(scn.position, h=h))
     errs = validate_scenario(scn)
-    if not simulates:
+    if "paths" not in args:
         lam = scn.jump.lam if scn.jump is not None else 0.0
         errs += ["%s = %r: the closed form and the first-passage bound take zero drift and "
                  "no jumps; simulate models them" % (key, value) for key, value in
                  (("market.mu_a", scn.market.mu_a), ("market.mu_b", scn.market.mu_b),
                   ("jump.lambda", lam)) if value != 0.0]
     if errs:
-        raise ScenarioError("; ".join(errs))
-    return scn
-
-
-def _at_h(scn, h):
-    """scn with the --h flag in place of position.h, held to the same checks."""
-    scn = dataclasses.replace(scn, position=dataclasses.replace(scn.position, h=h))
-    errs = validate_scenario(scn)
-    if errs:
-        raise ScenarioError("--h %r: %s" % (h, "; ".join(errs)))
+        flag = "--h %r: " % h if getattr(args, "h", None) is not None else ""
+        raise ScenarioError(flag + "; ".join(errs))
     return scn
 
 
 def _emit(tables, out_dir):
+    # stdout last, so that a run whose --out cannot be written prints nothing
     text = "\n".join(experiments.render_table(t) for t in tables)
-    sys.stdout.write(text)
     if out_dir is not None:
         for t in tables:
             experiments.write_table(t, out_dir)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +107,7 @@ def _emit(tables, out_dir):
 
 def cmd_analytic(args):
     scn = _resolve_scenario(args)
+    _at_h(args, scn, 0.0)  # no line reads position.h; the header hashes scn as given
     m, r, pos = scn.market, scn.rates, scn.position
     t = pos.horizon_years
     mom = analytics.variance_components(m, t)
@@ -137,8 +138,7 @@ def cmd_analytic(args):
 
 def cmd_fpt(args):
     scn = _resolve_scenario(args)
-    if args.h is not None:
-        scn = _at_h(scn, args.h)
+    scn = _at_h(args, scn, scn.position.h if args.h is None else args.h)
     if args.alpha is not None and not 0.0 < args.alpha < 1.0:
         raise ScenarioError("--alpha %r: must lie in (0,1)" % args.alpha)
     m, pos = scn.market, scn.position
@@ -203,7 +203,7 @@ def cmd_sweep(args):
 
 def cmd_rebalance(args):
     scn = _resolve_scenario(args)
-    _at_h(scn, args.h)  # every strategy runs at --h
+    _at_h(args, scn, args.h)  # every strategy runs at --h, which a rejection names
     tables = [experiments.run_rebalancing_comparison(scn, h=args.h, n_workers=args.workers)]
     _emit(tables, args.out)
     return 0
@@ -284,8 +284,8 @@ def build_parser():
     p.set_defaults(func=cmd_rebalance)
 
     p = sub.add_parser("calibrate", help="estimate vols and correlation from price CSVs")
-    p.add_argument("prices_a", help="CSV with header date,price for token A")
-    p.add_argument("prices_b", help="CSV with header date,price for token B")
+    p.add_argument("prices_a", help="date,price CSV of token A, one row per consecutive day")
+    p.add_argument("prices_b", help="date,price CSV of token B, one row per consecutive day")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("reproduce", help="rebuild one results table or figure dataset")

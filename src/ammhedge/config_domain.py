@@ -278,12 +278,10 @@ def estimate_market_params(prices_a, prices_b) -> MarketParams:
 
 
 def read_price_csv(path):
-    """Read a `date,price` CSV (ISO-8601 dates, one row per day).
-
-    Returns (dates, prices) as parallel lists.
-    """
+    """(dates, prices) as parallel lists from a `date,price` CSV: ISO-8601
+    dates, one row per consecutive day, oldest first."""
     import csv  # imported here: of all commands only calibrate reads price files
-    from datetime import date
+    from datetime import date, timedelta
 
     dates, prices = [], []
     with open(path, newline="") as fh:
@@ -299,6 +297,9 @@ def read_price_csv(path):
                 p = float(row[1])
             except (ValueError, IndexError):
                 raise ValueError("%s:%d: cannot parse row %r" % (path, lineno, row)) from None
+            if dates and d != dates[-1] + timedelta(days=1):
+                raise ValueError("%s:%d: date %s does not follow %s by one day"
+                                 % (path, lineno, d, dates[-1]))
             dates.append(d)
             prices.append(p)
     return dates, prices

@@ -1,8 +1,9 @@
 """Config-driven reproduction of every results table and figure dataset.
 
-Each runner names the scenarios it scores, and montecarlo._stream_passes, the
-one place that draws paths and runs kernel passes, checks every one before the
-first draw (a rejection names it) and streams them, mostly through _score,
+Each runner names the scenarios it scores and the hedge ratios it runs them
+at, and montecarlo._stream_passes, the one place that draws paths and runs
+kernel passes, checks every one at those hedge ratios before the first draw
+(a rejection names it) and streams them, mostly through _score,
 which aggregates each pass per h: consecutive scenarios that ask for the same
 paths read one stream of blocks, so comparisons ride on common random numbers,
 and those with equal pass records (montecarlo._Pass) share one pass per h. Each
@@ -541,12 +542,8 @@ def find_target(name) -> Target:
     return target
 
 
-def reproduce(name, scn=None, out_dir=None, n_workers=1):
+def reproduce(name, scn=None, n_workers=1):
     """Run one target of TARGETS, by name or alias, on scn or else the target's
-    preset; returns its Tables."""
+    preset; returns its Tables, for write_table to write."""
     target = find_target(name)
-    tables = target.run(scn if scn is not None else get_preset(target.preset), n_workers)
-    if out_dir is not None:
-        for t in tables:
-            write_table(t, out_dir)
-    return tables
+    return target.run(scn if scn is not None else get_preset(target.preset), n_workers)

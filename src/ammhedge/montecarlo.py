@@ -304,16 +304,6 @@ def _generate_block(market, jump, steps, dt_days, seed, block_idx, rows=BLOCK):
     return rel_a, rel_b
 
 
-def _path_steps(horizon_days, dt_days):
-    steps = _whole_steps(horizon_days, dt_days)
-    if steps is None:
-        # a configuration error that only simulation meets: the closed form
-        # and the first-passage bound take any horizon
-        raise ScenarioError("dt_days = %g does not divide horizon_days = %g"
-                            % (dt_days, horizon_days))
-    return steps
-
-
 def _map_blocks(fn, n_blocks, n_workers):
     """fn(bi) for each bi in range(n_blocks), yielded in block order.
 
@@ -354,7 +344,7 @@ def _block_fn_at(bi):
     return _block_fn(bi)
 
 
-def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, *, task, n_workers):
+def _path_blocks(market, jump, steps, dt_days, n_paths, seed, *, task, n_workers):
     """task(lo, rel_a, rel_b) for each block of n_paths paths, in block order:
     lo is the block's first path, and rel_a and rel_b are the two
     (rows, steps+1) column-major arrays of _generate_block per block of BLOCK
@@ -364,8 +354,6 @@ def _path_blocks(market, jump, horizon_days, dt_days, n_paths, seed, *, task, n_
     (_map_blocks), and dropped when the task returns, so only the task's
     result leaves it.
     """
-    steps = _path_steps(horizon_days, dt_days)
-
     def run(bi):
         lo = bi * BLOCK
         return task(lo, *_generate_block(market, jump, steps, dt_days, seed, bi,
@@ -387,13 +375,15 @@ _Pass = namedtuple("_Pass", "steps dt_days dt_y claim_stride kind thr reb_stride
 
 
 def _pass_record(rates, pos, sim):
-    """The _Pass of a scenario on its paths' step, sim.dt_days, or for a sim
-    that validate_sim rejects, ScenarioError with validate_sim's message. A
-    threshold rule is checked on whole-day marks, a periodic one every period."""
-    errs = validate_sim(sim)
-    if errs:
-        raise ScenarioError("; ".join(errs))
+    """The _Pass of a scenario whose sim validate_sim accepts, on its paths'
+    step, sim.dt_days: the one place the step grid is worked out. A threshold
+    rule is checked on whole-day marks, a periodic one every period."""
     dt_days = sim.dt_days
+    steps = _whole_steps(pos.horizon_days, dt_days)
+    if steps is None:
+        # only simulation needs a grid: the closed form takes any horizon
+        raise ScenarioError("dt_days = %g does not divide horizon_days = %g"
+                            % (dt_days, pos.horizon_days))
     kind, par = parse_rebalance(sim.rebalance)
     # validate_sim holds every interval to whole steps of dt_days
     claim_stride = _whole_steps(sim.claim_interval_days, dt_days) or 0
@@ -402,7 +392,7 @@ def _pass_record(rates, pos, sim):
         reb_stride = _whole_steps(par, dt_days)
     elif kind == "threshold":
         reb_stride = max(1, int(round(1.0 / dt_days)))
-    return _Pass(_path_steps(pos.horizon_days, dt_days), dt_days, dt_days / DAYS_PER_YEAR,
+    return _Pass(steps, dt_days, dt_days / DAYS_PER_YEAR,
                  claim_stride, kind, par / 100.0 if kind == "threshold" else 0.0, reb_stride,
                  rates.r_a, rates.r_b, rates.reward_rate, pos.v0, pos.l_max,
                  None if kind == "none" else pos.c_over_v0)
@@ -440,6 +430,9 @@ def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
     pos.h and the one C/V0 pos.c_over_v0, then _close. A sim that
     validate_sim rejects raises ScenarioError with validate_sim's message.
     """
+    errs = validate_sim(sim)
+    if errs:
+        raise ScenarioError("; ".join(errs))
     rec = _pass_record(rates, pos, sim)
     state, = _step_loop(rel_a, rel_b, rec, (pos.h,), (pos.c_over_v0,))
     return _close(state, 0, rec, pos.h, rates, pos, sim)
@@ -615,7 +608,7 @@ def _close(state, k, rec, h, rates, pos, sim) -> BatchResult:
 
 
 def _path_inputs(scn):
-    """The _path_blocks arguments a scenario fixes; equal inputs, equal paths."""
+    """What a scenario's paths are drawn from, horizon for steps; equal inputs, equal paths."""
     sim = scn.sim
     return scn.market, scn.jump, scn.position.horizon_days, sim.dt_days, sim.n_paths, sim.seed
 
@@ -623,9 +616,10 @@ def _path_inputs(scn):
 def _stream_passes(scenarios, grid, n_workers=1):
     """simulate_batch for every scenario at every h of grid, on streamed paths:
     yields (scenario, batches) for each scenario, in order, where batches
-    gives one BatchResult per h, closed as it is read. Before any block is
-    drawn, ScenarioError names the first scenario that validate_scenario
-    rejects at h = 0 (the grid sets h) or whose grid _pass_record rejects.
+    gives one BatchResult per h, closed as it is read. A run's one check,
+    before any block is drawn: a nonempty grid of h in [0, 1], and each
+    scenario valid at the grid's least h (LTV_0 rises with h) on a grid
+    _pass_record accepts; ScenarioError names the first scenario rejected.
 
     Consecutive scenarios with equal _path_inputs form a run: each of its
     blocks is drawn once, read by all of the run's kernel passes and dropped,
@@ -639,16 +633,20 @@ def _stream_passes(scenarios, grid, n_workers=1):
     """
     if not grid:
         raise ScenarioError("the h grid must be nonempty")
+    bad = next((h for h in grid if not 0.0 <= h <= 1.0), None)  # nan too
+    if bad is not None:
+        raise ScenarioError("h = %g in the h grid: h must lie in [0,1]" % bad)
     checked = []  # (scenario, _Pass)
     for scn in scenarios:
-        errs = validate_scenario(replace(scn, position=replace(scn.position, h=0.0)))
+        errs = validate_scenario(replace(scn, position=replace(scn.position, h=min(grid))))
         try:
             checked.append((scn, None if errs else _pass_record(scn.rates, scn.position, scn.sim)))
         except ScenarioError as exc:
             errs = [str(exc)]
         if errs:
             raise ScenarioError("%s: %s" % (scn.name, "; ".join(errs)))
-    for inputs, run in groupby(checked, key=lambda sr: _path_inputs(sr[0])):
+    for (market, jump, _, dt_days, n_paths, seed), run in groupby(
+            checked, key=lambda sr: _path_inputs(sr[0])):
         groups = [(rec, [scn for scn, _ in g]) for rec, g in groupby(run, key=lambda sr: sr[1])]
         levels = [tuple(dict.fromkeys(s.position.c_over_v0 for s in g)) for _, g in groups]
 
@@ -661,7 +659,9 @@ def _stream_passes(scenarios, grid, n_workers=1):
 
         # per group and h, the loop state of each block
         states = [[[] for _ in grid] for _ in groups]
-        for per_group in _path_blocks(*inputs, task=passes, n_workers=n_workers):
+        # a run's scenarios share horizon and step, so all its records share steps
+        for per_group in _path_blocks(market, jump, groups[0][0].steps, dt_days, n_paths, seed,
+                                      task=passes, n_workers=n_workers):
             for parts, per_h in zip(states, per_group):
                 for part, state in zip(parts, per_h):
                     part.append(state)

@@ -26,11 +26,11 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _write_prices(path, prices, start="2024-01-01"):
+def _write_prices(path, prices, start="2024-01-01", days=None):
     d0 = datetime.date.fromisoformat(start)
     with open(path, "w") as fh:
         fh.write("date,price\n")
-        for i, p in enumerate(prices):
+        for i, p in zip(days or range(len(prices)), prices):
             fh.write("%s,%.10g\n" % (d0 + datetime.timedelta(days=i), p))
 
 
@@ -256,8 +256,8 @@ def test_unwritable_output_path_is_runtime_error(capsys, tmp_path, flag, where):
     # file: one error line each, exit 2, no traceback
     (tmp_path / "file").write_text("")
     path = str(tmp_path.joinpath(*where))
-    code, _, err = _run(capsys, ["simulate", "--paths", "50", flag, path])
-    assert code == 2
+    code, out, err = _run(capsys, ["simulate", "--paths", "50", flag, path])
+    assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path in err
 
@@ -545,6 +545,34 @@ def test_reproduce_names_the_scenario_it_rejects_before_any_draw(capsys, monkeyp
                    "sigma_a^2 <= lambda*(mu_j^2 + sigma_j^2)\n" % named)
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "table4", "--paths", "50"],
+    ["sweep", "--axis", "cv", "--values", "1.2,2", "--paths", "50"],
+    ["fpt", "--h", "0.5"],
+    ["rebalance", "--h", "0.5", "--paths", "50"],
+    ["analytic"],
+])
+def test_a_run_is_not_checked_at_a_hedge_ratio_it_does_not_run(capsys, argv):
+    # position.h = 0.9 would start at LTV 0.90 >= l_max, but none of these
+    # reads it: each runs its own h grid, its --h, or the closed form
+    code, out, err = _run(capsys, argv + ["--override", "position.h=0.9",
+                                          "--override", "position.c_over_v0=1"])
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "liqstats", "--override", "position.c_over_v0=1.2"],
+    ["simulate", "--override", "position.h=1", "--override", "position.c_over_v0=1.2"],
+])
+def test_a_run_whose_hedge_ratios_all_start_past_l_max_is_refused(capsys, monkeypatch, argv):
+    # liqstats runs at h = 1 alone and simulate at position.h: LTV_0 = 1 / 1.2
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
+    code, out, err = _run(capsys, argv + ["--paths", "50"])
+    assert (code, out) == (1, "")
+    assert err == "configuration error: baseline: initial LTV 0.83 ≥ l_max\n"
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_every_preset_simulates(capsys, preset):
     code, out, err = _run(capsys, ["simulate", "--scenario", preset, "--paths", "64"])
@@ -641,6 +669,22 @@ def test_calibrate_rejects_misaligned_dates(capsys, tmp_path):
     code, _, err = _run(capsys, ["calibrate", str(fa), str(fb)])
     assert code == 1
     assert "not date-aligned" in err and "row 2" in err
+
+
+@pytest.mark.parametrize("days, row", [
+    ([2 * i for i in range(40)], 3),  # every other day
+    (list(range(20)) + list(range(19, 39)), 22),  # a day twice
+    (list(range(39, -1, -1)), 3),  # newest first
+])
+def test_calibrate_refuses_dates_that_are_not_consecutive_days(capsys, tmp_path, days, row):
+    # the two files agree date for date, so only the daily rule refuses them
+    rng = np.random.default_rng(5)
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    for path in paths:
+        _write_prices(path, np.exp(0.05 * rng.standard_normal(len(days))), days=days)
+    code, out, err = _run(capsys, ["calibrate"] + paths)
+    assert (code, out) == (1, "")
+    assert err.startswith("configuration error: %s:%d: date " % (paths[0], row))
 
 
 def test_calibrate_missing_file_is_config_error(capsys, tmp_path):

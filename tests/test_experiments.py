@@ -620,7 +620,9 @@ def test_render_table_and_twin_files(tiny, tmp_path):
 
 
 def test_reproduce_dispatch(tiny, tmp_path):
-    tables = exp.reproduce("liqstats", scn=tiny, out_dir=str(tmp_path))
+    tables = exp.reproduce("liqstats", scn=tiny)
+    for t in tables:
+        exp.write_table(t, str(tmp_path))
     assert [t.name for t in tables] == ["liquidation_stats"]
     assert (tmp_path / "liquidation_stats.csv").exists()
     assert (tmp_path / "liquidation_stats_full.csv").exists()

@@ -1096,6 +1096,34 @@ def test_run_scenario_checks_variance_matching_before_any_draw(monkeypatch):
         mc.run_scenario(scn)
 
 
+class _Drawn(Exception):
+    """A block was asked for: the run passed its check."""
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=st.lists(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.5, 1.0, math.nan])),
+                     max_size=4),
+       cvs=st.lists(st.one_of(st.floats(0.5, 4.0), st.just(1.0)), min_size=1, max_size=3),
+       l_max=st.one_of(st.floats(0.05, 0.95), st.just(0.5)))
+def test_a_run_is_refused_exactly_when_none_of_its_hedge_ratios_can_start(baseline, grid, cvs,
+                                                                         l_max):
+    # the rule, stated apart from the code: a nonempty grid of h in [0, 1]
+    # whose least h starts below l_max at every C/V0; grid points above the
+    # cap still run
+    def drawn(*args, **kw):
+        raise _Drawn
+
+    scenarios = [dataclasses.replace(baseline, position=dataclasses.replace(
+        baseline.position, c_over_v0=cv, l_max=l_max)) for cv in cvs]
+    bad = [h for h in grid if not 0.0 <= h <= 1.0]
+    refused = not grid or bad or any(min(grid) / cv >= l_max for cv in cvs)
+    with mock.patch.object(mc, "_generate_block", drawn):
+        with pytest.raises(ScenarioError if refused else _Drawn) as err:
+            list(mc._stream_passes(scenarios, tuple(grid)))
+    if grid and bad:
+        assert str(err.value) == "h = %g in the h grid: h must lie in [0,1]" % bad[0]
+
+
 def test_claim_interval_below_grid_step_rejected(baseline):
     sim = dataclasses.replace(baseline.sim, claim_interval_days=0.1)
     rel_a, rel_b = _flat_paths(baseline)
