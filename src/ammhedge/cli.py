@@ -40,17 +40,12 @@ def _add_monte_carlo(p):
     p.add_argument("--paths", type=int, default=None, help="number of Monte Carlo paths")
     p.add_argument("--workers", type=int, default=1,
                    help="processes that each draw whole path blocks and run the kernel on them")
-    tx = p.add_mutually_exclusive_group()
-    tx.add_argument("--tx", dest="tx", action="store_true", default=None,
-                    help="include transaction costs in the headline ROE")
-    tx.add_argument("--no-tx", dest="tx", action="store_false",
-                    help="report cost-free headline ROE (default)")
 
 
 def _resolve_scenario(args, preset="baseline"):
     """The scenario a run starts from, --scenario when set, else preset, with
-    --override on top and, where the subcommand simulates, --paths, --tx and
-    --seed. A file, never a directory, stands in for a preset of its name, and
+    --override on top and, where the subcommand simulates, --paths and --seed.
+    A file, never a directory, stands in for a preset of its name, and
     only when --scenario names it. Nothing here checks the scenario: a Monte
     Carlo run is checked at the hedge ratios it runs, before its first draw
     (montecarlo._stream_passes), and the closed form by _at_h."""
@@ -68,8 +63,6 @@ def _resolve_scenario(args, preset="baseline"):
             raise ScenarioError("--workers %d: need at least one" % args.workers)
         if args.paths is not None:
             overrides.append("sim.n_paths=%d" % args.paths)
-        if args.tx is not None:
-            overrides.append("sim.include_tx_costs=%s" % args.tx)
         if args.seed is not None:
             overrides.append("sim.seed=%d" % args.seed)
     return apply_overrides(scn, overrides) if overrides else scn
@@ -78,18 +71,24 @@ def _resolve_scenario(args, preset="baseline"):
 def _at_h(args, scn, h):
     """scn with h in place of position.h, held to validate_scenario and, where
     the subcommand draws no paths, to the closed form's zero drift and no
-    jumps. A rejection of an h given by --h names the flag."""
+    jumps. A rejection names --h, when given, before the errors that h causes:
+    those the scenario does not show at h = 0 (the h range, the initial LTV)."""
+    at_0 = dataclasses.replace(scn, position=dataclasses.replace(scn.position, h=0.0))
     scn = dataclasses.replace(scn, position=dataclasses.replace(scn.position, h=h))
     errs = validate_scenario(scn)
+    flag = getattr(args, "h", None) is not None
+    own = [e for e in errs if e not in validate_scenario(at_0)] if flag else []
+    errs = [e for e in errs if e not in own]
     if "paths" not in args:
         lam = scn.jump.lam if scn.jump is not None else 0.0
         errs += ["%s = %r: the closed form and the first-passage bound take zero drift and "
                  "no jumps; simulate models them" % (key, value) for key, value in
                  (("market.mu_a", scn.market.mu_a), ("market.mu_b", scn.market.mu_b),
                   ("jump.lambda", lam)) if value != 0.0]
+    if own:
+        errs.append("--h %r: %s" % (h, "; ".join(own)))
     if errs:
-        flag = "--h %r: " % h if getattr(args, "h", None) is not None else ""
-        raise ScenarioError(flag + "; ".join(errs))
+        raise ScenarioError("; ".join(errs))
     return scn
 
 

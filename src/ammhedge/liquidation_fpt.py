@@ -30,8 +30,6 @@ class FptInputs:
     ltv0: float
     barrier_log: float
     sigma_tilde: float
-    nu: float
-    t_years: float
 
 
 def sigma_tilde(market: MarketParams, t_years) -> float:
@@ -51,8 +49,7 @@ def fpt_inputs(h, market: MarketParams, pos: PositionParams) -> FptInputs:
     ltv0 = h / pos.c_over_v0
     st = sigma_tilde(market, pos.horizon_years)
     barrier = math.log(pos.l_max / ltv0) if ltv0 > 0 else math.inf
-    return FptInputs(ltv0=ltv0, barrier_log=barrier, sigma_tilde=st,
-                     nu=-0.5 * st * st, t_years=pos.horizon_years)
+    return FptInputs(ltv0=ltv0, barrier_log=barrier, sigma_tilde=st)
 
 
 @functools.lru_cache(maxsize=_CALIBRATION_CACHE)

@@ -29,13 +29,13 @@ import math
 import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from itertools import groupby
+from itertools import groupby, repeat
 
 import numpy as np
 
-from .config_domain import (DAYS_PER_YEAR, MarketParams, PositionParams, RateParams,
-                            ScenarioError, SimConfig, _matched_variance, _whole_steps,
-                            parse_rebalance, validate_scenario, validate_sim)
+from .config_domain import (DAYS_PER_YEAR, PositionParams, RateParams, ScenarioError,
+                            SimConfig, _matched_variance, _whole_steps, parse_rebalance,
+                            validate_scenario, validate_sim)
 
 BLOCK = 8192
 # state elements (hedge ratios x rows) of one _step_loop call: about what keeps
@@ -416,8 +416,8 @@ def _breach_level(coll, l_max):
     return d
 
 
-def simulate_batch(rel_a, rel_b, market: MarketParams, rates: RateParams,
-                   pos: PositionParams, sim: SimConfig) -> BatchResult:
+def simulate_batch(rel_a, rel_b, rates: RateParams, pos: PositionParams,
+                   sim: SimConfig) -> BatchResult:
     """Run the accounting loop over a matrix of paths.
 
     LTV is checked on every grid step. Reward claims and periodic rebalances
@@ -671,13 +671,11 @@ def _stream_passes(scenarios, grid, n_workers=1):
                 # without a rule every block's n_reb is the same (1,) zero
                 parts[i] = joined if rec.reb_stride else joined._replace(n_reb=blocks[0].n_reb)
             for scn in group:
-                yield scn, _closes(parts, grid, cvs.index(scn.position.c_over_v0), rec, scn)
-
-
-def _closes(states, grid, k, rec, scn):
-    """scn's BatchResult at each h of grid, closed from rec's loop states as read."""
-    return (_close(state, k, rec, h, scn.rates, scn.position, scn.sim)
-            for h, state in zip(grid, states))
+                # closed as read; map binds its arguments now, where a generator
+                # expression would read scn and rec after the loop moved on
+                k = cvs.index(scn.position.c_over_v0)
+                yield scn, map(_close, parts, repeat(k), repeat(rec), grid,
+                               repeat(scn.rates), repeat(scn.position), repeat(scn.sim))
 
 
 # ---------------------------------------------------------------------------

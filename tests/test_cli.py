@@ -82,6 +82,23 @@ def test_fpt_h_is_held_to_initial_ltv_feasibility(capsys):
     assert "--h 0.9" in err and "initial LTV 0.90" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["fpt", "--h", "1.5"], "--h 1.5: h must lie in [0,1]"),
+    (["fpt", "--h", "nan"], "--h nan: h must lie in [0,1]; position.h must be a finite number"),
+    (["rebalance", "--paths", "50", "--override", "position.c_over_v0=0.7"],
+     "--h 0.6: initial LTV 0.86 ≥ l_max"),
+    # rho is as wrong at h = 0, so the flag does not name it
+    (["fpt", "--h", "0.6", "--override", "market.rho=1.5"], "rho must lie strictly inside (-1,1)"),
+    (["rebalance", "--paths", "50", "--override", "market.rho=1.5"],
+     "rho must lie strictly inside (-1,1)"),
+    (["fpt", "--h", "0.9", "--override", "market.rho=1.5", "--override", "position.c_over_v0=1"],
+     "rho must lie strictly inside (-1,1); --h 0.9: initial LTV 0.90 ≥ l_max"),
+])
+def test_h_flag_names_only_the_errors_it_causes(capsys, monkeypatch, argv, err):
+    monkeypatch.setattr(mc, "_generate_block", _no_draws)
+    assert _run(capsys, argv) == (1, "", "configuration error: %s\n" % err)
+
+
 @pytest.mark.parametrize("alpha", ["1.5", "1", "0", "-0.1", "nan"])
 def test_fpt_rejects_an_alpha_outside_the_unit_interval(capsys, alpha):
     code, out, err = _run(capsys, ["fpt", "--h", "0.6", "--alpha", alpha])
@@ -202,9 +219,20 @@ def test_override_flag_equals_scenario_file(capsys, tmp_path):
 
 
 def test_tx_flag_switches_headline_basis(capsys):
-    _, out_raw, _ = _run(capsys, ["simulate", "--paths", "50", "--no-tx"])
-    _, out_tx, _ = _run(capsys, ["simulate", "--paths", "50", "--tx"])
+    _, out_raw, _ = _run(capsys, ["simulate", "--paths", "50",
+                                  "--override", "sim.include_tx_costs=false"])
+    _, out_tx, _ = _run(capsys, ["simulate", "--paths", "50",
+                                 "--override", "sim.include_tx_costs=true"])
     assert out_raw != out_tx
+
+
+@pytest.mark.parametrize("flag", ["--tx", "--no-tx"])
+def test_the_tx_basis_has_one_spelling(capsys, flag):
+    # sim.include_tx_costs is set by --override alone
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--paths", "50", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
 
 def test_unknown_scenario_is_config_error(capsys):

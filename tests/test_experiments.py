@@ -278,7 +278,7 @@ def test_streamed_score_equals_whole_matrix_passes(baseline):
         rel_a, rel_b = generate_path_matrix(*mc._path_inputs(scn))
         for h in grid:
             pos = dataclasses.replace(scn.position, h=h)
-            batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, pos, scn.sim)
+            batch = mc.simulate_batch(rel_a, rel_b, scn.rates, pos, scn.sim)
             assert stats[h] == mc.aggregate(batch, pos.horizon_days, r_f=scn.rates.r_f)
     assert scored[0][0.95].p_liq > 0 and scored[2][0.95].avg_rebalances > 0
 
@@ -499,7 +499,7 @@ def _naive(scn, grid):
     out = {}
     for h in grid:
         at_h = dataclasses.replace(pos, h=h)
-        batch = mc.simulate_batch(rel_a, rel_b, scn.market, scn.rates, at_h, sim)
+        batch = mc.simulate_batch(rel_a, rel_b, scn.rates, at_h, sim)
         out[h] = mc.aggregate(batch, at_h.horizon_days, r_f=scn.rates.r_f)
     return out
 

@@ -54,8 +54,6 @@ def test_fpt_inputs_fields(baseline):
     fi = fpt.fpt_inputs(0.5, baseline.market, pos)
     assert fi.ltv0 == 0.5 / pos.c_over_v0
     assert fi.barrier_log == pytest.approx(math.log(3.2), abs=1e-12)
-    assert fi.nu == -0.5 * fi.sigma_tilde * fi.sigma_tilde
-    assert fi.t_years == pos.horizon_years
 
 
 def test_fpt_inputs_round_barriers(baseline):
@@ -193,7 +191,7 @@ def _old_probability(h, market, pos):
     fi = fpt.fpt_inputs(h, market, pos)
     if fi.ltv0 >= pos.l_max:
         return 1.0
-    s2t = fi.sigma_tilde * fi.sigma_tilde * fi.t_years
+    s2t = fi.sigma_tilde * fi.sigma_tilde * pos.horizon_years
     sd = math.sqrt(s2t)
     b = fi.barrier_log
     return (_norm_cdf((-b - 0.5 * s2t) / sd)

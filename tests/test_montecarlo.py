@@ -398,7 +398,7 @@ def test_jump_overlay_variance_and_martingale(baseline):
 
 def test_flat_path_accounting_oracle(baseline):
     rel_a, rel_b = _flat_paths(baseline)
-    batch = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
+    batch = mc.simulate_batch(rel_a, rel_b, baseline.rates,
                               baseline.position, baseline.sim)
     assert batch.roe_raw[0] == pytest.approx(FLAT_PATH_ROE, abs=1e-10)
     assert batch.roe[0] == batch.roe_raw[0]  # costs off by default
@@ -420,7 +420,7 @@ def test_immediate_crash_pays_flat_penalty(baseline):
     rel_a, rel_b = _flat_paths(baseline)
     rel_a[:, 1:] = 2.0
     rel_b[:, 1:] = 2.0
-    batch = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
+    batch = mc.simulate_batch(rel_a, rel_b, baseline.rates,
                               pos, baseline.sim)
     assert batch.liquidated[0]
     assert batch.liq_time_days[0] == pytest.approx(baseline.sim.dt_days, abs=1e-12)
@@ -438,7 +438,7 @@ def test_breached_paths_keep_diagnostics_but_stop_rebalancing(baseline):
     rel_b[0, 1:] = 2.0
     rel_a[0, 2:] = 3.0  # keeps climbing after the breach
     rel_b[0, 2:] = 3.0
-    batch = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim)
+    batch = mc.simulate_batch(rel_a, rel_b, baseline.rates, pos, sim)
     assert batch.liquidated[0] and not batch.liquidated[1]
     assert batch.max_ltv[0] > 1.4  # post-breach excursion still tracked
     assert batch.n_rebalances[0] == 0  # no trades after liquidation
@@ -448,7 +448,7 @@ def test_breached_paths_keep_diagnostics_but_stop_rebalancing(baseline):
 def test_periodic_rule_counts_rebalances(baseline):
     sim = dataclasses.replace(baseline.sim, dt_days=1.0, rebalance="periodic(30)")
     paths = generate_path_matrix(baseline.market, None, 90.0, 1.0, 2000, seed=42)
-    batch = mc.simulate_batch(paths[0], paths[1], baseline.market, baseline.rates,
+    batch = mc.simulate_batch(paths[0], paths[1], baseline.rates,
                               baseline.position, sim)
     alive = ~batch.liquidated
     assert alive.any()
@@ -474,14 +474,14 @@ def test_event_counts_are_whole_intervals(baseline, dt_days, days, claim_days, p
         sim = dataclasses.replace(baseline.sim, dt_days=dt_days, claim_interval_days=float(claim),
                                   rebalance=rule)
         assert validate_sim(sim) == []
-        batch = mc.simulate_batch(rel[0], rel[1], baseline.market, baseline.rates, pos, sim)
+        batch = mc.simulate_batch(rel[0], rel[1], baseline.rates, pos, sim)
         assert not batch.liquidated.any()
         assert np.all(batch.n_claims == horizon // claim)
         assert np.all(batch.n_rebalances == (horizon // period if rule != "none" else 0))
 
 
 def _assert_kernel_matches_oracle(rel_a, rel_b, rates, pos, sim):
-    batch = mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim)
+    batch = mc.simulate_batch(rel_a, rel_b, rates, pos, sim)
     _assert_batch_matches_oracle(batch, rel_a, rel_b, rates, pos, sim, rel_a.shape[0])
 
 
@@ -557,7 +557,7 @@ def test_breach_step_type_holds_never_past_the_last_step(baseline, steps, dtype,
     state, = mc._step_loop(rel_a, rel_b, mc._pass_record(baseline.rates, pos, sim), (pos.h,),
                            (pos.c_over_v0,))
     assert state.step.dtype == dtype
-    batch = mc.simulate_batch(rel_a, rel_b, None, baseline.rates, pos, sim)
+    batch = mc.simulate_batch(rel_a, rel_b, baseline.rates, pos, sim)
     assert batch.liquidated[0] == breach
     assert batch.n_claims[0] == steps
     _assert_kernel_matches_oracle(rel_a, rel_b, baseline.rates, pos, sim)
@@ -574,11 +574,11 @@ def _loop_and_close(rel_a, rel_b, rates, pos, sim, hs, variants):
             for h, state in zip(hs, mc._step_loop(rel_a, rel_b, rec, hs, cvs))]
 
 
-def _assert_variants_match_single_passes(rel_a, rel_b, market, rates, pos, sim, variants):
+def _assert_variants_match_single_passes(rel_a, rel_b, rates, pos, sim, variants):
     shared, = _loop_and_close(rel_a, rel_b, rates, pos, sim, (pos.h,), variants)
     assert len(shared) == len(variants)
     for (cv, pen), row in zip(variants, shared):
-        alone = mc.simulate_batch(rel_a, rel_b, market, rates,
+        alone = mc.simulate_batch(rel_a, rel_b, rates,
                                   dataclasses.replace(pos, c_over_v0=cv),
                                   dataclasses.replace(sim, liq_penalty_frac=pen))
         got, want = dataclasses.asdict(row), dataclasses.asdict(alone)
@@ -602,8 +602,7 @@ def test_shared_pass_matches_single_passes(baseline, h, seed, variants, claim_da
                               gas_cost=gas, include_tx_costs=tx)
     rel_a, rel_b = _volatile_paths(seed, 32, 48, 0.5)
     rates = RateParams(r_a=0.05, r_b=0.20, reward_rate=0.6, r_f=0.04)
-    _assert_variants_match_single_passes(rel_a, rel_b, baseline.market, rates, pos, sim,
-                                         variants)
+    _assert_variants_match_single_passes(rel_a, rel_b, rates, pos, sim, variants)
 
 
 @pytest.mark.parametrize("rule", ["threshold(15)", "periodic(14)"])
@@ -612,7 +611,7 @@ def test_rebalancing_pass_shares_only_the_penalty(baseline, rule):
     sim = dataclasses.replace(baseline.sim, rebalance=rule)
     rel_a, rel_b = _volatile_paths(3, 200, 270, sim.dt_days)
     shared = _assert_variants_match_single_passes(
-        rel_a, rel_b, baseline.market, baseline.rates, pos, sim, [(1.8, 0.1), (1.8, 0.3)])
+        rel_a, rel_b, baseline.rates, pos, sim, [(1.8, 0.1), (1.8, 0.3)])
     assert any(row.liquidated.any() for row in shared)
     assert any(row.n_rebalances.any() for row in shared)
     # C/V0 gates the trigger: a rebalancing pass cannot share it
@@ -627,7 +626,7 @@ def test_kernel_is_layout_independent(baseline, rule):
     sim = dataclasses.replace(baseline.sim, rebalance=rule)
     rel_a, rel_b = generate_path_matrix(baseline.market, None, pos.horizon_days,
                                            sim.dt_days, 2000, seed=7)
-    results = [mc.simulate_batch(order(rel_a), order(rel_b), baseline.market, baseline.rates,
+    results = [mc.simulate_batch(order(rel_a), order(rel_b), baseline.rates,
                                  pos, sim)
                for order in (np.ascontiguousarray, np.asfortranarray)]
     c_res, f_res = (dataclasses.asdict(r) for r in results)
@@ -840,10 +839,9 @@ def test_swapping_the_legs_leaves_each_roe(preset, h, rule, claim_days):
     pos = dataclasses.replace(scn.position, h=h)
     sim = dataclasses.replace(scn.sim, rebalance=rule, claim_interval_days=claim_days)
     rel_a, rel_b = (rel[:64] for rel in _block_of(*mc._path_inputs(scn)[:4]))
-    m, r = scn.market, scn.rates
-    batch = mc.simulate_batch(rel_a, rel_b, m, r, pos, sim)
+    r = scn.rates
+    batch = mc.simulate_batch(rel_a, rel_b, r, pos, sim)
     swapped = mc.simulate_batch(rel_b, rel_a,
-                                dataclasses.replace(m, sigma_a=m.sigma_b, sigma_b=m.sigma_a),
                                 dataclasses.replace(r, r_a=r.r_b, r_b=r.r_a), pos, sim)
     if claim_days == 0:
         _assert_fields_equal(swapped, batch)
@@ -894,7 +892,7 @@ def test_kernel_fields_match_frozen_digest(rule):
                     batch = {f.name: np.stack([getattr(row, f.name) for row in rows])
                              for f in dataclasses.fields(mc.BatchResult)}
                 else:
-                    batch = vars(mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim))
+                    batch = vars(mc.simulate_batch(rel_a, rel_b, rates, pos, sim))
                 liquidated += int(np.sum(batch["liquidated"]))
                 for name, value in batch.items():
                     v = np.asarray(value)
@@ -949,7 +947,7 @@ def test_streamed_blocks_equal_one_whole_pass(chunks, rule, h, claim_days, tx):
     for (scn, batches), row in zip(streamed, shared):
         got, = batches
         _assert_fields_equal(got, row)
-        _assert_fields_equal(got, mc.simulate_batch(rel_a, rel_b, None, rates, scn.position,
+        _assert_fields_equal(got, mc.simulate_batch(rel_a, rel_b, rates, scn.position,
                                                     scn.sim))
 
 
@@ -1001,7 +999,7 @@ def test_streamed_pass_keeps_what_aggregate_reads(baseline):
             (_, batches), = mc._stream_passes(
                 [dataclasses.replace(baseline, position=pos, sim=sim)], (pos.h,))
         got, = batches
-        want = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, pos, sim)
+        want = mc.simulate_batch(rel_a, rel_b, baseline.rates, pos, sim)
         assert got.roe is (got.roe_tx if tx else got.roe_raw)
         _assert_fields_equal(got, want)
         assert mc.aggregate(got, 30.0) == mc.aggregate(want, 30.0)
@@ -1046,7 +1044,7 @@ def test_kernel_breaches_at_the_exact_level(cv, l_max):
     rel[:, 1] = 2.0 * debts
     pos = PositionParams(v0=1.0, c_over_v0=cv, h=0.5, l_max=l_max, horizon_days=1.0)
     sim = SimConfig(n_paths=3, dt_days=1.0, claim_interval_days=0.0)
-    batch = mc.simulate_batch(rel, rel, None, RateParams(0.0, 0.0, 0.0, 0.0), pos, sim)
+    batch = mc.simulate_batch(rel, rel, RateParams(0.0, 0.0, 0.0, 0.0), pos, sim)
     assert np.array_equal(batch.liquidated, debts / cv >= l_max)
     assert list(batch.liquidated[:2]) == [True, False]
     assert np.array_equal(batch.max_ltv, debts / cv)
@@ -1063,7 +1061,7 @@ def test_max_ltv_is_the_max_debt_over_collateral(coll, debts):
 def test_batch_rejects_mismatched_grid(baseline):
     rel_a, rel_b = generate_path_matrix(baseline.market, None, 90.0, 1.0, 3, seed=1)
     with pytest.raises(ValueError, match="does not match sim.dt_days"):
-        mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
+        mc.simulate_batch(rel_a, rel_b, baseline.rates,
                           baseline.position, baseline.sim)
 
 
@@ -1079,7 +1077,7 @@ def test_batch_rejects_what_validate_sim_rejects(baseline, changes, message):
     assert validate_sim(sim) == [message]
     rel_a, rel_b = _flat_paths(dataclasses.replace(baseline, sim=sim))
     with pytest.raises(ScenarioError) as err:
-        mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates, baseline.position, sim)
+        mc.simulate_batch(rel_a, rel_b, baseline.rates, baseline.position, sim)
     assert str(err.value) == message
 
 
@@ -1128,7 +1126,7 @@ def test_claim_interval_below_grid_step_rejected(baseline):
     sim = dataclasses.replace(baseline.sim, claim_interval_days=0.1)
     rel_a, rel_b = _flat_paths(baseline)
     with pytest.raises(ValueError, match="claim_interval_days"):
-        mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
+        mc.simulate_batch(rel_a, rel_b, baseline.rates,
                           baseline.position, sim)
 
 
@@ -1140,7 +1138,7 @@ def test_rebalance_rule_state_transitions(baseline):
     rates = RateParams(r_a=0.0, r_b=0.0, reward_rate=0.0, r_f=0.0)
     rel_a = np.array([[1.0, 1.4, 1.4], [1.0, 2.25, 2.25]])
     rel_b = np.ones((2, 3))
-    batch = mc.simulate_batch(rel_a, rel_b, None, rates, pos, sim)
+    batch = mc.simulate_batch(rel_a, rel_b, rates, pos, sim)
     # A at 1.4 leaves both legs' hedge ratios (0.71, 0.51) inside 0.60 +- 0.15
     assert batch.n_rebalances[0] == 0
     assert batch.roe_raw[0] == pytest.approx((1.4 ** 0.5 + 2.0 - 0.72 - 2.4) / 2.4, abs=1e-15)
@@ -1198,14 +1196,14 @@ def test_aggregate_cost_basis_needs_equity_base():
 def test_aggregate_degenerate_samples(baseline):
     # a single path or a zero-variance sample reports NaN dispersion stats
     rel_a, rel_b = _flat_paths(baseline)
-    batch = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
+    batch = mc.simulate_batch(rel_a, rel_b, baseline.rates,
                               baseline.position, baseline.sim)
     agg1 = mc.aggregate(batch, 90.0)
     assert math.isnan(agg1.std_pp) and math.isnan(agg1.sr_raw)
     assert agg1.e_roe_pp == pytest.approx(FLAT_PATH_ROE * 100.0, abs=1e-8)
 
     rel_a2, rel_b2 = _flat_paths(baseline, n=2)
-    batch2 = mc.simulate_batch(rel_a2, rel_b2, baseline.market, baseline.rates,
+    batch2 = mc.simulate_batch(rel_a2, rel_b2, baseline.rates,
                                baseline.position, baseline.sim)
     agg2 = mc.aggregate(batch2, 90.0)
     assert agg2.std_pp == 0.0 and math.isnan(agg2.sr_raw)
@@ -1216,7 +1214,7 @@ def test_write_path_dump_roundtrip(tmp_path, baseline):
     rel_a, rel_b = _flat_paths(baseline, n=2)
     rel_a[1, 1:] = 2.0
     rel_b[1, 1:] = 2.0
-    batch = mc.simulate_batch(rel_a, rel_b, baseline.market, baseline.rates,
+    batch = mc.simulate_batch(rel_a, rel_b, baseline.rates,
                               pos, baseline.sim)
     out = tmp_path / "paths.csv"
     mc.write_path_dump(batch, out)
