@@ -264,8 +264,8 @@ def estimate_market_params(prices_a, prices_b) -> MarketParams:
         raise ValueError("price series must be aligned: equal length, one observation per day")
     if pa.size < 30:
         raise ValueError("need at least 30 aligned daily observations, got %d" % pa.size)
-    if np.any(pa <= 0) or np.any(pb <= 0):
-        raise ValueError("prices must be strictly positive")
+    if not (np.all(np.isfinite(pa) & (pa > 0)) and np.all(np.isfinite(pb) & (pb > 0))):
+        raise ValueError("prices must be finite and strictly positive")
     ra = np.diff(np.log(pa))
     rb = np.diff(np.log(pb))
     sig_a = float(np.std(ra, ddof=1)) * math.sqrt(DAYS_PER_YEAR)

@@ -280,51 +280,6 @@ def _apr_remark(value, sr, calibrated):
     return ""
 
 
-def run_sensitivity_apr(scn, values=(0.10, 0.20, 0.30, 0.40, 0.54, 0.70, 1.00),
-                        grid=FINE_GRID, n_workers=1) -> Table:
-    t = run_sensitivity(scn, "rates.reward_rate", tuple(values), grid, n_workers)
-    rows = [[r[0] * 100.0, r[1], r[2], _apr_remark(r[0], r[2], scn.rates.reward_rate)]
-            for r in t.rows]
-    return Table(name="sensitivity_apr",
-                 columns=["R/V_0", "h**", "SR", "Remark"],
-                 rows=rows, provenance=t.provenance,
-                 formats=["%.0f", "%.0f", "%.2f", None], extra=t.extra)
-
-
-def run_sensitivity_vol(scn, scales=(0.8, 1.0, 1.2), grid=FINE_GRID, n_workers=1) -> Table:
-    t = run_sensitivity(scn, "market.vol_scale", tuple(scales), grid, n_workers)
-    labels = {0.8: "-20%", 1.0: "Baseline", 1.2: "+20%"}
-    rows = []
-    for r in t.rows:
-        scale = r[0]
-        rows.append([labels.get(scale, "%+.0f%%" % ((scale - 1.0) * 100.0)),
-                     scn.market.sigma_a * scale * 100.0, scn.market.sigma_b * scale * 100.0,
-                     r[1], r[2], r[4]])
-    return Table(name="sensitivity_vol",
-                 columns=["sigma scaling", "sigma_A", "sigma_B", "h**", "SR", "P(liq)"],
-                 rows=rows, provenance=t.provenance,
-                 formats=[None, "%.0f", "%.0f", "%.0f", "%.2f", "%.1f"], extra=t.extra)
-
-
-def run_sensitivity_penalty(scn, values=(0.10, 0.20, 0.30), grid=FINE_GRID, n_workers=1) -> Table:
-    t = run_sensitivity(scn, "sim.liq_penalty_frac", tuple(values), grid, n_workers)
-    rows = [[r[0] * 100.0, r[1], r[2], r[4]] for r in t.rows]
-    return Table(name="sensitivity_penalty",
-                 columns=["Penalty", "h**", "SR", "P(liq) at h**"],
-                 rows=rows, provenance=t.provenance,
-                 formats=["%.0f", "%.0f", "%.2f", "%.1f"], extra=t.extra)
-
-
-def run_sensitivity_cv(scn, values=(1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0),
-                       grid=FINE_GRID, n_workers=1) -> Table:
-    t = run_sensitivity(scn, "position.c_over_v0", tuple(values), grid, n_workers)
-    rows = [[r[0], r[1], r[2], r[4], r[5], r[6]] for r in t.rows]
-    return Table(name="cv_sensitivity",
-                 columns=["C/V_0", "h**", "SR", "P(liq)", "E[ROE]", "Init LTV"],
-                 rows=rows, provenance=t.provenance,
-                 formats=["%.1f", "%.0f", "%.2f", "%.1f", "%+.2f", "%.1f"], extra=t.extra)
-
-
 def run_robustness_pairs(base, grid=FINE_GRID, n_workers=1) -> Table:
     """Optimal hedge ratio across the shipped token-pair presets.
 
@@ -428,27 +383,6 @@ def _sharpe_series(axis, values):
     return build
 
 
-# figure name -> (default h grid, columns, build(scn, grid, n_workers) -> (rows, extra))
-FIGURES = {
-    "fig1": (TABLE4_GRID, ["h", "sr_tx", "p_liq"], _by_h("sr_tx", "p_liq")),
-    "fig2": (TABLE4_GRID, ["h", "e_roe", "std"], _by_h("e_roe_pp", "std_pp")),
-    "fig3": (FINE_GRID, ["h"] + ["sr(rho=%.2f)" % r for r in FIG3_RHOS],
-             _sharpe_series("market.rho", FIG3_RHOS)),
-    "fig4": (FINE_GRID, ["h"] + ["sr(r_b=%.2f)" % r for r in FIG4_RBS],
-             _sharpe_series("rates.r_b", FIG4_RBS)),
-}
-
-
-def emit_figure_data(which, scn, n_workers=1, grid=None) -> Table:
-    """Plot-data table of one figure in FIGURES; CSV of (x, series...) tuples."""
-    if which not in FIGURES:
-        raise ScenarioError("unknown figure %r; expected one of %s" % (which, ", ".join(FIGURES)))
-    default_grid, columns, build = FIGURES[which]
-    rows, extra = build(scn, tuple(grid) if grid is not None else default_grid, n_workers)
-    return Table(name=which, columns=columns, rows=rows,
-                 provenance=_provenance(scn), formats=None, extra=extra)
-
-
 # ---------------------------------------------------------------------------
 # output
 
@@ -496,7 +430,8 @@ def write_table(table, out_dir) -> list:
 
 class Target(NamedTuple):
     """run(base, n_workers) -> Tables, base being the caller's scenario or the target's
-    preset; a sweep shortcut also names the scenario key it varies."""
+    preset; a sweep target also names the scenario key it varies, and its one
+    alias is the name of its table."""
 
     aliases: tuple
     run: Callable
@@ -508,7 +443,28 @@ def _one(runner):
     return lambda base, n_workers: [runner(base, n_workers=n_workers)]
 
 
-# the single list of target names, aliases and sweep shortcuts
+def _sweep(name, axis, values, columns, formats, row):
+    """The target that sweeps axis over values with run_sensitivity: its table,
+    named name, has one row(base, value, h_opt, stats at h_opt) per value."""
+    def run(base, n_workers):
+        t = run_sensitivity(base, axis, values, n_workers=n_workers)
+        rows = [row(base, value, h_opt, stats[h_opt])
+                for value, (h_opt, stats) in t.extra["per_value"].items()]
+        return [Table(name, columns, rows, t.provenance, formats, t.extra)]
+    return Target((name,), run, axis)
+
+
+def _figure(name, grid, columns, build):
+    """The target of one figure's plot data, a table named name of (x, series...)
+    rows: build(base, grid, n_workers) -> (rows, extra)."""
+    def run(base, n_workers):
+        rows, extra = build(base, grid, n_workers)
+        return [Table(name, columns, rows, _provenance(base), None, extra)]
+    return Target((), run)
+
+
+# the single list of target names and aliases: each target states its runner
+# once, and a sweep its axis, its values and its columns
 TARGETS = {
     "table4": Target(("hedge_grid",), _one(run_hedge_grid)),
     # the table5 preset's 50k paths, as in the paper
@@ -517,14 +473,32 @@ TARGETS = {
     "table8": Target(("rebalancing",), _one(run_rebalancing_comparison)),
     "jumps": Target(("jump_stress", "jump_comparison"), lambda base, n_workers: list(
         run_jump_stress(base, n_workers=n_workers).values())),
-    "apr": Target(("sensitivity_apr",), _one(run_sensitivity_apr), "rates.reward_rate"),
-    "vol": Target(("sensitivity_vol",), _one(run_sensitivity_vol), "market.vol_scale"),
-    "penalty": Target(("sensitivity_penalty",), _one(run_sensitivity_penalty),
-                      "sim.liq_penalty_frac"),
-    "cv": Target(("cv_sensitivity",), _one(run_sensitivity_cv), "position.c_over_v0"),
+    "apr": _sweep("sensitivity_apr", "rates.reward_rate", (0.10, 0.20, 0.30, 0.40, 0.54, 0.70, 1.00),
+                  ["R/V_0", "h**", "SR", "Remark"], ["%.0f", "%.0f", "%.2f", None],
+                  lambda base, v, h, st: [v * 100.0, h * 100.0, st.sr_raw,
+                                          _apr_remark(v, st.sr_raw, base.rates.reward_rate)]),
+    "vol": _sweep("sensitivity_vol", "market.vol_scale", (0.8, 1.0, 1.2),
+                  ["sigma scaling", "sigma_A", "sigma_B", "h**", "SR", "P(liq)"],
+                  [None, "%.0f", "%.0f", "%.0f", "%.2f", "%.1f"],
+                  lambda base, v, h, st: [
+                      "Baseline" if v == 1.0 else "%+.0f%%" % ((v - 1.0) * 100.0),
+                      base.market.sigma_a * v * 100.0, base.market.sigma_b * v * 100.0,
+                      h * 100.0, st.sr_raw, st.p_liq * 100.0]),
+    "penalty": _sweep("sensitivity_penalty", "sim.liq_penalty_frac", (0.10, 0.20, 0.30),
+                      ["Penalty", "h**", "SR", "P(liq) at h**"], ["%.0f", "%.0f", "%.2f", "%.1f"],
+                      lambda base, v, h, st: [v * 100.0, h * 100.0, st.sr_raw, st.p_liq * 100.0]),
+    "cv": _sweep("cv_sensitivity", "position.c_over_v0", (1.2, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 5.0),
+                 ["C/V_0", "h**", "SR", "P(liq)", "E[ROE]", "Init LTV"],
+                 ["%.1f", "%.0f", "%.2f", "%.1f", "%+.2f", "%.1f"],
+                 lambda base, v, h, st: [v, h * 100.0, st.sr_raw, st.p_liq * 100.0, st.e_roe_pp,
+                                         h / v * 100.0]),
     "robustness": Target(("robustness_pairs", "table6"), _one(run_robustness_pairs)),
-    **{fig: Target((), lambda base, n_workers, fig=fig: [
-        emit_figure_data(fig, base, n_workers=n_workers)]) for fig in FIGURES},
+    "fig1": _figure("fig1", TABLE4_GRID, ["h", "sr_tx", "p_liq"], _by_h("sr_tx", "p_liq")),
+    "fig2": _figure("fig2", TABLE4_GRID, ["h", "e_roe", "std"], _by_h("e_roe_pp", "std_pp")),
+    "fig3": _figure("fig3", FINE_GRID, ["h"] + ["sr(rho=%.2f)" % r for r in FIG3_RHOS],
+                    _sharpe_series("market.rho", FIG3_RHOS)),
+    "fig4": _figure("fig4", FINE_GRID, ["h"] + ["sr(r_b=%.2f)" % r for r in FIG4_RBS],
+                    _sharpe_series("rates.r_b", FIG4_RBS)),
 }
 
 

@@ -220,19 +220,19 @@ def test_engine_property_suite(base_scn, base_paths):
 def test_sensitivity_optima_track_reference(base_scn):
     step = 5.0 + 1e-9
 
-    apr = exp.run_sensitivity_apr(base_scn)
+    apr = exp.reproduce("apr", base_scn)[0]
     for row, want in zip(apr.rows, (0.0, 40.0, 50.0, 60.0, 60.0, 70.0, 70.0)):
         assert abs(row[1] - want) <= step, "apr %.0f%%: h=%.0f vs %.0f" % (row[0], row[1], want)
     assert apr.rows[0][2] <= 0.05  # 10% reward APR cannot carry the costs
 
-    vol = exp.run_sensitivity_vol(base_scn)
+    vol = exp.reproduce("vol", base_scn)[0]
     for row, want in zip(vol.rows, (70.0, 60.0, 50.0)):
         assert abs(row[3] - want) <= step, "vol %s: h=%.0f vs %.0f" % (row[0], row[3], want)
 
-    pen = exp.run_sensitivity_penalty(base_scn)
+    pen = exp.reproduce("penalty", base_scn)[0]
     for row, want in zip(pen.rows, (80.0, 65.0, 60.0)):
         assert abs(row[1] - want) <= step, "penalty %.0f%%: h=%.0f vs %.0f" % (row[0], row[1], want)
 
-    cv = exp.run_sensitivity_cv(base_scn)
+    cv = exp.reproduce("cv", base_scn)[0]
     for row, want in zip(cv.rows, (30.0, 50.0, 60.0, 65.0, 80.0, 80.0, 90.0, 100.0)):
         assert abs(row[1] - want) <= step, "cv %.1f: h=%.0f vs %.0f" % (row[0], row[1], want)

@@ -4,6 +4,8 @@ import argparse
 import concurrent.futures
 import contextlib
 import datetime
+import hashlib
+import io
 import multiprocessing
 import os
 import re
@@ -672,6 +674,101 @@ def test_reproduce_unknown_target(capsys):
     assert "unknown reproduction target" in err
 
 
+def _reproduce_digests(name, out_dir):
+    """sha256 of the stdout of `reproduce NAME` at 200 paths over 30 days and
+    of each CSV it writes to out_dir, by file name."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["reproduce", name, "--paths", "200", "--override",
+                     "position.horizon_days=30", "--out", str(out_dir)]) == 0
+    files = {"stdout": stdout.getvalue().encode()}
+    files.update((f.name, f.read_bytes()) for f in sorted(out_dir.iterdir()))
+    return {key: hashlib.sha256(data).hexdigest() for key, data in files.items()}
+
+
+# the bytes every target printed and wrote before its runner moved into
+# TARGETS; a change to the registry must leave each one as it is
+TARGET_DIGESTS = {
+    "table4": {
+        "stdout": "b92442130bc0b5f40534744a4e997d0b4f8c96aab11b7cba98871f861df90fab",
+        "hedge_grid.csv": "b92442130bc0b5f40534744a4e997d0b4f8c96aab11b7cba98871f861df90fab",
+        "hedge_grid_full.csv": "9d0b098cd51918317cb6caa78600e8a3488b2c885c451f7e7e80ca1a8a60e86e",
+    },
+    "table5": {
+        "stdout": "f8b608ebda7b084c26e8ae74880a88798741f951612913d6fb732f3b8c76a1c5",
+        "analytic_vs_mc.csv": "f8b608ebda7b084c26e8ae74880a88798741f951612913d6fb732f3b8c76a1c5",
+        "analytic_vs_mc_full.csv": "9f64248f22e4d24c8d9709c2b36aad7e550e9f7ee0c9d602b1cdb2b46e4e05e8",
+    },
+    "liqstats": {
+        "stdout": "f1761d5b682c9f7253e68999952a8fa435db7a7dfcc754dd848819b79e079943",
+        "liquidation_stats.csv": "f1761d5b682c9f7253e68999952a8fa435db7a7dfcc754dd848819b79e079943",
+        "liquidation_stats_full.csv": "f3ae6dfc14e7fdc5213cdd550311a5fbfdd0a6e2f8a73c2084daebf09c9fe89a",
+    },
+    "table8": {
+        "stdout": "09910680634fd75ef23cae2dcbab08b4d4f18c35518be0f88f8e3345f36affde",
+        "rebalancing.csv": "09910680634fd75ef23cae2dcbab08b4d4f18c35518be0f88f8e3345f36affde",
+        "rebalancing_full.csv": "8f4c0b193ca10d6b424441fa69ed4975133c0cfb5846909b088095ec20cc3e7b",
+    },
+    "jumps": {
+        "stdout": "20fdce75c2e6f2afbadb2de33540d25497d2b525cff0b7e6d69d6408b8e5b4aa",
+        "jump_comparison.csv": "cb87f5d22c0c1e8611a6269629a97612d0a849e6d9fc796e514eff7d47d857a4",
+        "jump_comparison_full.csv": "816227ecaadbb26e266eeb2e1c43442b862eb4938b819fa0342c44e1452f31ca",
+        "jump_stress.csv": "c68509185bd67f687d2dfd1c97fe9e421746e91150db43510f07bf30908aa2eb",
+        "jump_stress_full.csv": "47b7e9c7c83dd80b9819b40ee6e2cee2b098c0df1f4c87341e47019e9d9ace32",
+    },
+    "apr": {
+        "stdout": "7753590ad6f930246f3a415b23aa469903ac7612d05213a001e2dc4b59d8cc9f",
+        "sensitivity_apr.csv": "7753590ad6f930246f3a415b23aa469903ac7612d05213a001e2dc4b59d8cc9f",
+        "sensitivity_apr_full.csv": "3ba46494bda7c1eccf8f8fe5ff594d65e54f8bcaad5ae651309b731e30999e08",
+    },
+    "vol": {
+        "stdout": "bed5e23f3badb3ff8151ab0f4cc757c6feb5b457badf7f7993ce0fbf8fde6eac",
+        "sensitivity_vol.csv": "bed5e23f3badb3ff8151ab0f4cc757c6feb5b457badf7f7993ce0fbf8fde6eac",
+        "sensitivity_vol_full.csv": "c78fa6f6e0ddd2d6a108791979f0979afb281da4933d4e04a4d30092a64b8812",
+    },
+    "penalty": {
+        "stdout": "42fcb6a9cac3b03ddc24f6e8db257da8c64e254e299e8eb3deaec2b4d8a9b691",
+        "sensitivity_penalty.csv": "42fcb6a9cac3b03ddc24f6e8db257da8c64e254e299e8eb3deaec2b4d8a9b691",
+        "sensitivity_penalty_full.csv": "316f801e88baaf42e2fca01ab21ba082986ad5f10f2022cd4435cd515c7e5796",
+    },
+    "cv": {
+        "stdout": "efe7f020c3f468cc397261ae4deb5feb1358db722eabd95ddbc14daf63d84684",
+        "cv_sensitivity.csv": "efe7f020c3f468cc397261ae4deb5feb1358db722eabd95ddbc14daf63d84684",
+        "cv_sensitivity_full.csv": "e8f4bc97fd0cc755724dde2b7d9339ee75e4a191e2709a9954635123448d9da4",
+    },
+    "robustness": {
+        "stdout": "f625e40c7eefb7e3b63d0c8238b37b51fa5cc709a0aced40b2451753de2835ba",
+        "robustness_pairs.csv": "f625e40c7eefb7e3b63d0c8238b37b51fa5cc709a0aced40b2451753de2835ba",
+        "robustness_pairs_full.csv": "60cc40b0e64851cbe7b7287a1c69ac5c5ce22a483b6797cc974fd5ffa2c53d35",
+    },
+    "fig1": {
+        "stdout": "de7f1f9320bfb36b655f8e0bfd12aae1e23450793fce018658c157d16c6f150f",
+        "fig1.csv": "de7f1f9320bfb36b655f8e0bfd12aae1e23450793fce018658c157d16c6f150f",
+        "fig1_full.csv": "de7f1f9320bfb36b655f8e0bfd12aae1e23450793fce018658c157d16c6f150f",
+    },
+    "fig2": {
+        "stdout": "051538efda72c063a9faffc5040ad1482c9a90b3582ca09ecf3cd13869d39fc8",
+        "fig2.csv": "051538efda72c063a9faffc5040ad1482c9a90b3582ca09ecf3cd13869d39fc8",
+        "fig2_full.csv": "051538efda72c063a9faffc5040ad1482c9a90b3582ca09ecf3cd13869d39fc8",
+    },
+    "fig3": {
+        "stdout": "1e06ab990e4e4388851154e46e5bc07a15de8b32d23b8482702c79f8443be8a7",
+        "fig3.csv": "1e06ab990e4e4388851154e46e5bc07a15de8b32d23b8482702c79f8443be8a7",
+        "fig3_full.csv": "1e06ab990e4e4388851154e46e5bc07a15de8b32d23b8482702c79f8443be8a7",
+    },
+    "fig4": {
+        "stdout": "2d7287ed6c7e050b25ae80b7d21e52cabb81eaa00a6fde775bf58246a1f23849",
+        "fig4.csv": "2d7287ed6c7e050b25ae80b7d21e52cabb81eaa00a6fde775bf58246a1f23849",
+        "fig4_full.csv": "2d7287ed6c7e050b25ae80b7d21e52cabb81eaa00a6fde775bf58246a1f23849",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_every_target_writes_its_frozen_bytes(tmp_path, name):
+    assert _reproduce_digests(name, tmp_path) == TARGET_DIGESTS[name]
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -713,6 +810,18 @@ def test_calibrate_refuses_dates_that_are_not_consecutive_days(capsys, tmp_path,
     code, out, err = _run(capsys, ["calibrate"] + paths)
     assert (code, out) == (1, "")
     assert err.startswith("configuration error: %s:%d: date " % (paths[0], row))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_calibrate_refuses_non_finite_prices(capsys, tmp_path, bad):
+    rng = np.random.default_rng(7)
+    prices = [np.exp(0.05 * rng.standard_normal(40)) for _ in range(2)]
+    prices[1][20] = bad
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    for path, p in zip(paths, prices):
+        _write_prices(path, p)
+    assert _run(capsys, ["calibrate"] + paths) == (
+        1, "", "configuration error: prices must be finite and strictly positive\n")
 
 
 def test_calibrate_missing_file_is_config_error(capsys, tmp_path):

@@ -212,6 +212,15 @@ def test_estimate_input_errors():
         cd.estimate_market_params(bad, pb)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("leg", [0, 1])
+def test_estimate_refuses_non_finite_prices(bad, leg):
+    series = list(_gbm_series(40, 0.9, 1.0, 0.5, seed=4))
+    series[leg][17] = bad
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        cd.estimate_market_params(*series)
+
+
 def test_read_price_csv(tmp_path):
     f = tmp_path / "prices.csv"
     f.write_text("date,price\n2025-01-01,10.5\n2025-01-02,11.0\n")

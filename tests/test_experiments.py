@@ -224,9 +224,18 @@ def _sweep(axis, values):
     return run_sensitivity
 
 
+def _sweep_target(name):
+    # a case runs the sweep target at its own values, and is named
+    # run_sensitivity_<target>
+    def run(scn):
+        return exp.reproduce(name, scn)[0]
+    run.__name__ = "run_sensitivity_" + name
+    return run
+
+
 @pytest.mark.parametrize("runner, axis, n_values", [
-    (exp.run_sensitivity_cv, "position.c_over_v0", 8),
-    (exp.run_sensitivity_penalty, "sim.liq_penalty_frac", 3),
+    (_sweep_target("cv"), "position.c_over_v0", 8),
+    (_sweep_target("penalty"), "sim.liq_penalty_frac", 3),
     # read only after the step loop, like the penalty
     (_sweep("rates.r_f", (0.0, 0.02, 0.04)), "rates.r_f", 3),
     (_sweep("sim.gas_cost", (0.0, 0.001, 0.002)), "sim.gas_cost", 3),
@@ -401,29 +410,30 @@ def test_apr_remarks():
 
 
 def test_sensitivity_apr_wrapper(tiny):
-    t = exp.run_sensitivity_apr(tiny, values=(0.54,), grid=(0.6,))
+    t = exp.reproduce("apr", tiny)[0]
     assert t.columns == ["R/V_0", "h**", "SR", "Remark"]
-    assert t.rows[0][0] == 54.0
-    assert t.rows[0][3] == "Calibrated value"
+    assert t.rows[4][0] == 54.0
+    assert t.rows[4][3] == "Calibrated value"
 
 
 def test_sensitivity_vol_wrapper(tiny):
-    t = exp.run_sensitivity_vol(tiny, scales=(0.8, 1.0), grid=(0.6,))
-    assert [r[0] for r in t.rows] == ["-20%", "Baseline"]
+    t = exp.reproduce("vol", tiny)[0]
+    assert [r[0] for r in t.rows] == ["-20%", "Baseline", "+20%"]
     assert t.rows[0][1] == pytest.approx(0.922 * 0.8 * 100.0)
     assert t.rows[1][2] == pytest.approx(108.4)
 
 
 def test_sensitivity_cv_wrapper(tiny):
-    t = exp.run_sensitivity_cv(tiny, values=(2.0,), grid=(0.6,))
+    t = exp.reproduce("cv", tiny)[0]
     assert t.columns[0] == "C/V_0"
-    assert t.rows[0][0] == 2.0
-    assert t.rows[0][5] == pytest.approx(30.0)  # init LTV = h/cv
+    assert t.rows[3][0] == 2.0
+    for row in t.rows:
+        assert row[5] == pytest.approx(row[1] / row[0])  # init LTV = h/cv
 
 
 def test_sensitivity_penalty_wrapper(tiny):
-    t = exp.run_sensitivity_penalty(tiny, values=(0.10, 0.30), grid=(0.6,))
-    assert [r[0] for r in t.rows] == [10.0, 30.0]
+    t = exp.reproduce("penalty", tiny)[0]
+    assert [r[0] for r in t.rows] == [10.0, 20.0, 30.0]
     assert t.columns == ["Penalty", "h**", "SR", "P(liq) at h**"]
 
 
@@ -548,7 +558,7 @@ def _run_scenario(m):
 
 
 def _figure(m):
-    return [(m, exp.emit_figure_data("fig2", m, grid=REF_GRID).extra["stats"])]
+    return [(m, exp.reproduce("fig2", m)[0].extra["stats"])]
 
 
 def _sweep(axis, values):
@@ -580,23 +590,21 @@ def test_runner_stats_equal_a_naive_reference(tiny, monkeypatch, runner, draws):
 # figures
 
 def test_figure_data_columns(tiny):
-    f1 = exp.emit_figure_data("fig1", tiny, grid=(0.5, 0.6))
+    f1, = exp.reproduce("fig1", tiny)
     assert f1.columns == ["h", "sr_tx", "p_liq"]
-    assert [r[0] for r in f1.rows] == [0.5, 0.6]
-    f2 = exp.emit_figure_data("fig2", tiny, grid=(0.5,))
+    assert [r[0] for r in f1.rows] == list(exp.TABLE4_GRID)
+    f2, = exp.reproduce("fig2", tiny)
     assert f2.columns == ["h", "e_roe", "std"]
-    f3 = exp.emit_figure_data("fig3", tiny, grid=(0.6,))
+    f3, = exp.reproduce("fig3", tiny)
     assert f3.columns == ["h"] + ["sr(rho=%.2f)" % r for r in exp.FIG3_RHOS]
-    f4 = exp.emit_figure_data("fig4", tiny, grid=(0.6,))
+    f4, = exp.reproduce("fig4", tiny)
     assert f4.columns == ["h"] + ["sr(r_b=%.2f)" % r for r in exp.FIG4_RBS]
     assert len(f4.rows[0]) == 6
 
 
 def test_figure_data_errors(tiny):
-    with pytest.raises(ScenarioError, match="unknown figure"):
-        exp.emit_figure_data("fig9", tiny)
-    with pytest.raises(ScenarioError, match="nonempty"):
-        exp.emit_figure_data("fig1", tiny, grid=())
+    with pytest.raises(ScenarioError, match="unknown reproduction target"):
+        exp.reproduce("fig9", tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +643,18 @@ def test_reproduce_dispatch(tiny, tmp_path):
     assert t8.name == "rebalancing"
 
 
-def test_targets_are_one_registry():
+def test_targets_are_one_registry(tiny):
     names = list(exp.TARGETS) + [a for t in exp.TARGETS.values() for a in t.aliases]
     assert len(names) == len(set(names))
-    assert {n for n, t in exp.TARGETS.items() if t.axis} == {"apr", "vol", "penalty", "cv"}
-    for fig in exp.FIGURES:
-        assert fig in exp.TARGETS
+    sweeps = {n: t for n, t in exp.TARGETS.items() if t.axis}
+    assert set(sweeps) == {"apr", "vol", "penalty", "cv"}
+    month = apply_overrides(tiny, ["position.horizon_days=30"])
+    for target in sweeps.values():
+        assert target.axis in exp.SWEEP_AXES
+        # a sweep target's one alias is the name of the table it returns
+        assert [t.name for t in target.run(month, 1)] == list(target.aliases)
+    for fig in ("fig1", "fig2", "fig3", "fig4"):
+        assert [t.name for t in exp.reproduce(fig, month)] == [fig]
     for name in names:
         assert name in exp.describe_targets()
 
